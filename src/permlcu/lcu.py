@@ -79,7 +79,9 @@ class Statevector:
         return float(np.linalg.norm(self.amps))
 
     def system_block(self, ancilla_index: int = 0) -> np.ndarray:
-        return self.amps[ancilla_index]
+        """A copy of one ancilla row, so that keeping it does not keep the
+        whole ancilla-sized array alive."""
+        return self.amps[ancilla_index].copy()
 
     @classmethod
     def from_system(cls, layout: RegisterLayout, psi_system: np.ndarray) -> "Statevector":

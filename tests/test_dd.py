@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlcu import dd
 
@@ -304,3 +305,109 @@ def test_batch_mixed_fallback_rows():
     batch = dd.exp_dd_batch(rows)
     for i in range(3):
         assert rel_err(batch[i], dd.exp_dd_oracle_bidiagonal(rows[i])) < 1e-9
+
+
+# --- wide rows: batched scaling and squaring -------------------------------
+
+def mp_exp_dd(xs):
+    """Reference: corner of a 50-digit mpmath expm of the bidiagonal matrix."""
+    mpmath = pytest.importorskip("mpmath")
+    m = len(xs)
+    with mpmath.workdps(50):
+        a = mpmath.matrix(m, m)
+        for i, x in enumerate(xs):
+            a[i, i] = mpmath.mpc(complex(x).real, complex(x).imag)
+            if i + 1 < m:
+                a[i, i + 1] = 1
+        return complex(mpmath.expm(a)[0, m - 1])
+
+
+def test_wide_row_with_repeats_at_large_frequency():
+    xs = np.array([693147.18055995j, 1039720.07769274j, 693147.18055995j,
+                   346572.89713279j, 0, 346572.89713279j, 0])
+    assert rel_err(dd.exp_dd(xs), mp_exp_dd(xs)) <= 1e-9
+
+
+def test_wide_rows_near_confluent_clusters():
+    rng = np.random.default_rng(23)
+    for gap in (1e-3, 1e-4, 1e-5, 1e-6):
+        for q in (2, 4, 6, 8):
+            centre = 1e5j * rng.uniform(-1, 1)
+            cluster = centre + gap * (rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3))
+            rest = 1e5j * rng.uniform(-1, 1, q - 2)
+            xs = rng.permutation(np.concatenate([cluster, rest]))
+            assert rel_err(dd.exp_dd(xs), mp_exp_dd(xs)) <= 1e-10, (gap, q, xs)
+
+
+def test_wide_real_rows_for_the_bound():
+    rng = np.random.default_rng(24)
+    rows = [rng.uniform(-1, 1, q + 1) * spread
+            for q in (1, 3, 5, 8) for spread in (35.0, 80.0, 200.0)]
+    for xs in rows:
+        xs[0], xs[1] = -abs(xs).max(), abs(xs).max()  # the full spread
+        got = dd.exp_dd_bound_batch(np.asarray(xs, dtype=complex)[None, :])[0]
+        assert rel_err(got, mp_exp_dd(xs).real) <= 1e-12
+
+
+def test_wide_batch_larger_than_a_chunk_matches_single_rows():
+    rng = np.random.default_rng(25)
+    n = dd.WIDE_CHUNK + 300
+    spread = np.exp(rng.uniform(np.log(31.0), np.log(1e6), n))
+    rows = 1j * spread[:, None] * rng.uniform(-1, 1, (n, 6))
+    rows[:, 0], rows[:, 1] = 1j * spread, -1j * spread
+    rows[::4, 2] = rows[::4, 3]  # exact repeats
+    rows[::3] += rng.uniform(-5, 5, (len(rows[::3]), 6))
+    batch = dd.exp_dd_batch(rows)
+    single = np.array([dd.exp_dd_batch(r[None, :])[0] for r in rows])
+    assert np.array_equal(batch, single)
+
+
+def test_oracle_does_not_use_the_batched_kernel(monkeypatch):
+    xs = np.array([1e5j, -1e5j, 3.0, 0.0])
+    expected = dd.exp_dd_oracle_bidiagonal(xs)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("batched kernel called")
+
+    monkeypatch.setattr(dd, "_wide_batch", broken)
+    monkeypatch.setattr(dd, "exp_dd_batch", broken)
+    with pytest.raises(RuntimeError):
+        dd.exp_dd(xs)
+    assert dd.exp_dd_oracle_bidiagonal(xs) == expected
+    assert rel_err(expected, mp_exp_dd(xs)) <= 1e-9
+
+
+@st.composite
+def wide_rows(draw):
+    """Imaginary, complex or imaginary rows with exact repeats, whose
+    mean-shifted spread is at least a drawn value in (30, 1e6], and a
+    permutation.
+
+    Real parts stay within +-5, the scale of decay rates.  With real parts
+    of 50 against an imaginary spread of 2e3 the value can be 2e-11 of the
+    real-part bound: on [974j, 50 - 974j, 0, ..., 0] neither this kernel
+    (3.4e-9) nor scipy's expm (1.9e-9) is within 1e-9 of the reference.
+    """
+    q = draw(st.integers(1, 8))
+    spread = draw(st.floats(30.0, 1e6, exclude_min=True))
+    unit = st.floats(-1.0, 1.0)
+    u = np.array([1.0, -1.0] + draw(st.lists(unit, min_size=q - 1, max_size=q - 1)))
+    xs = 1j * spread * u  # u[0] - u[1] = 2, so the shifted spread is >= spread
+    kind = draw(st.sampled_from(["imaginary", "complex", "repeats"]))
+    if kind == "complex":
+        xs = xs + 5.0 * np.array(draw(st.lists(unit, min_size=q + 1, max_size=q + 1)))
+    elif kind == "repeats" and q >= 2:  # entries 0 and 1 keep the spread
+        for j in draw(st.lists(st.integers(2, q), min_size=1, max_size=q)):
+            xs[j] = xs[draw(st.integers(0, q))]
+    perm = draw(st.permutations(range(q + 1)))
+    return xs, np.array(perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_rows())
+def test_wide_rows_property(case):
+    xs, perm = case
+    ref = mp_exp_dd(xs)
+    vals = dd.exp_dd_batch(np.array([xs, xs[perm]]))
+    assert rel_err(vals[0], ref) <= 1e-9
+    assert rel_err(vals[1], vals[0]) <= 1e-9

@@ -243,6 +243,7 @@ def test_run_full_v_zero_is_diagonal_phase():
     expect = np.exp(-1j * h.h0_diag * 2.5) * psi
     np.testing.assert_allclose(final.system_block(0), expect, atol=1e-12)
     assert diag["r"] == 1
+    assert not np.shares_memory(final.system_block(0), final.amps)
 
 
 def test_run_full_oscillating_matches_ode_oracle():
