@@ -11,12 +11,18 @@ with the exponential rates, and the divided difference replaces the nested
 time-ordered integrals.  Every scalar coefficient is bounded by
 (dt_tilde^q / q!) * Gamma_term, which fixes the phase pair (phi, theta)
 consumed by the LCU simulator.
+
+Everything but the phases at t_w and the divided differences at dt_w
+depends only on the model and the truncation order, so a `SegmentPlan`
+enumerates the permutation paths once per run, and each segment is an
+array table of its terms built from the plan.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,33 +41,21 @@ class EnumerationLimitError(ValueError):
     """The exhaustive multi-index enumeration would exceed the term guard."""
 
 
-@dataclass(frozen=True)
-class DysonTerm:
-    """One (q, i_q, k_q, z) summand of a segment operator."""
-    q: int
-    iq: tuple[int, ...]
-    kq: tuple[int, ...]
-    z: int
-    z_path: tuple[int, ...]
-    xj: tuple[complex, ...]
-    coeff: complex
-    gamma_term: float
-    phi: float
-    theta: float
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """All ancilla terms (q, i_q, k_q) of a segment, one row per term in
+    ancilla order (ascending q, then i_q outer and k_q inner, both
+    lexicographic); columns are the z-components."""
+    q: np.ndarray           # (T,) order
+    cum_mask: np.ndarray    # (T,) XOR mask of P_{i_q}
+    coeff: np.ndarray       # (T, 2^n)
+    phi: np.ndarray         # (T, 2^n)
+    theta: np.ndarray       # (T, 2^n)
+    gamma_term: np.ndarray  # (T,)
+    bound: np.ndarray       # (T,) dt_tilde^q/q! * gamma bound used for the phases
 
-
-@dataclass(frozen=True)
-class TermBlock:
-    """All z-components of one ancilla term (q, i_q, k_q), vectorized."""
-    q: int
-    iq: tuple[int, ...]
-    kq: tuple[int, ...]
-    cum_mask: int
-    coeff: np.ndarray      # (2^n,)
-    phi: np.ndarray        # (2^n,)
-    theta: np.ndarray      # (2^n,)
-    gamma_term: float
-    bound: float           # dt_tilde^q/q! * gamma bound used for the phases
+    def __len__(self) -> int:
+        return len(self.q)
 
 
 @dataclass(frozen=True)
@@ -77,27 +71,22 @@ class SegmentOperator:
     gamma_step: float
     mode: str
     clamped: bool
-    blocks: tuple[TermBlock, ...]
+    blocks: TermTable
+    plan: "SegmentPlan"
 
     def matrix(self) -> np.ndarray:
-        """Dense segment operator; deterministic block-ordered accumulation."""
-        dim = self.h.dim
-        z = np.arange(dim)
-        out = np.zeros((dim, dim), dtype=complex)
-        for blk in self.blocks:
-            out[z ^ blk.cum_mask, z] += (-1j) ** blk.q * blk.coeff
-        return out
+        """Dense segment operator; deterministic term-ordered accumulation."""
+        return _accumulate(self.blocks.cum_mask, self.plan.factors, self.blocks.coeff)
 
-    def terms(self):
-        """Per-(term, z) DysonTerm views, recomputing inputs on demand."""
-        for blk in self.blocks:
-            for z in range(self.h.dim):
-                xj, z_path, _ = interaction_inputs(self.h, blk.iq, blk.kq, z)
-                yield DysonTerm(q=blk.q, iq=blk.iq, kq=blk.kq, z=z,
-                                z_path=z_path, xj=xj,
-                                coeff=complex(blk.coeff[z]),
-                                gamma_term=blk.gamma_term,
-                                phi=float(blk.phi[z]), theta=float(blk.theta[z]))
+
+def _accumulate(cum_mask: np.ndarray, factors: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Dense sum_t factors_t P_{cum_mask_t} diag(coeff_t), added term by term."""
+    nt, dim = coeff.shape
+    z = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    np.add.at(out, (cum_mask[:, None] ^ z, np.broadcast_to(z, (nt, dim))),
+              factors[:, None] * coeff)
+    return out
 
 
 def interaction_inputs(h: pham.PermExpHamiltonian, iq, kq, z: int):
@@ -189,106 +178,162 @@ def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
     return h.dim * sum(base**q for q in range(q_max + 1))
 
 
-def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
-                  q_max: int | None = None) -> SegmentOperator:
-    """Enumerate all Dyson terms of segment w up to the truncation order.
-
-    The mode is inherited from the schedule: exact per-term Gamma bounds or
-    the uniform (larger, state-preparation-cheap) bound.
-    """
+def _truncation_order(schedule: Schedule, q_max: int | None) -> int:
     if q_max is None:
         q_max = schedule.Q
     if q_max is None:
         raise ValueError("truncation order missing: build the schedule with eps or pass q_max")
+    return q_max
+
+
+def _enumerate_paths(h: pham.PermExpHamiltonian, tables, q_max: int):
+    """Per order q = 1..q_max, the permutation paths of all (i_q, k_q), i_q
+    outer and k_q inner, both lexicographic: (i, k, cum, e_prev, e_final,
+    rates, d_coeff), shapes (B, q) for the multi-indices and cumulative masks,
+    (B, q, 2^n) for E_{z_{j-1}} and the rates, (B, 2^n) for E_{z_q} and d."""
     if count_terms(h, q_max) > ENUMERATION_GUARD:
         raise EnumerationLimitError(
             f"{count_terms(h, q_max)} terms exceed the enumeration guard {ENUMERATION_GUARD}")
+    amp, rate, _, masks = tables
+    n_i, n_k = amp.shape[:2]
+    if not (n_i and n_k):
+        return
+    dim = h.dim
+    z = np.arange(dim)
+    energies = h.h0_diag
+    for q in range(1, q_max + 1):
+        i_tuples = np.array(list(product(range(n_i), repeat=q)), dtype=np.int64)
+        k_tuples = np.array(list(product(range(n_k), repeat=q)), dtype=np.int64)
+        n_it, n_kt = len(i_tuples), len(k_tuples)
+        big_i = np.repeat(i_tuples, n_kt, axis=0)            # (B, q)
+        big_k = np.tile(k_tuples, (n_it, 1))                 # (B, q)
+        nb = n_it * n_kt
+
+        cum = np.zeros((nb, q), dtype=np.int64)
+        acc = np.zeros(nb, dtype=np.int64)
+        for j in range(q):
+            acc = acc ^ masks[big_i[:, j]]
+            cum[:, j] = acc
+        zp = cum[:, :, None] ^ z[None, None, :]              # (B, q, dim)
+
+        e_prev = np.concatenate(
+            [np.broadcast_to(energies[z], (nb, 1, dim)),
+             energies[zp[:, :-1, :]]], axis=1)
+        yield (big_i, big_k, cum, e_prev, energies[zp[:, -1, :]],
+               rate[big_i[:, :, None], big_k[:, :, None], zp],
+               amp[big_i[:, :, None], big_k[:, :, None], zp].prod(axis=1))
+
+
+class _Order(NamedTuple):
+    """Segment-independent data of the order-q terms."""
+    q: int
+    rows: slice            # their rows in the term table
+    dd_rows: np.ndarray    # (B * 2^n, q + 1) inputs [x_1, ..., x_q, 0]
+    gap: np.ndarray        # (B, 2^n) E_z - E_{z_q}
+    rates_sum: np.ndarray  # (B, 2^n)
+    d_coeff: np.ndarray    # (B, 2^n)
+    lam: np.ndarray        # (B, q) growth exponent of each (i_j, k_j)
+    amp_prod: np.ndarray   # (B,) product of the amplitude scales
+
+
+class SegmentPlan:
+    """The segment-independent part of the Dyson segments of h to order
+    q_max, built once per run.  It keeps the divided differences of the last
+    step length asked for, since a schedule's equal steps are consecutive."""
+
+    def __init__(self, h: pham.PermExpHamiltonian, q_max: int):
+        self.h, self.q_max = h, q_max
+        tables = _lookup_tables(h)
+        _, rate, amp_scale, _ = tables
+        lam_ik = rate.real.max(axis=2)           # per-(i,k) growth exponent
+        self.gmax = amp_scale.max() if amp_scale.size else 0.0
+        dim = h.dim
+        self.orders: list[_Order] = []
+        masks, qs, start = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)], 1
+        for big_i, big_k, cum, e_prev, e_final, rates, d_coeff in _enumerate_paths(
+                h, tables, q_max):
+            nb, q = big_i.shape
+            suffix = np.flip(np.cumsum(np.flip(rates, axis=1), axis=1), axis=1)
+            xrows = 1j * (e_final[:, None, :] - e_prev) + suffix  # (B, q, dim)
+            dd_rows = np.concatenate(
+                [xrows.transpose(0, 2, 1).reshape(nb * dim, q),
+                 np.zeros((nb * dim, 1), dtype=complex)], axis=1)
+            self.orders.append(_Order(
+                q, slice(start, start + nb), dd_rows, h.h0_diag[None, :] - e_final,
+                rates.sum(axis=1), d_coeff, lam_ik[big_i, big_k],
+                amp_scale[big_i, big_k].prod(axis=1)))
+            masks.append(cum[:, -1])
+            qs.append(np.full(nb, q))
+            start += nb
+        self.cum_mask, self.q = np.concatenate(masks), np.concatenate(qs)
+        # (-i)^q of every term
+        self.factors = np.array([(-1j) ** q for q in range(q_max + 1)])[self.q]
+        self._dd_step = self._dd = None
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def divided(self, dt: float) -> list[np.ndarray]:
+        """e^{dt [x_1,...,x_q, 0]} of every order, shape (B, 2^n) each."""
+        if dt != self._dd_step:
+            self._dd = [dd.exp_dd_scaled_batch(dt, o.dd_rows).reshape(o.gap.shape)
+                        for o in self.orders]
+            self._dd_step = dt
+        return self._dd
+
+
+def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
+                  q_max: int | None = None, plan: SegmentPlan | None = None
+                  ) -> SegmentOperator:
+    """All Dyson terms of segment w up to the truncation order.
+
+    The mode is inherited from the schedule: exact per-term Gamma bounds or
+    the uniform (larger, state-preparation-cheap) bound.  ``plan`` is the
+    run's SegmentPlan for (h, q_max); one is built when it is omitted.
+    """
+    q_max = _truncation_order(schedule, q_max)
+    if plan is None:
+        plan = SegmentPlan(h, q_max)
+    elif plan.h is not h or plan.q_max != q_max:
+        raise ValueError(f"plan of order {plan.q_max} does not match this model "
+                         f"at order {q_max}")
     t_w, dt_w = schedule.steps[w]
     dt_tilde = schedule.dt_tilde(w)
     gamma_step = schedule.gammas[w]
     mode = schedule.mode
-    dim = h.dim
-    z = np.arange(dim)
-    energies = h.h0_diag
     clamped = schedule.final_step_clamped and w == schedule.r - 1
 
-    blocks = [TermBlock(q=0, iq=(), kq=(), cum_mask=0,
-                        coeff=np.ones(dim, dtype=complex),
-                        phi=np.zeros(dim), theta=np.zeros(dim),
-                        gamma_term=1.0, bound=1.0)]
-    n_i, n_k = len(h.vterms), h.num_exp_terms
-    if n_i and n_k:
-        amp, rate, amp_scale, masks = _lookup_tables(h)
-        lam_ik = rate.real.max(axis=2)           # per-(i,k) growth exponent
-        gmax = amp_scale.max()
-        lam_global = schedule.lam
-        for q in range(1, q_max + 1):
-            i_tuples = np.array(list(product(range(n_i), repeat=q)), dtype=np.int64)
-            k_tuples = np.array(list(product(range(n_k), repeat=q)), dtype=np.int64)
-            n_it, n_kt = len(i_tuples), len(k_tuples)
-            # combined enumeration: i-tuples outer, k-tuples inner
-            big_i = np.repeat(i_tuples, n_kt, axis=0)            # (B, q)
-            big_k = np.tile(k_tuples, (n_it, 1))                 # (B, q)
-            nb = n_it * n_kt
+    nt = len(plan)
+    coeff = np.ones((nt, h.dim), dtype=complex)   # row 0: the q = 0 term
+    gamma_terms = np.ones(nt)
+    bounds = np.ones(nt)
+    for o, divided in zip(plan.orders, plan.divided(dt_w)):
+        rows = o.rows
+        phase = np.exp(-1j * t_w * o.gap)
+        coeff[rows] = phase * np.exp(t_w * o.rates_sum) * divided * o.d_coeff
+        gamma_terms[rows] = np.exp(t_w * o.lam).prod(axis=1) * o.amp_prod
+        scale = dt_tilde**o.q / math.factorial(o.q)
+        if mode == MODE_UNIFORM:
+            bounds[rows] = scale * (plan.gmax * np.exp(t_w * schedule.lam))**o.q
+        else:
+            bounds[rows] = scale * gamma_terms[rows]
 
-            cum = np.zeros((nb, q), dtype=np.int64)
-            acc = np.zeros(nb, dtype=np.int64)
-            for j in range(q):
-                acc = acc ^ masks[big_i[:, j]]
-                cum[:, j] = acc
-            zp = cum[:, :, None] ^ z[None, None, :]              # (B, q, dim)
-
-            rates = rate[big_i[:, :, None], big_k[:, :, None], zp]
-            amps = amp[big_i[:, :, None], big_k[:, :, None], zp]
-            d_coeff = amps.prod(axis=1)                          # (B, dim)
-            rates_sum = rates.sum(axis=1)
-            suffix = np.flip(np.cumsum(np.flip(rates, axis=1), axis=1), axis=1)
-
-            e_prev = np.concatenate(
-                [np.broadcast_to(energies[z], (nb, 1, dim)),
-                 energies[zp[:, :-1, :]]], axis=1)               # E_{z_{j-1}}
-            e_final = energies[zp[:, -1, :]]                     # (B, dim)
-            xrows = 1j * (e_final[:, None, :] - e_prev) + suffix  # (B, q, dim)
-
-            flat = np.concatenate(
-                [xrows.transpose(0, 2, 1).reshape(nb * dim, q),
-                 np.zeros((nb * dim, 1), dtype=complex)], axis=1)
-            divided = dd.exp_dd_scaled_batch(dt_w, flat).reshape(nb, dim)
-
-            phase = np.exp(-1j * t_w * (energies[z][None, :] - e_final))
-            coeff = phase * np.exp(t_w * rates_sum) * divided * d_coeff
-
-            gamma_terms = np.exp(t_w * lam_ik[big_i, big_k]).prod(axis=1) \
-                * amp_scale[big_i, big_k].prod(axis=1)           # (B,)
-            scale = dt_tilde**q / math.factorial(q)
-            if mode == MODE_UNIFORM:
-                bounds = np.full(nb, scale * (gmax * np.exp(t_w * lam_global))**q)
-            else:
-                bounds = scale * gamma_terms
-
-            mag = np.abs(coeff)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(bounds[:, None] > 0, mag / bounds[:, None], 0.0)
-            if (mag[bounds == 0.0] > 0).any() or ratio.max(initial=0.0) > 1.0 + BOUND_CLAMP_TOL:
-                raise TermBoundError(
-                    f"segment {w} order {q}: coefficient bound violated "
-                    f"(max ratio {ratio.max(initial=0.0)})")
-            phi = np.arccos(np.minimum(ratio, 1.0))
-            phi[bounds == 0.0] = math.pi / 2.0
-            theta = np.where(mag > 0, np.angle(coeff), 0.0)
-
-            for b in range(nb):
-                blocks.append(TermBlock(
-                    q=q, iq=tuple(int(v) for v in big_i[b]),
-                    kq=tuple(int(v) for v in big_k[b]),
-                    cum_mask=int(cum[b, -1]), coeff=coeff[b],
-                    phi=phi[b], theta=theta[b],
-                    gamma_term=float(gamma_terms[b]), bound=float(bounds[b])))
+    mag = np.abs(coeff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(bounds[:, None] > 0, mag / bounds[:, None], 0.0)
+    if (mag[bounds == 0.0] > 0).any() or ratio.max() > 1.0 + BOUND_CLAMP_TOL:
+        raise TermBoundError(f"segment {w} order {plan.q[ratio.max(axis=1).argmax()]}: "
+                             f"coefficient bound violated (max ratio {ratio.max()})")
+    phi = np.arccos(np.minimum(ratio, 1.0))
+    phi[bounds == 0.0] = math.pi / 2.0
+    theta = np.where(mag > 0, np.angle(coeff), 0.0)
 
     s = sum((gamma_step * dt_tilde)**q / math.factorial(q) for q in range(q_max + 1))
+    table = TermTable(q=plan.q, cum_mask=plan.cum_mask, coeff=coeff, phi=phi, theta=theta,
+                      gamma_term=gamma_terms, bound=bounds)
     return SegmentOperator(h=h, w=w, t_w=t_w, dt_w=dt_w, dt_tilde=dt_tilde,
                            q_max=q_max, s=s, gamma_step=gamma_step, mode=mode,
-                           clamped=clamped, blocks=tuple(blocks))
+                           clamped=clamped, blocks=table, plan=plan)
 
 
 def build_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
@@ -305,55 +350,28 @@ def alt_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     (y_1 = 0) and a trailing diagonal e^{-i H0 dt_w}; satisfies
     e^{-i H0 t_{w+1}} U_I = U_alt e^{-i H0 t_w} segment by segment.
     """
-    if q_max is None:
-        q_max = schedule.Q
-    if q_max is None:
-        raise ValueError("truncation order missing: build the schedule with eps or pass q_max")
-    if count_terms(h, q_max) > ENUMERATION_GUARD:
-        raise EnumerationLimitError("term guard exceeded")
+    q_max = _truncation_order(schedule, q_max)
     t_w, dt_w = schedule.steps[w]
     dim = h.dim
-    z = np.arange(dim)
     energies = h.h0_diag
-    out = np.zeros((dim, dim), dtype=complex)
-    out[z, z] = 1.0  # q = 0
-    n_i, n_k = len(h.vterms), h.num_exp_terms
-    if n_i and n_k:
-        amp, rate, _, masks = _lookup_tables(h)
-        for q in range(1, q_max + 1):
-            i_tuples = np.array(list(product(range(n_i), repeat=q)), dtype=np.int64)
-            k_tuples = np.array(list(product(range(n_k), repeat=q)), dtype=np.int64)
-            big_i = np.repeat(i_tuples, len(k_tuples), axis=0)
-            big_k = np.tile(k_tuples, (len(i_tuples), 1))
-            nb = len(big_i)
-
-            cum = np.zeros((nb, q), dtype=np.int64)
-            acc = np.zeros(nb, dtype=np.int64)
-            for j in range(q):
-                acc = acc ^ masks[big_i[:, j]]
-                cum[:, j] = acc
-            zp = cum[:, :, None] ^ z[None, None, :]
-
-            rates = rate[big_i[:, :, None], big_k[:, :, None], zp]
-            d_coeff = amp[big_i[:, :, None], big_k[:, :, None], zp].prod(axis=1)
-            rates_sum = rates.sum(axis=1)
-
-            e_prev = np.concatenate(
-                [np.broadcast_to(energies[z], (nb, 1, dim)),
-                 energies[zp[:, :-1, :]]], axis=1)
-            prefix = np.concatenate(
-                [np.zeros((nb, 1, dim), dtype=complex),
-                 np.cumsum(rates, axis=1)[:, :-1, :]], axis=1)   # sum_{l<j} rate_l
-            yrows = -1j * (e_prev - energies[z][None, None, :]) - prefix  # (B, q, dim)
-            y_last = (-1j * (energies[zp[:, -1, :]] - energies[z][None, :])
-                      - rates_sum)                               # j = q + 1
-            flat = np.concatenate(
-                [yrows.transpose(0, 2, 1).reshape(nb * dim, q),
-                 y_last.reshape(nb * dim, 1)], axis=1)
-            divided = dd.exp_dd_scaled_batch(dt_w, flat).reshape(nb, dim)
-
-            coeff = np.exp((t_w + dt_w) * rates_sum) * divided * d_coeff
-            vals = (-1j) ** q * coeff
-            for b in range(nb):
-                out[z ^ int(cum[b, -1]), z] += vals[b]
+    masks = [np.zeros(1, dtype=np.int64)]
+    factors = [np.ones(1, dtype=complex)]
+    coeffs = [np.ones((1, dim), dtype=complex)]  # q = 0
+    for big_i, _, cum, e_prev, e_final, rates, d_coeff in _enumerate_paths(
+            h, _lookup_tables(h), q_max):
+        nb, q = big_i.shape
+        rates_sum = rates.sum(axis=1)
+        prefix = np.concatenate(
+            [np.zeros((nb, 1, dim), dtype=complex),
+             np.cumsum(rates, axis=1)[:, :-1, :]], axis=1)       # sum_{l<j} rate_l
+        yrows = -1j * (e_prev - energies[None, None, :]) - prefix  # (B, q, dim)
+        y_last = -1j * (e_final - energies[None, :]) - rates_sum   # j = q + 1
+        flat = np.concatenate(
+            [yrows.transpose(0, 2, 1).reshape(nb * dim, q),
+             y_last.reshape(nb * dim, 1)], axis=1)
+        divided = dd.exp_dd_scaled_batch(dt_w, flat).reshape(nb, dim)
+        coeffs.append(np.exp((t_w + dt_w) * rates_sum) * divided * d_coeff)
+        masks.append(cum[:, -1])
+        factors.append(np.full(nb, (-1j) ** q))
+    out = _accumulate(np.concatenate(masks), np.concatenate(factors), np.concatenate(coeffs))
     return out * np.exp(-1j * energies * dt_w)[None, :]

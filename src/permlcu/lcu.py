@@ -14,7 +14,6 @@ V = 0 limit act as the identity they represent.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,36 +99,42 @@ class LCUContext:
     b_amps: np.ndarray       # (ancilla_dim,) real preparation amplitudes
     phase_table: np.ndarray  # (ancilla_dim, 2^n) factors (-i)^q e^{i(+-phi+theta)}
     mask_table: np.ndarray   # (ancilla_dim,) cumulative permutation masks
+    # (n_terms, 1, 2^n) z ^ mask of each term: both x rows of a term gather
+    # their system amplitudes through it
+    gather: np.ndarray
 
 
 def build_context(seg: dyson.SegmentOperator) -> LCUContext:
     layout = layout_for(seg.h, seg.q_max)
-    blocks = seg.blocks
-    if len(blocks) != layout.n_terms:
+    terms = seg.blocks
+    if len(terms) != layout.n_terms:
         raise RuntimeError("segment enumeration does not match the register layout")
-    dim = seg.h.dim
     adim = layout.ancilla_dim
-    b = np.zeros(adim)
-    phases = np.zeros((adim, dim), dtype=complex)
-    masks = np.zeros(adim, dtype=np.int64)
-    for t, blk in enumerate(blocks):
-        # bound = dt_tilde^q/q! * Gamma-part in either mode, so the prepared
-        # weight is bound/(2s) per x branch
-        b[2 * t] = b[2 * t + 1] = math.sqrt(blk.bound / (2.0 * seg.s))
-        factor = (-1j) ** blk.q
-        phases[2 * t] = factor * np.exp(1j * (blk.phi + blk.theta))
-        phases[2 * t + 1] = factor * np.exp(1j * (-blk.phi + blk.theta))
-        masks[2 * t] = masks[2 * t + 1] = blk.cum_mask
+    # ancilla row 2t + x belongs to term t and cosine branch x; bound =
+    # dt_tilde^q/q! * Gamma-part in either mode, so the prepared weight is
+    # bound/(2s) per x branch
+    b = np.empty(adim)
+    b[0::2] = b[1::2] = np.sqrt(terms.bound / (2.0 * seg.s))
+    factors = seg.plan.factors[:, None]
+    phases = np.empty((adim, seg.h.dim), dtype=complex)
+    phases[0::2] = factors * np.exp(1j * (terms.phi + terms.theta))
+    phases[1::2] = factors * np.exp(1j * (-terms.phi + terms.theta))
+    masks = np.repeat(terms.cum_mask, 2)
     drift = abs(float(b @ b) - 1.0)
     if drift > 1e-8:
         raise RuntimeError(f"preparation amplitudes drifted from unit norm by {drift:.2e}")
     b /= np.linalg.norm(b)
+    gather = (terms.cum_mask[:, None] ^ np.arange(seg.h.dim))[:, None, :]
     return LCUContext(seg=seg, layout=layout, s=seg.s, mode=seg.mode, b_amps=b,
-                      phase_table=phases, mask_table=masks)
+                      phase_table=phases, mask_table=masks, gather=gather)
 
 
 class AncillaPreparation:
-    """Real Householder reflection with B|0> = psi0 (so B = B^dag = B^{-1})."""
+    """Real Householder reflection with B|0> = psi0 (so B = B^dag = B^{-1}).
+
+    With psi0 = LCUContext.b_amps, B prepares the per-term square-root weights
+    sqrt(dt_tilde^q Gamma_term / (2 q! s)) with the x qubit in (|0>+|1>)/sqrt(2).
+    """
 
     def __init__(self, psi0: np.ndarray):
         self.psi0 = psi0
@@ -143,43 +148,25 @@ class AncillaPreparation:
     apply_dagger = apply
 
 
-def prepare_B(ctx: LCUContext) -> AncillaPreparation:
-    """Unitary completion of |0...0> -> psi0: per-term square-root weights
-    sqrt(dt_tilde^q Gamma_term / (2 q! s)) with the x qubit in (|0>+|1>)/sqrt(2)."""
-    return AncillaPreparation(ctx.b_amps)
+def _permute(ctx: LCUContext, joint: np.ndarray) -> np.ndarray:
+    """System block a gets P_{i_q}: amplitude z moves to z ^ mask (an involution)."""
+    pairs = joint.reshape(-1, 2, joint.shape[1])
+    return np.take_along_axis(pairs, ctx.gather, axis=2).reshape(joint.shape)
 
 
-def _apply_vc_array(ctx: LCUContext, joint: np.ndarray) -> np.ndarray:
-    out = ctx.phase_table * joint
-    z = np.arange(out.shape[1])
-    for mask in np.unique(ctx.mask_table):
-        if mask == 0:
-            continue
-        rows = ctx.mask_table == mask
-        out[rows] = out[rows][:, z ^ int(mask)]
-    return out
-
-
-def apply_Vc(ctx: LCUContext, psi: Statevector) -> Statevector:
+def apply_Vc(ctx: LCUContext, joint: np.ndarray) -> np.ndarray:
     """Controlled segment unitary: system block a gets (-i)^q P_{i_q} Phi_{a}."""
-    return Statevector(amps=_apply_vc_array(ctx, psi.amps), layout=psi.layout)
+    return _permute(ctx, ctx.phase_table * joint)
 
 
 def _apply_w(ctx: LCUContext, prep: AncillaPreparation, joint: np.ndarray) -> np.ndarray:
-    return prep.apply_dagger(_apply_vc_array(ctx, prep.apply(joint)))
+    return prep.apply_dagger(apply_Vc(ctx, prep.apply(joint)))
 
 
 def _apply_w_dagger(ctx: LCUContext, prep: AncillaPreparation, joint: np.ndarray) -> np.ndarray:
     # V_c is block diagonal: its adjoint conjugates phases and inverts the
     # permutation (XOR masks are involutions, so the permutation is reused)
-    tmp = prep.apply(joint)
-    z = np.arange(tmp.shape[1])
-    for mask in np.unique(ctx.mask_table):
-        if mask == 0:
-            continue
-        rows = ctx.mask_table == mask
-        tmp[rows] = tmp[rows][:, z ^ int(mask)]
-    tmp = ctx.phase_table.conj() * tmp
+    tmp = ctx.phase_table.conj() * _permute(ctx, prep.apply(joint))
     return prep.apply_dagger(tmp)
 
 
@@ -203,7 +190,7 @@ def apply_A(ctx: LCUContext, psi: Statevector) -> Statevector:
     normalized to +1 (it flips for small-s clamped segments and V = 0)."""
     if np.linalg.norm(psi.amps[1:]) > 1e-10 * max(psi.norm, 1e-30):
         raise AncillaPreconditionError("apply_A requires the ancilla in |0...0>")
-    prep = prepare_B(ctx)
+    prep = AncillaPreparation(ctx.b_amps)
     out = oaa_sequence(lambda j: _apply_w(ctx, prep, j),
                        lambda j: _apply_w_dagger(ctx, prep, j),
                        psi.amps.copy())
@@ -242,9 +229,10 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     schedule = sched.build_schedule(h, t_total, eps=eps, mode=mode)
     budget = residual_abort * eps / schedule.r
     residuals, deficits, s_values, factors = [], [], [], []
+    plan = dyson.SegmentPlan(h, schedule.Q)
     layout = None
     for w in range(schedule.r):
-        seg = dyson.build_segment(h, schedule, w)
+        seg = dyson.build_segment(h, schedule, w, plan=plan)
         ctx = build_context(seg)
         layout = ctx.layout
         state = Statevector.from_system(ctx.layout, psi)

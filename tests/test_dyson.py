@@ -1,5 +1,6 @@
 """Tests for the truncated integral-free Dyson segment operators."""
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +15,13 @@ LN2 = math.log(2.0)
 
 def spectral(a):
     return np.linalg.norm(a, 2)
+
+
+def multi_indices(h, q_max):
+    """(q, i_q, k_q) in ancilla order: ascending q, i_q outer, k_q inner."""
+    n_i, n_k = range(len(h.vterms)), range(h.num_exp_terms)
+    return [(q, iq, kq) for q in range(q_max + 1)
+            for iq in product(n_i, repeat=q) for kq in product(n_k, repeat=q)]
 
 
 # --- interaction inputs -------------------------------------------------------
@@ -133,10 +141,12 @@ def test_segment_blocks_match_scalar_reference():
     s = sched.build_schedule(h, 1.5, eps=1e-2)
     seg = dyson.build_segment(h, s, 0)
     t_w, dt_w = s.steps[0]
-    for blk in seg.blocks[:40]:
+    tab = seg.blocks
+    for t, (q, iq, kq) in zip(range(40), multi_indices(h, s.Q)):
+        assert tab.q[t] == q and len(iq) == len(kq) == q
         for z in range(h.dim):
-            ref = dyson.term_coefficient(h, t_w, dt_w, blk.iq, blk.kq, z)
-            assert abs(blk.coeff[z] - ref) < 1e-12 * max(1.0, abs(ref))
+            ref = dyson.term_coefficient(h, t_w, dt_w, iq, kq, z)
+            assert abs(tab.coeff[t, z] - ref) < 1e-12 * max(1.0, abs(ref))
 
 
 def test_segment_oscillating_matches_interaction_oracle():
@@ -205,7 +215,7 @@ def test_frequency_independence_of_enumeration():
         s = sched.build_schedule(h, 1.0, eps=eps)
         seg = dyson.build_segment(h, s, 0)
         key = (len(seg.blocks), s.Q, s.r,
-               tuple(np.round([b.gamma_term for b in seg.blocks], 12)))
+               tuple(np.round(seg.blocks.gamma_term, 12)))
         if base is None:
             base = key
         assert key == base
@@ -216,25 +226,30 @@ def test_segment_blocks_reconstruct_from_phases():
     rng = np.random.default_rng(49)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 1.5, eps=1e-3)
-    seg = dyson.build_segment(h, s, 1 % s.r)
-    for blk in seg.blocks:
-        rebuilt = blk.bound / 2 * (np.exp(1j * (blk.phi + blk.theta))
-                                   + np.exp(1j * (-blk.phi + blk.theta)))
-        assert np.abs(rebuilt - blk.coeff).max() < 1e-12 * max(1.0, blk.bound)
+    tab = dyson.build_segment(h, s, 1 % s.r).blocks
+    bound = tab.bound[:, None]
+    rebuilt = bound / 2 * (np.exp(1j * (tab.phi + tab.theta))
+                           + np.exp(1j * (-tab.phi + tab.theta)))
+    assert (np.abs(rebuilt - tab.coeff) < 1e-12 * np.maximum(1.0, bound)).all()
 
 
 def test_segment_term_views():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s = sched.build_schedule(h, 1.0, eps=1e-2)
     seg = dyson.build_segment(h, s, 0)
-    terms = list(seg.terms())
-    assert len(terms) == len(seg.blocks) * h.dim
-    for term in terms[:20]:
-        xj, z_path, _ = dyson.interaction_inputs(h, term.iq, term.kq, term.z)
-        assert term.xj == xj and term.z_path == z_path
-        assert abs(term.coeff) <= (seg.dt_tilde**term.q / math.factorial(term.q)
-                                   * term.gamma_term) * (1 + 1e-9)
-        assert 0.0 <= term.phi <= math.pi / 2
+    tab = seg.blocks
+    index = multi_indices(h, s.Q)
+    assert len(index) == len(tab) == dyson.count_terms(h, s.Q) // h.dim
+    assert tab.coeff.shape == tab.phi.shape == tab.theta.shape == (len(tab), h.dim)
+    for t, (q, iq, kq) in enumerate(index[:10]):
+        assert tab.q[t] == q
+        for z in range(h.dim):
+            _, z_path, _ = dyson.interaction_inputs(h, iq, kq, z)
+            if q:
+                assert z ^ tab.cum_mask[t] == z_path[-1]
+            assert abs(tab.coeff[t, z]) <= (seg.dt_tilde**q / math.factorial(q)
+                                           * tab.gamma_term[t]) * (1 + 1e-9)
+            assert 0.0 <= tab.phi[t, z] <= math.pi / 2
 
 
 def test_schedule_reports_clamped_replacement_bound():
@@ -333,12 +348,89 @@ def test_uniform_mode_bounds_dominate():
     s_ex = sched.build_schedule(h, 2.0, eps=1e-3, mode=sched.MODE_EXACT)
     s_un = sched.build_schedule(h, 2.0, eps=1e-3, mode=sched.MODE_UNIFORM)
     assert s_un.r >= s_ex.r
-    seg = dyson.build_segment(h, s_un, 0)
+    tab = dyson.build_segment(h, s_un, 0).blocks
     gmax = pham.gamma_max(h)
-    for blk in seg.blocks:
-        if blk.q == 0:
+    for q, bound, coeff in zip(tab.q, tab.bound, tab.coeff):
+        if q == 0:
             continue
-        expect = (s_un.dt_tilde(0)**blk.q / math.factorial(blk.q)
-                  * (gmax * np.exp(s_un.steps[0][0] * s_un.lam))**blk.q)
-        assert blk.bound == pytest.approx(expect, rel=1e-12)
-        assert np.abs(blk.coeff).max() <= blk.bound * (1 + 1e-9)
+        expect = (s_un.dt_tilde(0)**q / math.factorial(q)
+                  * (gmax * np.exp(s_un.steps[0][0] * s_un.lam))**q)
+        assert bound == pytest.approx(expect, rel=1e-12)
+        assert np.abs(coeff).max() <= bound * (1 + 1e-9)
+
+
+# --- segment plan -------------------------------------------------------------------
+
+def _table_fields(seg):
+    tab = seg.blocks
+    return (tab.q, tab.cum_mask, tab.coeff, tab.phi, tab.theta, tab.gamma_term, tab.bound)
+
+
+@pytest.mark.parametrize("mode", [sched.MODE_EXACT, sched.MODE_UNIFORM])
+def test_shared_plan_segments_bitwise_equal_fresh(mode):
+    rng = np.random.default_rng(72)
+    h = pham.from_pauli_spec(random_model_spec(rng, n=2))
+    s = sched.build_schedule(h, 2.0, eps=1e-3, mode=mode)
+    plan = dyson.SegmentPlan(h, s.Q)
+    assert len(plan) == dyson.count_terms(h, s.Q) // h.dim
+    for w in list(range(s.r)) + [0]:  # revisit segment 0 after the memo moved on
+        shared = dyson.build_segment(h, s, w, plan=plan)
+        fresh = dyson.build_segment(h, s, w)
+        assert len(shared.blocks) == len(fresh.blocks) == len(plan)
+        for a, b in zip(_table_fields(shared), _table_fields(fresh)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(shared.matrix(), fresh.matrix())
+        assert shared.s == fresh.s
+
+
+def test_build_segment_rejects_mismatched_plan():
+    h = oscillating_hamiltonian(1.0, 1.0, 2.0)
+    s = sched.build_schedule(h, 1.0, eps=1e-3)
+    plan = dyson.SegmentPlan(h, s.Q)
+    with pytest.raises(ValueError):
+        dyson.build_segment(h, s, 0, q_max=s.Q - 1, plan=plan)
+    other = oscillating_hamiltonian(1.0, 1.0, 3.0)
+    with pytest.raises(ValueError):
+        dyson.build_segment(other, s, 0, plan=plan)
+
+
+def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
+    # lambda = 0: every step but the clamped last one has the same length
+    h = oscillating_hamiltonian(1.0, 1.0, 0.0)
+    s = sched.build_schedule(h, 10.0, eps=1e-3)
+    calls = []
+    real = dd.exp_dd_batch
+    monkeypatch.setattr(dd, "exp_dd_batch", lambda xs: calls.append(len(xs)) or real(xs))
+    plan = dyson.SegmentPlan(h, s.Q)
+    for w in range(s.r):
+        dyson.build_segment(h, s, w, plan=plan)
+    assert len(calls) == s.Q * len(set(dt for _, dt in s.steps)) <= 2 * s.Q
+
+
+def test_alt_matches_term_by_term_construction():
+    # the alternative form summed term by term from the scalar inputs:
+    # y_j = -i(E_{z_{j-1}} - E_z) - sum_{l<j} rate_l, y_{q+1} from the full path
+    rng = np.random.default_rng(73)
+    h = pham.from_pauli_spec(random_model_spec(rng, n=2, m_max=2, k_max=2))
+    s = sched.build_schedule(h, 1.0, eps=1e-2)
+    w = min(1, s.r - 1)
+    t_w, dt_w = s.steps[w]
+    energies = h.h0_diag
+    n_ik = [(i, k) for i in range(len(h.vterms)) for k in range(h.num_exp_terms)]
+    ref = np.eye(h.dim, dtype=complex)
+    for q in range(1, s.Q + 1):
+        for path in product(n_ik, repeat=q):
+            iq = tuple(i for i, _ in path)
+            kq = tuple(k for _, k in path)
+            for z in range(h.dim):
+                _, z_path, d_coeff = dyson.interaction_inputs(h, iq, kq, z)
+                rates = [complex(h.vterms[i].exp_terms[k].rate[zj])
+                         for i, k, zj in zip(iq, kq, z_path)]
+                prev = (z,) + z_path
+                ys = [-1j * (energies[prev[j]] - energies[z]) - sum(rates[:j])
+                      for j in range(q + 1)]
+                coeff = (np.exp((t_w + dt_w) * sum(rates))
+                         * dd.exp_dd_scaled(dt_w, ys) * d_coeff)
+                ref[z_path[-1], z] += (-1j) ** q * coeff
+    ref = ref * np.exp(-1j * energies * dt_w)[None, :]
+    np.testing.assert_allclose(dyson.alt_segment_unitary(h, s, w), ref, rtol=0, atol=1e-14)

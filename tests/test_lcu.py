@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from permlcu import dyson, lcu, oracle, pham, sched
+from permlcu import dd, dyson, lcu, oracle, pham, sched
 from permlcu.models import (decay_spec, oscillating_hamiltonian, random_model_spec,
                             static_spec)
 
@@ -74,7 +74,7 @@ def test_prepare_b_uniform_mode_equal_amplitudes():
 def test_prepare_b_householder_unitary():
     h = oscillating_hamiltonian(1.0, 1.0, 5.0)
     _, seg, ctx = build_pipeline(h, 1.0, 1e-3)
-    prep = lcu.prepare_B(ctx)
+    prep = lcu.AncillaPreparation(ctx.b_amps)
     e0 = np.zeros((ctx.layout.ancilla_dim, 1))
     e0[0, 0] = 1.0
     np.testing.assert_allclose(prep.apply(e0)[:, 0], ctx.b_amps, atol=1e-13)
@@ -89,21 +89,21 @@ def test_vc_zero_order_block_identity():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     _, seg, ctx = build_pipeline(h, 1.0, 1e-3)
     psi = lcu.Statevector.from_system(ctx.layout, np.array([0.6, 0.8j]))
-    out = lcu.apply_Vc(ctx, psi)
-    np.testing.assert_allclose(out.amps[0], psi.amps[0], atol=1e-14)
-    np.testing.assert_allclose(out.amps[1], psi.amps[1], atol=1e-14)
+    out = lcu.apply_Vc(ctx, psi.amps)
+    np.testing.assert_allclose(out[0], psi.amps[0], atol=1e-14)
+    np.testing.assert_allclose(out[1], psi.amps[1], atol=1e-14)
 
 
 def test_vc_first_order_block_hand_trace():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s, seg, ctx = build_pipeline(h, 1.0, 1e-3)
-    blk = seg.blocks[1]
-    assert blk.q == 1 and blk.cum_mask == 1
+    tab = seg.blocks
+    assert tab.q[1] == 1 and tab.cum_mask[1] == 1
     a = 2 * 1  # ancilla row of (term 1, x=0)
     joint = np.zeros((ctx.layout.ancilla_dim, 2), dtype=complex)
     joint[a, 0] = 1.0
-    out = lcu.apply_Vc(ctx, lcu.Statevector(amps=joint, layout=ctx.layout)).amps
-    expect = -1j * np.exp(1j * (blk.phi[0] + blk.theta[0]))
+    out = lcu.apply_Vc(ctx, joint)
+    expect = -1j * np.exp(1j * (tab.phi[1, 0] + tab.theta[1, 0]))
     assert out[a, 1] == pytest.approx(expect)
     assert out[a, 0] == 0.0
 
@@ -116,8 +116,7 @@ def test_vc_preserves_norm():
         joint = (rng.normal(size=(ctx.layout.ancilla_dim, 4))
                  + 1j * rng.normal(size=(ctx.layout.ancilla_dim, 4)))
         joint /= np.linalg.norm(joint)
-        psi = lcu.Statevector(amps=joint, layout=ctx.layout)
-        assert abs(lcu.apply_Vc(ctx, psi).norm - 1.0) < 1e-12
+        assert abs(np.linalg.norm(lcu.apply_Vc(ctx, joint)) - 1.0) < 1e-12
 
 
 def test_w_projected_block_is_segment_over_s():
@@ -125,7 +124,7 @@ def test_w_projected_block_is_segment_over_s():
     for seed in range(3):
         h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(64 + seed), n=2))
         _, seg, ctx = build_pipeline(h, 2.0, 1e-3)
-        prep = lcu.prepare_B(ctx)
+        prep = lcu.AncillaPreparation(ctx.b_amps)
         useg = seg.matrix()
         for _ in range(3):
             psi = haar_state(rng, h.dim)
@@ -307,3 +306,20 @@ def test_run_full_abort_on_tiny_budget():
     with pytest.raises(lcu.SimulationAbort) as exc:
         lcu.run_full(h, 2.0, 1e-3, psi, residual_abort=1e-13)
     assert "residuals" in exc.value.diagnostics
+
+
+def test_run_full_divided_difference_work_per_run(monkeypatch):
+    # the plan's memo lives in one run: a second run repeats all the work,
+    # and the oscillating model at alpha = 0 over T = 10 (two distinct step
+    # lengths) evaluates each order's batch at most twice
+    h = oscillating_hamiltonian(1.0, 1.0, 0.0)
+    psi = np.full(2, 1 / math.sqrt(2), dtype=complex)
+    counts = []
+    real = dd.exp_dd_batch
+    monkeypatch.setattr(dd, "exp_dd_batch", lambda xs: counts.append(1) or real(xs))
+    first_final, diag = lcu.run_full(h, 10.0, 1e-3, psi)
+    first = len(counts)
+    second_final, _ = lcu.run_full(h, 10.0, 1e-3, psi)
+    assert len(counts) - first == first
+    assert diag["r"] == 29 and first <= 2 * diag["Q"]
+    assert np.array_equal(first_final.system_block(0), second_final.system_block(0))
