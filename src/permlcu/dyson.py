@@ -266,8 +266,7 @@ class SegmentPlan:
             qs.append(np.full(nb, q))
             start += nb
         self.cum_mask, self.q = np.concatenate(masks), np.concatenate(qs)
-        # (-i)^q of every term
-        self.factors = np.array([(-1j) ** q for q in range(q_max + 1)])[self.q]
+        self.factors = np.array([(-1j) ** q for q in range(q_max + 1)])[self.q]  # (-i)^q
         self._dd_step = self._dd = None
 
     def __len__(self) -> int:
@@ -303,20 +302,18 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     mode = schedule.mode
     clamped = schedule.final_step_clamped and w == schedule.r - 1
 
-    nt = len(plan)
-    coeff = np.ones((nt, h.dim), dtype=complex)   # row 0: the q = 0 term
-    gamma_terms = np.ones(nt)
-    bounds = np.ones(nt)
+    # row 0 is the q = 0 term: coefficient, Gamma and bound 1
+    coeff = np.ones((len(plan), h.dim), dtype=complex)
+    gamma_terms, bounds = np.ones(len(plan)), np.ones(len(plan))
     for o, divided in zip(plan.orders, plan.divided(dt_w)):
-        rows = o.rows
         phase = np.exp(-1j * t_w * o.gap)
-        coeff[rows] = phase * np.exp(t_w * o.rates_sum) * divided * o.d_coeff
-        gamma_terms[rows] = np.exp(t_w * o.lam).prod(axis=1) * o.amp_prod
+        coeff[o.rows] = phase * np.exp(t_w * o.rates_sum) * divided * o.d_coeff
+        gamma_terms[o.rows] = np.exp(t_w * o.lam).prod(axis=1) * o.amp_prod
         scale = dt_tilde**o.q / math.factorial(o.q)
         if mode == MODE_UNIFORM:
-            bounds[rows] = scale * (plan.gmax * np.exp(t_w * schedule.lam))**o.q
+            bounds[o.rows] = scale * (plan.gmax * np.exp(t_w * schedule.lam))**o.q
         else:
-            bounds[rows] = scale * gamma_terms[rows]
+            bounds[o.rows] = scale * gamma_terms[o.rows]
 
     mag = np.abs(coeff)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -354,9 +351,8 @@ def alt_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     t_w, dt_w = schedule.steps[w]
     dim = h.dim
     energies = h.h0_diag
-    masks = [np.zeros(1, dtype=np.int64)]
-    factors = [np.ones(1, dtype=complex)]
-    coeffs = [np.ones((1, dim), dtype=complex)]  # q = 0
+    masks, factors = [np.zeros(1, dtype=np.int64)], [np.ones(1, dtype=complex)]  # q = 0
+    coeffs = [np.ones((1, dim), dtype=complex)]
     for big_i, _, cum, e_prev, e_final, rates, d_coeff in _enumerate_paths(
             h, _lookup_tables(h), q_max):
         nb, q = big_i.shape

@@ -99,9 +99,7 @@ class LCUContext:
     b_amps: np.ndarray       # (ancilla_dim,) real preparation amplitudes
     phase_table: np.ndarray  # (ancilla_dim, 2^n) factors (-i)^q e^{i(+-phi+theta)}
     mask_table: np.ndarray   # (ancilla_dim,) cumulative permutation masks
-    # (n_terms, 1, 2^n) z ^ mask of each term: both x rows of a term gather
-    # their system amplitudes through it
-    gather: np.ndarray
+    gather: np.ndarray       # (n_terms, 1, 2^n) z ^ mask, shared by a term's x rows
 
 
 def build_context(seg: dyson.SegmentOperator) -> LCUContext:
@@ -110,9 +108,8 @@ def build_context(seg: dyson.SegmentOperator) -> LCUContext:
     if len(terms) != layout.n_terms:
         raise RuntimeError("segment enumeration does not match the register layout")
     adim = layout.ancilla_dim
-    # ancilla row 2t + x belongs to term t and cosine branch x; bound =
-    # dt_tilde^q/q! * Gamma-part in either mode, so the prepared weight is
-    # bound/(2s) per x branch
+    # row 2t + x: term t, cosine branch x; bound = dt_tilde^q/q! * Gamma-part
+    # in either mode, so the prepared weight is bound/(2s) per x branch
     b = np.empty(adim)
     b[0::2] = b[1::2] = np.sqrt(terms.bound / (2.0 * seg.s))
     factors = seg.plan.factors[:, None]
@@ -166,8 +163,7 @@ def _apply_w(ctx: LCUContext, prep: AncillaPreparation, joint: np.ndarray) -> np
 def _apply_w_dagger(ctx: LCUContext, prep: AncillaPreparation, joint: np.ndarray) -> np.ndarray:
     # V_c is block diagonal: its adjoint conjugates phases and inverts the
     # permutation (XOR masks are involutions, so the permutation is reused)
-    tmp = ctx.phase_table.conj() * _permute(ctx, prep.apply(joint))
-    return prep.apply_dagger(tmp)
+    return prep.apply_dagger(ctx.phase_table.conj() * _permute(ctx, prep.apply(joint)))
 
 
 def oaa_sequence(apply_w, apply_w_dagger, joint: np.ndarray) -> np.ndarray:

@@ -383,6 +383,20 @@ def test_shared_plan_segments_bitwise_equal_fresh(mode):
         assert shared.s == fresh.s
 
 
+def test_matrix_matches_term_loop():
+    # one scatter-add over the table equals the term-by-term accumulation
+    rng = np.random.default_rng(74)
+    h = pham.from_pauli_spec(random_model_spec(rng, n=3))
+    s = sched.build_schedule(h, 1.0, eps=1e-3)
+    seg = dyson.build_segment(h, s, 0)
+    tab = seg.blocks
+    z = np.arange(h.dim)
+    loop = np.zeros((h.dim, h.dim), dtype=complex)
+    for t in range(len(tab)):
+        loop[z ^ int(tab.cum_mask[t]), z] += (-1j) ** int(tab.q[t]) * tab.coeff[t]
+    assert np.array_equal(seg.matrix(), loop)
+
+
 def test_build_segment_rejects_mismatched_plan():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s = sched.build_schedule(h, 1.0, eps=1e-3)
@@ -405,6 +419,10 @@ def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
     for w in range(s.r):
         dyson.build_segment(h, s, w, plan=plan)
     assert len(calls) == s.Q * len(set(dt for _, dt in s.steps)) <= 2 * s.Q
+    # a new plan shares nothing with the old one, not even the last step
+    before = len(calls)
+    dyson.build_segment(h, s, s.r - 1, plan=dyson.SegmentPlan(h, s.Q))
+    assert len(calls) == before + s.Q
 
 
 def test_alt_matches_term_by_term_construction():

@@ -108,6 +108,26 @@ def test_vc_first_order_block_hand_trace():
     assert out[a, 0] == 0.0
 
 
+def test_context_tables_match_term_loop():
+    # the sliced tables equal the per-term construction; one term per
+    # ancilla pair (2t, 2t + 1) with the cosine branches +-phi
+    rng = np.random.default_rng(75)
+    h = pham.from_pauli_spec(random_model_spec(rng, n=2))
+    for mode in (sched.MODE_EXACT, sched.MODE_UNIFORM):
+        _, seg, ctx = build_pipeline(h, 2.0, 1e-3, mode=mode)
+        tab = seg.blocks
+        b = np.zeros(ctx.layout.ancilla_dim)
+        phases = np.zeros((ctx.layout.ancilla_dim, h.dim), dtype=complex)
+        for t in range(len(tab)):
+            b[2 * t] = b[2 * t + 1] = math.sqrt(tab.bound[t] / (2.0 * seg.s))
+            factor = (-1j) ** int(tab.q[t])
+            phases[2 * t] = factor * np.exp(1j * (tab.phi[t] + tab.theta[t]))
+            phases[2 * t + 1] = factor * np.exp(1j * (-tab.phi[t] + tab.theta[t]))
+        assert np.array_equal(ctx.b_amps, b / np.linalg.norm(b))
+        assert np.array_equal(ctx.phase_table, phases)
+        assert np.array_equal(ctx.mask_table, np.repeat(tab.cum_mask, 2))
+
+
 def test_vc_preserves_norm():
     rng = np.random.default_rng(62)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
