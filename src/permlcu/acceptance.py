@@ -172,9 +172,7 @@ def criterion_3(budget_s: float = 120.0):
 
 def _comfort(schedule) -> float:
     """|amplification factor| of the final segment (0 at the OAA dead zone)."""
-    u = schedule.gammas[-1] * schedule.dt_tilde(schedule.r - 1)
-    s_last = sum(u**q / math.factorial(q) for q in range(schedule.Q + 1))
-    return abs(lcu.amplification_factor(s_last))
+    return abs(lcu.amplification_factor(schedule.s(schedule.r - 1)))
 
 
 def _pick_time(h, eps, r_lo=3, r_hi=12, modes=(sched.MODE_EXACT,)):
@@ -283,7 +281,7 @@ def criterion_6(budget_s: float = 120.0):
         ui_prod = np.eye(h.dim, dtype=complex)
         for w in range(s.r):
             alt_prod = dyson.alt_segment_unitary(h, s, w) @ alt_prod
-            ui_prod = dyson.build_segment_unitary(h, s, w) @ ui_prod
+            ui_prod = dyson.build_segment(h, s, w).matrix() @ ui_prod
         gap = _spectral(alt_prod - np.diag(np.exp(-1j * h.h0_diag * t_total)) @ ui_prod)
         if gap > 1e-8:
             failures.append(f"model {seed}: product identity gap {gap:.2e}")
@@ -316,7 +314,7 @@ def criterion_7(budget_s: float = 120.0):
         s = sched.build_schedule(h, 2.0, eps=eps)
         last = s.r - 1 if s.final_step_clamped else s.r
         for w in range(last):
-            u = dyson.build_segment_unitary(h, s, w)
+            u = dyson.build_segment(h, s, w).matrix()
             defect = _spectral(u.conj().T @ u - np.eye(h.dim))
             if defect > 3 * eps / s.r:
                 failures.append(f"model {seed} segment {w}: defect {defect:.2e}")
@@ -377,10 +375,9 @@ def criterion_9(budget_s: float = 600.0):
         n_ik = len(h.vterms) * h.num_exp_terms
         gmax = pham.gamma_max(h)
         for w in range(s_un.r):
-            seg = dyson.build_segment(h, s_un, w)
             u = n_ik * gmax * np.exp(s_un.steps[w][0] * s_un.lam) * s_un.dt_tilde(w)
             expect = sum(u**q / math.factorial(q) for q in range(s_un.Q + 1))
-            if abs(seg.s - expect) > 1e-12 * max(1.0, expect):
+            if abs(s_un.s(w) - expect) > 1e-12 * max(1.0, expect):
                 failures.append(f"model {idx} segment {w}: s mismatch")
                 break
         psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)

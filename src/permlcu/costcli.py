@@ -145,6 +145,16 @@ def _load_spec(path: str) -> pham.PermExpHamiltonian:
         raise InputError(str(exc)) from exc
 
 
+def _run_settings(args):
+    """The model plus the --time, --epsilon and --mode settings of a run."""
+    h = _load_spec(args.spec)
+    t_total = _resolve(args.time, "TIME", float, None)
+    if t_total is None:
+        raise InputError("--time is required (or set PERMLCU_TIME)")
+    eps = _resolve(args.epsilon, "EPSILON", float, 1e-3)
+    return h, t_total, eps, _resolve(args.mode, "MODE", str, sched.MODE_EXACT)
+
+
 def _initial_state(h: pham.PermExpHamiltonian, spec: str, seed) -> np.ndarray:
     dim = h.dim
     if spec == "plus":
@@ -171,12 +181,7 @@ def _emit(payload: dict, output: str | None) -> None:
 
 
 def _cmd_schedule(args) -> int:
-    h = _load_spec(args.spec)
-    t_total = _resolve(args.time, "TIME", float, None)
-    if t_total is None:
-        raise InputError("--time is required (or set PERMLCU_TIME)")
-    eps = _resolve(args.epsilon, "EPSILON", float, 1e-3)
-    mode = _resolve(args.mode, "MODE", str, sched.MODE_EXACT)
+    h, t_total, eps, mode = _run_settings(args)
     s = sched.build_schedule(h, t_total, eps=eps, mode=mode)
     print("w,t_w,dt_w,gamma_tw")
     for w, ((t_w, dt_w), g) in enumerate(zip(s.steps, s.gammas)):
@@ -189,12 +194,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    h = _load_spec(args.spec)
-    t_total = _resolve(args.time, "TIME", float, None)
-    if t_total is None:
-        raise InputError("--time is required (or set PERMLCU_TIME)")
-    eps = _resolve(args.epsilon, "EPSILON", float, 1e-3)
-    mode = _resolve(args.mode, "MODE", str, sched.MODE_EXACT)
+    h, t_total, eps, mode = _run_settings(args)
     seed = _resolve(args.seed, "SEED", int, None)
     initial = _resolve(args.initial, "INITIAL", str, "plus")
     psi0 = _initial_state(h, initial, seed)
@@ -220,12 +220,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    h = _load_spec(args.spec)
-    t_total = _resolve(args.time, "TIME", float, None)
-    if t_total is None:
-        raise InputError("--time is required (or set PERMLCU_TIME)")
-    eps = _resolve(args.epsilon, "EPSILON", float, 1e-3)
-    mode = _resolve(args.mode, "MODE", str, sched.MODE_EXACT)
+    h, t_total, eps, mode = _run_settings(args)
     s = sched.build_schedule(h, t_total, eps=eps, mode=mode)
     params = params_from_model(h, s, c_d=args.cd, c_dh0=args.cdh0, c_lambda=args.clambda)
     report = gate_cost(params)
@@ -270,33 +265,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the JSON report to this path")
+    run = argparse.ArgumentParser(add_help=False, parents=[common])
+    run.add_argument("spec", help="HamiltonianSpec JSON file")
+    run.add_argument("--time", type=float)
+    run.add_argument("--epsilon", type=float)
+    run.add_argument("--mode", choices=[sched.MODE_EXACT, sched.MODE_UNIFORM])
 
-    p = sub.add_parser("schedule", parents=[common],
+    p = sub.add_parser("schedule", parents=[run],
                        help="emit the adaptive partition as CSV plus a JSON summary")
-    p.add_argument("spec", help="HamiltonianSpec JSON file")
-    p.add_argument("--time", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--mode", choices=[sched.MODE_EXACT, sched.MODE_UNIFORM])
     p.set_defaults(func=_cmd_schedule)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[run],
                        help="run the LCU + OAA pipeline on an initial state")
-    p.add_argument("spec")
-    p.add_argument("--time", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--mode", choices=[sched.MODE_EXACT, sched.MODE_UNIFORM])
     p.add_argument("--initial", help="'plus', 'random', or a bitstring")
     p.add_argument("--seed", type=int)
     p.add_argument("--verify", action="store_true",
                    help="also integrate the ODE oracle and report the distance")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("cost", parents=[common],
+    p = sub.add_parser("cost", parents=[run],
                        help="instantiate the gate/qubit resource formulas")
-    p.add_argument("spec")
-    p.add_argument("--time", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--mode", choices=[sched.MODE_EXACT, sched.MODE_UNIFORM])
     p.add_argument("--cd", type=int, default=1, help="unit cost of a D-element oracle")
     p.add_argument("--cdh0", type=int, default=1, help="unit cost of an H0 gap oracle")
     p.add_argument("--clambda", type=int, default=1, help="unit cost of a rate oracle")

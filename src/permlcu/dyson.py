@@ -62,15 +62,8 @@ class TermTable:
 class SegmentOperator:
     """Truncated Dyson expansion of U_I(t_w + dt_w, t_w) plus its LCU data."""
     h: pham.PermExpHamiltonian
-    w: int
-    t_w: float
-    dt_w: float
-    dt_tilde: float
     q_max: int
     s: float
-    gamma_step: float
-    mode: str
-    clamped: bool
     blocks: TermTable
     plan: "SegmentPlan"
 
@@ -136,22 +129,27 @@ def term_coefficient(h: pham.PermExpHamiltonian, t_w: float, dt_w: float,
     return complex(phase * np.exp(t_w * rates_sum) * divided * d_coeff)
 
 
-def phase_angles(coeff: complex, bound: float) -> tuple[float, float]:
-    """(phi, theta) with coeff = bound * cos(phi) * e^{i theta}, phi in [0, pi/2].
+def phase_angles(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise (phi, theta) with coeff = bound * cos(phi) * e^{i theta} and
+    phi in [0, pi/2]; ``bound`` broadcasts against ``coeff``.
 
     A zero bound is only legal for a zero coefficient (zero-padded exponential
-    terms); a ratio above 1 + 1e-9 indicates a bound violation, not roundoff.
+    terms); a negative bound, or a ratio above 1 + 1e-9, indicates a bound
+    violation, not roundoff.
     """
-    mag = abs(coeff)
-    if bound <= 0.0:
-        if mag > 0.0 or bound < 0.0:
-            raise TermBoundError(f"coefficient {coeff} with non-positive bound {bound}")
-        return math.pi / 2.0, 0.0
-    ratio = mag / bound
-    if ratio > 1.0 + BOUND_CLAMP_TOL:
-        raise TermBoundError(f"|coeff|/bound = {ratio} exceeds 1 beyond roundoff")
-    phi = math.acos(min(ratio, 1.0))
-    theta = math.atan2(coeff.imag, coeff.real) if mag > 0.0 else 0.0
+    mag = np.abs(coeff)
+    bound = np.broadcast_to(bound, mag.shape)
+    zero = bound == 0.0
+    if (bound < 0.0).any() or (mag[zero] > 0.0).any():
+        raise TermBoundError("nonzero coefficient on a zero bound, or a negative bound")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(bound > 0.0, mag / bound, 0.0)
+    if ratio.max() > 1.0 + BOUND_CLAMP_TOL:
+        worst = np.unravel_index(ratio.argmax(), ratio.shape)
+        raise TermBoundError(f"|coeff|/bound = {ratio.max()} at entry {worst} "
+                             "exceeds 1 beyond roundoff")
+    phi = np.where(zero, math.pi / 2.0, np.arccos(np.minimum(ratio, 1.0)))
+    theta = np.where(mag > 0.0, np.angle(coeff), 0.0)
     return phi, theta
 
 
@@ -178,19 +176,13 @@ def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
     return h.dim * sum(base**q for q in range(q_max + 1))
 
 
-def _truncation_order(schedule: Schedule, q_max: int | None) -> int:
-    if q_max is None:
-        q_max = schedule.Q
-    if q_max is None:
-        raise ValueError("truncation order missing: build the schedule with eps or pass q_max")
-    return q_max
-
-
 def _enumerate_paths(h: pham.PermExpHamiltonian, tables, q_max: int):
     """Per order q = 1..q_max, the permutation paths of all (i_q, k_q), i_q
     outer and k_q inner, both lexicographic: (i, k, cum, e_prev, e_final,
     rates, d_coeff), shapes (B, q) for the multi-indices and cumulative masks,
     (B, q, 2^n) for E_{z_{j-1}} and the rates, (B, 2^n) for E_{z_q} and d."""
+    if q_max is None:
+        raise ValueError("truncation order missing: build the schedule with eps")
     if count_terms(h, q_max) > ENUMERATION_GUARD:
         raise EnumerationLimitError(
             f"{count_terms(h, q_max)} terms exceed the enumeration guard {ENUMERATION_GUARD}")
@@ -282,25 +274,20 @@ class SegmentPlan:
 
 
 def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
-                  q_max: int | None = None, plan: SegmentPlan | None = None
-                  ) -> SegmentOperator:
-    """All Dyson terms of segment w up to the truncation order.
+                  plan: SegmentPlan | None = None) -> SegmentOperator:
+    """All Dyson terms of segment w up to the schedule's truncation order Q.
 
     The mode is inherited from the schedule: exact per-term Gamma bounds or
     the uniform (larger, state-preparation-cheap) bound.  ``plan`` is the
-    run's SegmentPlan for (h, q_max); one is built when it is omitted.
+    run's SegmentPlan for (h, Q); one is built when it is omitted.
     """
-    q_max = _truncation_order(schedule, q_max)
     if plan is None:
-        plan = SegmentPlan(h, q_max)
-    elif plan.h is not h or plan.q_max != q_max:
+        plan = SegmentPlan(h, schedule.Q)
+    elif plan.h is not h or plan.q_max != schedule.Q:
         raise ValueError(f"plan of order {plan.q_max} does not match this model "
-                         f"at order {q_max}")
+                         f"at order {schedule.Q}")
     t_w, dt_w = schedule.steps[w]
     dt_tilde = schedule.dt_tilde(w)
-    gamma_step = schedule.gammas[w]
-    mode = schedule.mode
-    clamped = schedule.final_step_clamped and w == schedule.r - 1
 
     # row 0 is the q = 0 term: coefficient, Gamma and bound 1
     coeff = np.ones((len(plan), h.dim), dtype=complex)
@@ -310,51 +297,30 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
         coeff[o.rows] = phase * np.exp(t_w * o.rates_sum) * divided * o.d_coeff
         gamma_terms[o.rows] = np.exp(t_w * o.lam).prod(axis=1) * o.amp_prod
         scale = dt_tilde**o.q / math.factorial(o.q)
-        if mode == MODE_UNIFORM:
+        if schedule.mode == MODE_UNIFORM:
             bounds[o.rows] = scale * (plan.gmax * np.exp(t_w * schedule.lam))**o.q
         else:
             bounds[o.rows] = scale * gamma_terms[o.rows]
-
-    mag = np.abs(coeff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bounds[:, None] > 0, mag / bounds[:, None], 0.0)
-    if (mag[bounds == 0.0] > 0).any() or ratio.max() > 1.0 + BOUND_CLAMP_TOL:
-        raise TermBoundError(f"segment {w} order {plan.q[ratio.max(axis=1).argmax()]}: "
-                             f"coefficient bound violated (max ratio {ratio.max()})")
-    phi = np.arccos(np.minimum(ratio, 1.0))
-    phi[bounds == 0.0] = math.pi / 2.0
-    theta = np.where(mag > 0, np.angle(coeff), 0.0)
-
-    s = sum((gamma_step * dt_tilde)**q / math.factorial(q) for q in range(q_max + 1))
+    phi, theta = phase_angles(coeff, bounds[:, None])
     table = TermTable(q=plan.q, cum_mask=plan.cum_mask, coeff=coeff, phi=phi, theta=theta,
                       gamma_term=gamma_terms, bound=bounds)
-    return SegmentOperator(h=h, w=w, t_w=t_w, dt_w=dt_w, dt_tilde=dt_tilde,
-                           q_max=q_max, s=s, gamma_step=gamma_step, mode=mode,
-                           clamped=clamped, blocks=table, plan=plan)
+    return SegmentOperator(h=h, q_max=schedule.Q, s=schedule.s(w), blocks=table, plan=plan)
 
 
-def build_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
-                          q_max: int | None = None) -> np.ndarray:
-    """Dense truncated U_I(t_w + dt_w, t_w)."""
-    return build_segment(h, schedule, w, q_max=q_max).matrix()
-
-
-def alt_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
-                        q_max: int | None = None) -> np.ndarray:
+def alt_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int) -> np.ndarray:
     """Dense Schroedinger-frame segment with the static phases absorbed.
 
     Built from the shifted inputs y_j = -i(E_{z_{j-1}} - E_z) - sum_{l<j} rate_l
     (y_1 = 0) and a trailing diagonal e^{-i H0 dt_w}; satisfies
     e^{-i H0 t_{w+1}} U_I = U_alt e^{-i H0 t_w} segment by segment.
     """
-    q_max = _truncation_order(schedule, q_max)
     t_w, dt_w = schedule.steps[w]
     dim = h.dim
     energies = h.h0_diag
     masks, factors = [np.zeros(1, dtype=np.int64)], [np.ones(1, dtype=complex)]  # q = 0
     coeffs = [np.ones((1, dim), dtype=complex)]
     for big_i, _, cum, e_prev, e_final, rates, d_coeff in _enumerate_paths(
-            h, _lookup_tables(h), q_max):
+            h, _lookup_tables(h), schedule.Q):
         nb, q = big_i.shape
         rates_sum = rates.sum(axis=1)
         prefix = np.concatenate(

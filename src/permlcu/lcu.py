@@ -22,6 +22,7 @@ from . import dyson, pham, sched
 from .sched import MODE_EXACT
 
 MAX_PIPELINE_QUBITS = 8
+RESIDUAL_ABORT = 10.0
 
 
 class AncillaPreconditionError(ValueError):
@@ -52,11 +53,6 @@ class RegisterLayout:
     @property
     def ancilla_dim(self) -> int:
         return 2 * self.n_terms
-
-    @property
-    def top_order_states(self) -> int:
-        """Joint (i_q, k_q, x) count at full order: dim_i^Q * dim_k^Q * 2."""
-        return 2 * self.dim_i**self.Q * self.dim_k**self.Q
 
     @property
     def joint_dim(self) -> int:
@@ -92,13 +88,10 @@ class Statevector:
 @dataclass(frozen=True)
 class LCUContext:
     """Per-segment data: preparation amplitudes and controlled-unitary tables."""
-    seg: dyson.SegmentOperator
     layout: RegisterLayout
     s: float
-    mode: str
     b_amps: np.ndarray       # (ancilla_dim,) real preparation amplitudes
     phase_table: np.ndarray  # (ancilla_dim, 2^n) factors (-i)^q e^{i(+-phi+theta)}
-    mask_table: np.ndarray   # (ancilla_dim,) cumulative permutation masks
     gather: np.ndarray       # (n_terms, 1, 2^n) z ^ mask, shared by a term's x rows
 
 
@@ -116,14 +109,12 @@ def build_context(seg: dyson.SegmentOperator) -> LCUContext:
     phases = np.empty((adim, seg.h.dim), dtype=complex)
     phases[0::2] = factors * np.exp(1j * (terms.phi + terms.theta))
     phases[1::2] = factors * np.exp(1j * (-terms.phi + terms.theta))
-    masks = np.repeat(terms.cum_mask, 2)
     drift = abs(float(b @ b) - 1.0)
     if drift > 1e-8:
         raise RuntimeError(f"preparation amplitudes drifted from unit norm by {drift:.2e}")
     b /= np.linalg.norm(b)
     gather = (terms.cum_mask[:, None] ^ np.arange(seg.h.dim))[:, None, :]
-    return LCUContext(seg=seg, layout=layout, s=seg.s, mode=seg.mode, b_amps=b,
-                      phase_table=phases, mask_table=masks, gather=gather)
+    return LCUContext(layout=layout, s=seg.s, b_amps=b, phase_table=phases, gather=gather)
 
 
 class AncillaPreparation:
@@ -195,24 +186,20 @@ def apply_A(ctx: LCUContext, psi: Statevector) -> Statevector:
     return Statevector(amps=out, layout=psi.layout)
 
 
-def apply_H0_phase(h: pham.PermExpHamiltonian, t: float, psi):
+def apply_H0_phase(h: pham.PermExpHamiltonian, t: float, psi: np.ndarray) -> np.ndarray:
     """Diagonal unitary e^{-i H0 t} on the system register."""
-    phase = np.exp(-1j * h.h0_diag * t)
-    if isinstance(psi, Statevector):
-        return Statevector(amps=psi.amps * phase[None, :], layout=psi.layout)
-    return np.asarray(psi, dtype=complex) * phase
+    return np.asarray(psi, dtype=complex) * np.exp(-1j * h.h0_diag * t)
 
 
 def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
-             psi_system: np.ndarray, mode: str = MODE_EXACT,
-             residual_abort: float = 10.0):
+             psi_system: np.ndarray, mode: str = MODE_EXACT):
     """Full evolution: schedule, per-segment OAA with ancilla projection,
     then the closing diagonal phase e^{-i H0 T}.
 
     Returns (final Statevector, diagnostics).  Between segments the ancilla
     is projected back to |0...0> and the system renormalized; the projection
     deficit and the direction residual against the dense segment operator
-    are recorded per segment.  A residual above residual_abort * eps / r
+    are recorded per segment.  A residual above RESIDUAL_ABORT * eps / r
     aborts with diagnostics attached.
     """
     if h.n > MAX_PIPELINE_QUBITS:
@@ -223,7 +210,7 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
         raise ValueError("initial system state must be nonzero")
     psi = psi / nrm
     schedule = sched.build_schedule(h, t_total, eps=eps, mode=mode)
-    budget = residual_abort * eps / schedule.r
+    budget = RESIDUAL_ABORT * eps / schedule.r
     residuals, deficits, s_values, factors = [], [], [], []
     plan = dyson.SegmentPlan(h, schedule.Q)
     layout = None

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pham import ExpTerm, PermExpHamiltonian, PermTerm, from_pauli_spec
+from .pham import ExpTerm, PermExpHamiltonian, PermTerm
 
 
 def oscillating_spec(h: float = 1.0, gamma: float = 1.0, alpha: float = 1.0) -> dict:
@@ -112,7 +112,3 @@ def random_model_spec(rng: np.random.Generator, n: int = 2, m_max: int = 2,
         h0.append({"coupling": float(rng.uniform(-0.8, 0.8)),
                    "z_mask": "11" + "0" * (n - 2)})
     return {"n": n, "h0": h0, "v": vterms}
-
-
-def random_model(rng: np.random.Generator, **kwargs) -> PermExpHamiltonian:
-    return from_pauli_spec(random_model_spec(rng, **kwargs))

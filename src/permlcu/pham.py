@@ -72,19 +72,9 @@ class PermExpHamiltonian:
         return sum(1 for t in self.vterms if t.mask != 0)
 
     @property
-    def has_diagonal_vterm(self) -> bool:
-        return any(t.mask == 0 for t in self.vterms)
-
-    @property
     def num_exp_terms(self) -> int:
         """K after uniformization (0 when V vanishes)."""
         return len(self.vterms[0].exp_terms) if self.vterms else 0
-
-    def eval_V(self, t: float):
-        return eval_V(self, t)
-
-    def eval_H(self, t: float):
-        return eval_H(self, t)
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -34,7 +34,7 @@ class Schedule:
     r: int
     lam: float
     final_step_clamped: bool
-    l1_like: float
+    l1_like: float                           # sum_w Gamma(t_w) dt_tilde_w, ln 2 per unclamped step
     total_time: float
     mode: str = MODE_EXACT
     Q: int | None = None
@@ -43,6 +43,12 @@ class Schedule:
     def dt_tilde(self, w: int) -> float:
         """Effective step weight (e^{lam*dt_w} - 1)/lam (dt_w in the lam->0 limit)."""
         return _dt_tilde(self.steps[w][1], self.lam)
+
+    def s(self, w: int) -> float:
+        """LCU normalization sum_{q<=Q} (Gamma(t_w) dt_tilde_w)^q / q! of
+        segment w; the step rule pins it near 2 for every unclamped step."""
+        u = self.gammas[w] * self.dt_tilde(w)
+        return sum(u**q / math.factorial(q) for q in range(self.Q + 1))
 
     @property
     def gamma_tilde_final(self) -> float | None:
@@ -79,15 +85,6 @@ def next_step(gamma_tw: float, lam: float) -> float:
     return math.log1p(u) / lam
 
 
-def gamma_function(h: pham.PermExpHamiltonian, mode: str = MODE_EXACT):
-    """Left-endpoint norm bound used by the partitioning rule."""
-    if mode == MODE_EXACT:
-        return lambda t: pham.gamma_bound(h, t)
-    if mode == MODE_UNIFORM:
-        return lambda t: pham.gamma_bound_uniform(h, t)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
                    eps: float | None = None, mode: str = MODE_EXACT) -> Schedule:
     """Partition [0, T] by iterating the step rule from t=0.
@@ -98,14 +95,19 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
     """
     if not (t_total > 0.0 and math.isfinite(t_total)):
         raise ValueError("total time must be positive and finite")
-    gamma = gamma_function(h, mode)
+    if mode == MODE_EXACT:
+        gamma = pham.gamma_bound
+    elif mode == MODE_UNIFORM:
+        gamma = pham.gamma_bound_uniform
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     lam = pham.lambda_max(h)
     steps: list[tuple[float, float]] = []
     gammas: list[float] = []
     clamped = False
     t = 0.0
     while t < t_total:
-        g = gamma(t)
+        g = gamma(h, t)
         try:
             dt = next_step(g, lam)
         except InteractionVanished:
@@ -125,15 +127,6 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
                     final_step_clamped=clamped, l1_like=l1, total_time=t_total,
                     mode=mode, Q=truncation_order(r, eps) if eps is not None else None,
                     eps=eps)
-
-
-def l1_like_norm(schedule: Schedule) -> float:
-    """Discretized L1-type norm sum_w Gamma(t_w) * dt_tilde_w.
-
-    Every non-final step contributes exactly ln 2; for a pure-exponential
-    Gamma the sum equals the integral of Gamma over [0, T].
-    """
-    return schedule.l1_like
 
 
 def s_tail(q_order: int) -> float:

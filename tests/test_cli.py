@@ -90,6 +90,14 @@ def test_env_fallback(spec_path, capsys, monkeypatch):
     assert costcli.main(["schedule", spec_path]) == 2
 
 
+def test_unknown_mode_from_env_exits_2(spec_path, capsys, monkeypatch):
+    # --mode has argparse choices; the environment fallback is checked by the schedule
+    monkeypatch.setenv("PERMLCU_MODE", "bogus")
+    for command in ("schedule", "simulate", "cost"):
+        assert costcli.main([command, spec_path, "--time", "1.0"]) == 2
+        assert "unknown mode 'bogus'" in capsys.readouterr().err
+
+
 def test_flag_overrides_env(spec_path, capsys, monkeypatch):
     monkeypatch.setenv("PERMLCU_TIME", "50.0")
     assert costcli.main(["schedule", spec_path, "--time", "1.0"]) == 0

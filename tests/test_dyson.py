@@ -1,5 +1,6 @@
 """Tests for the truncated integral-free Dyson segment operators."""
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -101,29 +102,31 @@ def test_coefficient_bound_holds_per_term():
 # --- phase decomposition --------------------------------------------------------
 
 def test_phase_angles_cases():
-    assert dyson.phase_angles(1.0 + 0.0j, 1.0) == (0.0, 0.0)
-    phi, theta = dyson.phase_angles(0.0j, 1.0)
-    assert phi == pytest.approx(math.pi / 2) and theta == 0.0
-    phi, theta = dyson.phase_angles(0.5 * np.exp(1j * math.pi / 3), 1.0)
-    assert phi == pytest.approx(math.pi / 3)
-    assert theta == pytest.approx(math.pi / 3)
+    phi, theta = dyson.phase_angles(
+        np.array([1.0 + 0.0j, 0.0j, 0.5 * np.exp(1j * math.pi / 3), 0.0j]),
+        np.array([1.0, 1.0, 1.0, 0.0]))
+    assert phi[0] == 0.0 and theta[0] == 0.0
+    assert phi[1] == pytest.approx(math.pi / 2) and theta[1] == 0.0
+    assert phi[2] == pytest.approx(math.pi / 3)
+    assert theta[2] == pytest.approx(math.pi / 3)
+    # zero-padded exponential term: zero coefficient on a zero bound
+    assert phi[3] == math.pi / 2 and theta[3] == 0.0
 
 
 def test_phase_angles_reconstruction():
     rng = np.random.default_rng(52)
-    for _ in range(100):
-        bound = float(rng.uniform(0.1, 3.0))
-        coeff = bound * rng.uniform(0, 1) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        phi, theta = dyson.phase_angles(complex(coeff), bound)
-        rebuilt = bound / 2 * (np.exp(1j * (phi + theta)) + np.exp(1j * (-phi + theta)))
-        assert abs(rebuilt - coeff) < 1e-12 * max(1.0, bound)
+    bound = rng.uniform(0.1, 3.0, 100)
+    coeff = bound * rng.uniform(0, 1, 100) * np.exp(1j * rng.uniform(-np.pi, np.pi, 100))
+    phi, theta = dyson.phase_angles(coeff, bound)
+    rebuilt = bound / 2 * (np.exp(1j * (phi + theta)) + np.exp(1j * (-phi + theta)))
+    assert (np.abs(rebuilt - coeff) < 1e-12 * np.maximum(1.0, bound)).all()
 
 
 def test_phase_angles_rejects_bound_violation():
-    with pytest.raises(dyson.TermBoundError):
-        dyson.phase_angles(1.1 + 0.0j, 1.0)
-    with pytest.raises(dyson.TermBoundError):
-        dyson.phase_angles(0.5 + 0.0j, 0.0)
+    # |c|/bound above 1 + 1e-9, nonzero coefficient on a zero bound, negative bound
+    for coeff, bound in ((1.1 + 0.0j, 1.0), (0.5 + 0.0j, 0.0), (0.0j, -1.0)):
+        with pytest.raises(dyson.TermBoundError):
+            dyson.phase_angles(np.array([0.5 + 0.0j, coeff]), np.array([1.0, bound]))
 
 
 # --- segment operators ----------------------------------------------------------
@@ -131,7 +134,7 @@ def test_phase_angles_rejects_bound_violation():
 def test_segment_v_zero_is_identity():
     h = pham.from_pauli_spec({"n": 2, "h0": [{"coupling": 0.7, "z_mask": "10"}]})
     s = sched.build_schedule(h, 1.0, eps=1e-3)
-    np.testing.assert_allclose(dyson.build_segment_unitary(h, s, 0), np.eye(4),
+    np.testing.assert_allclose(dyson.build_segment(h, s, 0).matrix(), np.eye(4),
                                atol=1e-14)
 
 
@@ -154,7 +157,7 @@ def test_segment_oscillating_matches_interaction_oracle():
     eps = 1e-3
     s = sched.build_schedule(h, 1.0, eps=eps)
     t_w, dt_w = s.steps[0]
-    built = dyson.build_segment_unitary(h, s, 0)
+    built = dyson.build_segment(h, s, 0).matrix()
     ref = oracle.propagate_interaction(h, t_w, t_w + dt_w, tol=1e-11).U
     assert spectral(built - ref) <= eps
 
@@ -165,7 +168,7 @@ def test_segment_static_matches_matrix_exponential():
         {"amp": [gamma, 0.0], "rate": [0.0, 0.0]}]}]})
     s = sched.build_schedule(h, 2.0, eps=1e-4)
     dt = s.steps[0][1]
-    built = dyson.build_segment_unitary(h, s, 0)
+    built = dyson.build_segment(h, s, 0).matrix()
     ref = expm(-1j * gamma * np.array([[0, 1], [1, 0]]) * dt)
     assert spectral(built - ref) <= sched.s_tail(s.Q) * 1.5
 
@@ -176,7 +179,7 @@ def test_segment_near_unitarity_and_oracle_distance():
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 2.0, eps=eps)
     for w in range(s.r - (1 if s.final_step_clamped else 0)):
-        u = dyson.build_segment_unitary(h, s, w)
+        u = dyson.build_segment(h, s, w).matrix()
         assert spectral(u.conj().T @ u - np.eye(h.dim)) <= 3 * eps / s.r
         t_w, dt_w = s.steps[w]
         ref = oracle.propagate_interaction(h, t_w, t_w + dt_w, tol=1e-11).U
@@ -191,9 +194,22 @@ def test_segment_chaining_matches_full_interaction_propagator():
     s = sched.build_schedule(h, t_total, eps=eps)
     prod = np.eye(h.dim, dtype=complex)
     for w in range(s.r):
-        prod = dyson.build_segment_unitary(h, s, w) @ prod
+        prod = dyson.build_segment(h, s, w).matrix() @ prod
     ref = oracle.propagate_interaction(h, 0.0, t_total, tol=1e-11).U
     assert spectral(prod - ref) <= eps + 1e-6
+
+
+@pytest.mark.parametrize("mode", [sched.MODE_EXACT, sched.MODE_UNIFORM])
+def test_segment_s_is_the_schedule_s(mode):
+    # the segment's normalization is read from the schedule, bitwise, on
+    # every segment including a clamped final one
+    rng = np.random.default_rng(53)
+    h = pham.from_pauli_spec(random_model_spec(rng, n=2))
+    s = sched.build_schedule(h, 1.5, eps=1e-2, mode=mode)
+    assert s.final_step_clamped and s.r > 1
+    plan = dyson.SegmentPlan(h, s.Q)
+    for w in range(s.r):
+        assert dyson.build_segment(h, s, w, plan=plan).s == s.s(w)
 
 
 def test_segment_s_value():
@@ -238,6 +254,7 @@ def test_segment_term_views():
     s = sched.build_schedule(h, 1.0, eps=1e-2)
     seg = dyson.build_segment(h, s, 0)
     tab = seg.blocks
+    dt_tilde = s.dt_tilde(0)
     index = multi_indices(h, s.Q)
     assert len(index) == len(tab) == dyson.count_terms(h, s.Q) // h.dim
     assert tab.coeff.shape == tab.phi.shape == tab.theta.shape == (len(tab), h.dim)
@@ -247,7 +264,7 @@ def test_segment_term_views():
             _, z_path, _ = dyson.interaction_inputs(h, iq, kq, z)
             if q:
                 assert z ^ tab.cum_mask[t] == z_path[-1]
-            assert abs(tab.coeff[t, z]) <= (seg.dt_tilde**q / math.factorial(q)
+            assert abs(tab.coeff[t, z]) <= (dt_tilde**q / math.factorial(q)
                                            * tab.gamma_term[t]) * (1 + 1e-9)
             assert 0.0 <= tab.phi[t, z] <= math.pi / 2
 
@@ -267,8 +284,8 @@ def test_segment_build_is_deterministic():
     rng = np.random.default_rng(56)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 2.0, eps=1e-3)
-    first = dyson.build_segment_unitary(h, s, 0)
-    second = dyson.build_segment_unitary(h, s, 0)
+    first = dyson.build_segment(h, s, 0).matrix()
+    second = dyson.build_segment(h, s, 0).matrix()
     assert np.array_equal(first, second)
 
 
@@ -278,7 +295,7 @@ def test_enumeration_guard():
     s = sched.build_schedule(h, 2.0, eps=1e-3)
     if len(h.vterms) * h.num_exp_terms >= 4:
         with pytest.raises(dyson.EnumerationLimitError):
-            dyson.build_segment(h, s, 0, q_max=14)
+            dyson.build_segment(h, replace(s, Q=14), 0)
     assert dyson.count_terms(h, 2) == h.dim * (
         1 + (len(h.vterms) * h.num_exp_terms) + (len(h.vterms) * h.num_exp_terms)**2)
 
@@ -291,7 +308,7 @@ def test_alt_equals_main_when_h0_vanishes():
     s = sched.build_schedule(h, 1.0, eps=1e-4)
     for w in range(s.r):
         a = dyson.alt_segment_unitary(h, s, w)
-        b = dyson.build_segment_unitary(h, s, w)
+        b = dyson.build_segment(h, s, w).matrix()
         assert spectral(a - b) < 1e-11
 
 
@@ -302,7 +319,7 @@ def test_alt_intertwining_identity():
         s = sched.build_schedule(h, 1.5, eps=1e-3)
         for w in range(min(s.r, 3)):
             t_w, dt_w = s.steps[w]
-            ui = dyson.build_segment_unitary(h, s, w)
+            ui = dyson.build_segment(h, s, w).matrix()
             alt = dyson.alt_segment_unitary(h, s, w)
             left = np.diag(np.exp(-1j * h.h0_diag * (t_w + dt_w))) @ ui
             right = alt @ np.diag(np.exp(-1j * h.h0_diag * t_w))
@@ -318,7 +335,7 @@ def test_alt_product_vs_interaction_product():
     ui_prod = np.eye(h.dim, dtype=complex)
     for w in range(s.r):
         alt_prod = dyson.alt_segment_unitary(h, s, w) @ alt_prod
-        ui_prod = dyson.build_segment_unitary(h, s, w) @ ui_prod
+        ui_prod = dyson.build_segment(h, s, w).matrix() @ ui_prod
     lhs = alt_prod
     rhs = np.diag(np.exp(-1j * h.h0_diag * t_total)) @ ui_prod
     assert spectral(lhs - rhs) < 1e-8
@@ -402,7 +419,7 @@ def test_build_segment_rejects_mismatched_plan():
     s = sched.build_schedule(h, 1.0, eps=1e-3)
     plan = dyson.SegmentPlan(h, s.Q)
     with pytest.raises(ValueError):
-        dyson.build_segment(h, s, 0, q_max=s.Q - 1, plan=plan)
+        dyson.build_segment(h, replace(s, Q=s.Q - 1), 0, plan=plan)
     other = oscillating_hamiltonian(1.0, 1.0, 3.0)
     with pytest.raises(ValueError):
         dyson.build_segment(other, s, 0, plan=plan)

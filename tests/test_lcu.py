@@ -1,5 +1,6 @@
 """Tests for the statevector LCU routine and oblivious amplitude amplification."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ def test_layout_counts():
     layout = lcu.RegisterLayout(Q=3, dim_i=2, dim_k=2, n=2)
     assert layout.n_terms == 1 + 4 + 16 + 64
     assert layout.ancilla_dim == 2 * layout.n_terms
-    assert layout.top_order_states == 2**3 * 2**3 * 2
     assert layout.joint_dim == layout.ancilla_dim * 4
 
 
@@ -44,7 +44,7 @@ def test_layout_empty_interaction():
 def test_prepare_b_order_zero():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s = sched.build_schedule(h, 1.0)
-    seg = dyson.build_segment(h, s, 0, q_max=0)
+    seg = dyson.build_segment(h, replace(s, Q=0), 0)
     ctx = lcu.build_context(seg)
     assert ctx.s == 1.0
     np.testing.assert_allclose(ctx.b_amps, [1 / math.sqrt(2)] * 2, rtol=1e-14)
@@ -54,7 +54,7 @@ def test_prepare_b_static_first_order():
     # M = K = 1, lambda = 0: weights {1, ln2}/s with s = 1 + ln2
     h = pham.from_pauli_spec(static_spec(0.0, 1.0))
     s = sched.build_schedule(h, 10.0)
-    seg = dyson.build_segment(h, s, 0, q_max=1)
+    seg = dyson.build_segment(h, replace(s, Q=1), 0)
     ctx = lcu.build_context(seg)
     assert seg.s == pytest.approx(1 + LN2, rel=1e-12)
     expect = np.sqrt(np.array([1.0, 1.0, LN2, LN2]) / (2 * (1 + LN2)))
@@ -65,7 +65,7 @@ def test_prepare_b_uniform_mode_equal_amplitudes():
     rng = np.random.default_rng(60)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2, m_max=2, k_max=1))
     s = sched.build_schedule(h, 2.0, mode=sched.MODE_UNIFORM)
-    seg = dyson.build_segment(h, s, 0, q_max=1)
+    seg = dyson.build_segment(h, replace(s, Q=1), 0)
     ctx = lcu.build_context(seg)
     order1 = ctx.b_amps[2:]
     assert np.ptp(order1) < 1e-14  # every (i, k, x) weight identical at fixed q
@@ -118,14 +118,17 @@ def test_context_tables_match_term_loop():
         tab = seg.blocks
         b = np.zeros(ctx.layout.ancilla_dim)
         phases = np.zeros((ctx.layout.ancilla_dim, h.dim), dtype=complex)
+        gather = np.zeros((len(tab), 1, h.dim), dtype=np.int64)
         for t in range(len(tab)):
             b[2 * t] = b[2 * t + 1] = math.sqrt(tab.bound[t] / (2.0 * seg.s))
             factor = (-1j) ** int(tab.q[t])
             phases[2 * t] = factor * np.exp(1j * (tab.phi[t] + tab.theta[t]))
             phases[2 * t + 1] = factor * np.exp(1j * (-tab.phi[t] + tab.theta[t]))
+            for z in range(h.dim):
+                gather[t, 0, z] = tab.cum_mask[t] ^ z
         assert np.array_equal(ctx.b_amps, b / np.linalg.norm(b))
         assert np.array_equal(ctx.phase_table, phases)
-        assert np.array_equal(ctx.mask_table, np.repeat(tab.cum_mask, 2))
+        assert np.array_equal(ctx.gather, gather)
 
 
 def test_vc_preserves_norm():
@@ -318,13 +321,14 @@ def test_run_full_size_guard():
         lcu.run_full(h, 1.0, 1e-3, np.ones(512) / math.sqrt(512))
 
 
-def test_run_full_abort_on_tiny_budget():
+def test_run_full_abort_on_tiny_budget(monkeypatch):
     # healthy direction residuals sit at machine level; a sub-eps budget
     # exercises the abort path and its attached diagnostics
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     psi = np.array([1.0, 0.0], dtype=complex)
+    monkeypatch.setattr(lcu, "RESIDUAL_ABORT", 1e-13)
     with pytest.raises(lcu.SimulationAbort) as exc:
-        lcu.run_full(h, 2.0, 1e-3, psi, residual_abort=1e-13)
+        lcu.run_full(h, 2.0, 1e-3, psi)
     assert "residuals" in exc.value.diagnostics
 
 

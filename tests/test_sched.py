@@ -179,26 +179,26 @@ def test_l1_constant_gamma_unclamped():
     t_total = ((dt0 + dt0) + dt0) + dt0   # exactly 4 representable steps
     s = sched.build_schedule(h, t_total)
     assert s.r == 4 and not s.final_step_clamped
-    assert sched.l1_like_norm(s) == pytest.approx(4 * LN2, rel=1e-12)
+    assert s.l1_like == pytest.approx(4 * LN2, rel=1e-12)
 
 
 def test_l1_single_clamped_step_is_gamma_t():
     h = oscillating_hamiltonian(1.0, 1.0, 0.0)
     s = sched.build_schedule(h, 0.1)
-    assert sched.l1_like_norm(s) == pytest.approx(2.0 * 0.1, rel=1e-12)
+    assert s.l1_like == pytest.approx(2.0 * 0.1, rel=1e-12)
 
 
 def test_l1_decay_approaches_integral():
     h = pham.from_pauli_spec(decay_spec(1.0, 1.0, 1.0))
     s = sched.build_schedule(h, 1000.0)
     # closed form: integral of e^{-t} over [0, 1000] is 1 - e^{-1000}
-    assert sched.l1_like_norm(s) == pytest.approx(1.0, rel=0.25)
+    assert s.l1_like == pytest.approx(1.0, rel=0.25)
 
 
 def test_l1_bounds_step_count():
     h = pham.from_pauli_spec(growth_spec(1.0, 1.0, 0.6))
     s = sched.build_schedule(h, 3.0)
-    assert s.r <= sched.l1_like_norm(s) / LN2 + 1
+    assert s.r <= s.l1_like / LN2 + 1
 
 
 # --- truncation order -----------------------------------------------------------
@@ -236,3 +236,9 @@ def test_build_schedule_rejects_bad_time():
         sched.build_schedule(h, 0.0)
     with pytest.raises(ValueError):
         sched.build_schedule(h, -1.0)
+
+
+def test_build_schedule_rejects_unknown_mode():
+    h = pham.from_pauli_spec(static_spec())
+    with pytest.raises(ValueError, match="unknown mode"):
+        sched.build_schedule(h, 1.0, mode="bogus")
