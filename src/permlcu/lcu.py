@@ -211,7 +211,7 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     psi = psi / nrm
     schedule = sched.build_schedule(h, t_total, eps=eps, mode=mode)
     budget = RESIDUAL_ABORT * eps / schedule.r
-    residuals, deficits, s_values, factors = [], [], [], []
+    residuals, deficits = [], []
     plan = dyson.SegmentPlan(h, schedule.Q)
     layout = None
     for w in range(schedule.r):
@@ -233,21 +233,16 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
         deficit = 1.0 - block_norm
         residuals.append(residual)
         deficits.append(deficit)
-        s_values.append(seg.s)
-        factors.append(amplification_factor(seg.s))
         if residual > budget:
             raise SimulationAbort(
                 f"segment {w} residual {residual:.3e} exceeds budget {budget:.3e}",
-                {"residuals": residuals, "deficits": deficits, "s_values": s_values,
-                 "schedule": schedule})
+                {"residuals": residuals, "deficits": deficits})
         psi = new_psi
     psi = apply_H0_phase(h, t_total, psi)
     final = Statevector.from_system(layout, psi) if layout is not None else None
     diagnostics = {
-        "r": schedule.r, "Q": schedule.Q, "mode": mode,
+        "r": schedule.r, "Q": schedule.Q,
         "residuals": residuals, "deficits": deficits,
-        "s_values": s_values, "amplification_factors": factors,
         "total_deficit": float(sum(deficits)),
-        "schedule": schedule,
     }
     return final, diagnostics

@@ -265,6 +265,7 @@ def test_run_full_v_zero_is_diagonal_phase():
     expect = np.exp(-1j * h.h0_diag * 2.5) * psi
     np.testing.assert_allclose(final.system_block(0), expect, atol=1e-12)
     assert diag["r"] == 1
+    assert set(diag) == {"r", "Q", "residuals", "deficits", "total_deficit"}
     assert not np.shares_memory(final.system_block(0), final.amps)
 
 
@@ -329,7 +330,7 @@ def test_run_full_abort_on_tiny_budget(monkeypatch):
     monkeypatch.setattr(lcu, "RESIDUAL_ABORT", 1e-13)
     with pytest.raises(lcu.SimulationAbort) as exc:
         lcu.run_full(h, 2.0, 1e-3, psi)
-    assert "residuals" in exc.value.diagnostics
+    assert set(exc.value.diagnostics) == {"residuals", "deficits"}
 
 
 def test_run_full_divided_difference_work_per_run(monkeypatch):
