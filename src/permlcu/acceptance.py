@@ -279,9 +279,10 @@ def criterion_6(budget_s: float = 120.0):
         s = sched.build_schedule(h, t_total, eps=eps)
         alt_prod = np.eye(h.dim, dtype=complex)
         ui_prod = np.eye(h.dim, dtype=complex)
+        plan = dyson.SegmentPlan(h, s)
         for w in range(s.r):
             alt_prod = dyson.alt_segment_unitary(h, s, w) @ alt_prod
-            ui_prod = dyson.build_segment(h, s, w).matrix() @ ui_prod
+            ui_prod = dyson.build_segment(h, s, w, plan=plan).matrix() @ ui_prod
         gap = _spectral(alt_prod - np.diag(np.exp(-1j * h.h0_diag * t_total)) @ ui_prod)
         if gap > 1e-8:
             failures.append(f"model {seed}: product identity gap {gap:.2e}")
@@ -313,8 +314,9 @@ def criterion_7(budget_s: float = 120.0):
         h = pham.from_pauli_spec(random_model_spec(rng, n=2))
         s = sched.build_schedule(h, 2.0, eps=eps)
         last = s.r - 1 if s.final_step_clamped else s.r
+        plan = dyson.SegmentPlan(h, s)
         for w in range(last):
-            u = dyson.build_segment(h, s, w).matrix()
+            u = dyson.build_segment(h, s, w, plan=plan).matrix()
             defect = _spectral(u.conj().T @ u - np.eye(h.dim))
             if defect > 3 * eps / s.r:
                 failures.append(f"model {seed} segment {w}: defect {defect:.2e}")

@@ -5,17 +5,27 @@ exact repeats (confluent case), together with the real-part upper bound,
 an independent bidiagonal-matrix oracle, and a simplex-quadrature oracle.
 
 Method: a row's spread is the largest distance of an input from the row
-mean.  Rows whose spread is at most ``SERIES_SPREAD_CUTOFF`` are shifted by
-their mean (any constant can be factored out of the divided difference of
-exp), and the Taylor series
+mean mu.  Rows whose spread is at most ``SERIES_SPREAD_CUTOFF`` are shifted
+by their mean (any constant can be factored out of the divided difference
+of exp), and summed as the Taylor series
 
     e^{[y_0,...,y_q]} = sum_{m>=0} h_m(y_0,...,y_q) / (m+q)!
 
-is summed with Neumaier-compensated accumulation, where h_m is the complete
-homogeneous symmetric polynomial of degree m.  Termination uses the
-worst-case envelope R^m/(m! q!) with R = max|y_j| rather than the actual
-term magnitude, because mean-shifted inputs make low-order h_m vanish
-identically.
+where h_m is the complete homogeneous symmetric polynomial of degree m.
+Termination uses the worst-case envelope R^m/(m! q!) with R = max|y_j|
+rather than the actual term magnitude, because mean-shifted inputs make
+low-order h_m vanish identically.
+
+Since h_m is homogeneous, the series is a polynomial in the step: for a
+real step dt,
+
+    e^{dt [x_0,...,x_q]} = dt^q e^{dt mu} sum_m dt^m h_m(y) / (m+q)!,
+
+and its coefficients h_m(y)/(m+q)! do not depend on dt (Gupta, Barash &
+Hen, CPC 254, 2020).  `exp_dd_steps` therefore runs the coefficient
+recurrence once per row and evaluates it at many steps at once, as a
+product with the Vandermonde matrix of the steps; `exp_dd_batch` is its
+case of the single step 1.
 
 Wider rows would cancel catastrophically in the series.  For them the
 divided difference is the corner entry of exp(A), A the bidiagonal matrix
@@ -52,6 +62,9 @@ from scipy.linalg import expm
 # 1.3e-10 up to 12 and 7e-10 up to 14 (kernel: 3e-14), 1.1e-7 at 25.8.
 SERIES_SPREAD_CUTOFF = 12.0
 SERIES_TERM_CAP = 500
+# Rows per coefficient pass: the (terms, rows) coefficient block of a chunk
+# is 2 MB at 64 terms.
+SERIES_CHUNK = 2048
 # Wide rows: scale so that 2^-s max|x| <= _THETA, then a Taylor polynomial
 # of degree q + _TAYLOR_TAIL - 1 leaves a relative truncation error of at
 # most _THETA^13/13! = 2.4e-18 in every entry of the scaled exponential.
@@ -80,52 +93,102 @@ def _validate_inputs(xs) -> np.ndarray:
     return xs
 
 
-def _series_batch(ys: np.ndarray, spread: np.ndarray) -> np.ndarray:
-    """Compensated Taylor series on mean-shifted rows ys of shape (B, q+1).
+def _coefficients(zs: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Series coefficients h_m(z)/(m+q)! of the rows zs (n, q+1), shape (M, n).
 
-    A row's value is taken as soon as it converges, and the working arrays
-    drop the converged rows whenever they make up a quarter of them, so the
-    late orders cost only the slow rows.
+    A row's coefficients stop, and stay zero, once its sum at z has
+    converged: the envelope radius^m/(m! q!) of the terms has fallen below
+    1e-17 of the sum and m is past the radius.  The working arrays drop the
+    converged rows whenever they make up a quarter of them, so the late
+    orders cost only the slow rows.
     """
-    nb, m = ys.shape
+    n, m = zs.shape
     q = m - 1
-    out = np.empty(nb, dtype=complex)
-    idx = np.arange(nb)  # positions in out of the rows in the working arrays
-    live = np.ones(nb, dtype=bool)  # rows not yet converged
-    ys = ys.T.copy()  # (m, B): one contiguous vector per input position
-    h = np.ones((m, nb), dtype=complex)
-    acc = np.full(nb, 1.0 / math.factorial(q), dtype=complex)
-    comp = np.zeros(nb, dtype=complex)
-    env = np.full(nb, 1.0 / math.factorial(q))
-    powers = np.ones(nb, dtype=complex)  # ys[0]**m, updated incrementally
+    coef = np.zeros((64, n), dtype=complex)
+    coef[0] = 1.0 / math.factorial(q)
+    idx = np.arange(n)  # positions in coef of the rows in the working arrays
+    live = np.ones(n, dtype=bool)  # rows not yet converged
+    zs = zs.T.copy()  # (m, n): one contiguous vector per input position
+    h = np.ones((m, n), dtype=complex)
+    acc = np.full(n, 1.0 / math.factorial(q), dtype=complex)
+    env = np.full(n, 1.0 / math.factorial(q))
+    powers = np.ones(n, dtype=complex)  # zs[0]**order, updated incrementally
     fact = float(math.factorial(q))
     for order in range(1, SERIES_TERM_CAP + 1):
-        powers = powers * ys[0]
+        powers = powers * zs[0]
         h[0] = powers
         for j in range(1, m):
-            h[j] = h[j - 1] + ys[j] * h[j]
+            h[j] = h[j - 1] + zs[j] * h[j]
         fact *= order + q
         term = h[q] / fact
-        # Neumaier compensated add of term into acc
-        new = acc + term
-        big = np.abs(acc) >= np.abs(term)
-        comp = comp + np.where(big, (acc - new) + term, (term - new) + acc)
-        acc = new
-        env *= spread / order
-        done = live & (env <= 1e-17 * np.maximum(np.abs(acc + comp), _TINY))
-        done &= order > spread
+        if order == len(coef):
+            coef = np.concatenate([coef, np.zeros_like(coef)])
+        coef[order, idx[live]] = term[live]
+        acc += term
+        env *= radius / order
+        done = live & (env <= 1e-17 * np.maximum(np.abs(acc), _TINY))
+        done &= order > radius
         if done.any():
-            out[idx[done]] = acc[done] + comp[done]
             live &= ~done
             n_live = np.count_nonzero(live)
             if n_live == 0:
-                return out
+                break
             if n_live <= 0.75 * live.size:
-                ys, h = ys[:, live], h[:, live]
-                idx, spread, acc, comp, env, powers = (
-                    a[live] for a in (idx, spread, acc, comp, env, powers))
+                zs, h = zs[:, live], h[:, live]
+                idx, radius, acc, env, powers = (
+                    a[live] for a in (idx, radius, acc, env, powers))
                 live = np.ones(n_live, dtype=bool)
-    out[idx[live]] = (acc + comp)[live]
+    return coef[:order + 1]
+
+
+def _step_powers(dts: np.ndarray, q: int) -> np.ndarray:
+    """dt^q per step, by Python's float power as in exp_dd_scaled_batch (numpy's
+    array power differs from it in the last bit for about 5% of inputs)."""
+    return np.array([dt**q for dt in dts.tolist()])
+
+
+def _series(ys: np.ndarray, mu: np.ndarray, spread: np.ndarray,
+            dts: np.ndarray) -> np.ndarray:
+    """e^{dt [x]} for every step dt in dts and every row x = mu + y, over
+    the pairs with spread * |dt| <= SERIES_SPREAD_CUTOFF; shape (S, B), the
+    other pairs 0.
+
+    Let tau be a row's longest step in range.  Its coefficient pass runs on
+    tau * y, where the terms are largest, and stops by the rule at tau (at
+    a shorter step each neglected term shrinks by (dt/tau)^m); the row is
+    then evaluated at all its steps in range at once:
+
+        e^{dt [x]} = dt^q e^{dt mu} sum_m (dt/tau)^m h_m(tau y)/(m+q)!,
+
+    one product of the Vandermonde matrix of dt/tau (entries of modulus at
+    most 1) with the coefficients of the rows that share tau.  Rows go
+    through in chunks of SERIES_CHUNK, sorted by tau; only one chunk's
+    coefficients are held at a time.
+    """
+    dtq = _step_powers(dts, ys.shape[1] - 1)
+    mag = np.abs(dts)
+    by_mag = np.argsort(mag, kind="stable")
+    # a row's steps in range are a prefix of the steps sorted by |dt|
+    n_in = np.count_nonzero(
+        spread[None, :] * mag[by_mag, None] <= SERIES_SPREAD_CUTOFF, axis=0)
+    rows = np.argsort(n_in, kind="stable")
+    rows = rows[n_in[rows] > 0]
+    out = np.zeros((len(dts), len(ys)), dtype=complex)
+    for lo in range(0, len(rows), SERIES_CHUNK):
+        chunk = rows[lo:lo + SERIES_CHUNK]
+        k = n_in[chunk]
+        tau = mag[by_mag[k - 1]]
+        coef = _coefficients(ys[chunk] * tau[:, None], spread[chunk] * tau)
+        powers = np.arange(len(coef))
+        cuts = np.flatnonzero(np.diff(k)) + 1
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(chunk)]):
+            steps = by_mag[:k[a]]
+            dt = dts[steps]
+            ratio = dt / tau[a] if tau[a] > 0.0 else np.zeros_like(dt)
+            vals = (ratio[:, None] ** powers) @ coef[:, a:b]
+            sel = chunk[a:b]
+            vals *= dtq[steps, None] * np.exp(np.multiply.outer(dt, mu[sel]))
+            out[steps[:, None], sel] = vals
     return out
 
 
@@ -261,28 +324,60 @@ def _wide_batch(xs: np.ndarray) -> np.ndarray:
     return np.exp(shift[:, 0]) * out
 
 
+def _checked_rows(xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=complex)
+    if xs.ndim != 2 or xs.shape[1] == 0:
+        raise ValueError("batch must have shape (B, q+1) with q >= 0")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("divided-difference inputs must be finite")
+    return xs
+
+
+def _shifted(xs: np.ndarray):
+    """Row means, mean-shifted rows and their spreads."""
+    mu = xs.mean(axis=1)
+    ys = xs - mu[:, None]
+    return mu, ys, np.abs(ys).max(axis=1)
+
+
+def exp_dd_steps(xs: np.ndarray, dts) -> np.ndarray:
+    """e^{dt [x_0,...,x_q]} = dt^q e^{[dt x_0,...,dt x_q]} for every real
+    step dt in dts and every row of xs (B, q+1); returns shape (S, B).
+
+    The pairs with (row spread) * |dt| within the series cutoff share one
+    coefficient pass per row; the other pairs are stacked into one
+    exp_dd_batch call.  With the single step 1 this is exp_dd_batch.
+    """
+    xs = _checked_rows(xs)
+    dts = np.asarray(dts, dtype=float)
+    if dts.ndim != 1 or not np.all(np.isfinite(dts)):
+        raise ValueError("steps must be a 1-D sequence of finite reals")
+    q = xs.shape[1] - 1
+    if q == 0:
+        return np.exp(np.multiply.outer(dts, xs[:, 0]))
+    mu, ys, spread = _shifted(xs)
+    out = _series(ys, mu, spread, dts)
+    wide_s, wide_b = np.nonzero(spread[None, :] * np.abs(dts)[:, None] > SERIES_SPREAD_CUTOFF)
+    if len(wide_s):
+        out[wide_s, wide_b] = _step_powers(dts, q)[wide_s] * exp_dd_batch(
+            dts[wide_s, None] * xs[wide_b])
+    return out
+
+
 def exp_dd_batch(xs: np.ndarray) -> np.ndarray:
     """Divided differences of exp for a batch of equal-length input rows.
 
     xs has shape (B, q+1); returns shape (B,).  Rows whose mean-shifted
     spread exceeds the series cutoff go to the scaling-and-squaring kernel.
     """
-    xs = np.asarray(xs, dtype=complex)
-    if xs.ndim != 2 or xs.shape[1] == 0:
-        raise ValueError("batch must have shape (B, q+1) with q >= 0")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("divided-difference inputs must be finite")
+    xs = _checked_rows(xs)
     if xs.shape[1] == 1:
         return np.exp(xs[:, 0])
-    mu = xs.mean(axis=1)
-    ys = xs - mu[:, None]
-    spread = np.abs(ys).max(axis=1)
-    out = np.empty(xs.shape[0], dtype=complex)
-    ok = spread <= SERIES_SPREAD_CUTOFF
-    if ok.any():
-        out[ok] = np.exp(mu[ok]) * _series_batch(ys[ok], spread[ok])
-    if not ok.all():
-        out[~ok] = _wide_batch(xs[~ok])
+    mu, ys, spread = _shifted(xs)
+    out = _series(ys, mu, spread, np.ones(1))[0]
+    wide = spread > SERIES_SPREAD_CUTOFF
+    if wide.any():
+        out[wide] = _wide_batch(xs[wide])
     return out
 
 

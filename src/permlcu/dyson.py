@@ -13,9 +13,11 @@ time-ordered integrals.  Every scalar coefficient is bounded by
 consumed by the LCU simulator.
 
 Everything but the phases at t_w and the divided differences at dt_w
-depends only on the model and the truncation order, so a `SegmentPlan`
-enumerates the permutation paths once per run, and each segment is an
-array table of its terms built from the plan.
+depends only on the model and the truncation order, and the step lengths
+are known before the first segment, so a `SegmentPlan` enumerates the
+permutation paths once per run and evaluates the divided differences of
+every distinct step length at once; each segment is an array table of its
+terms built from the plan.
 """
 from __future__ import annotations
 
@@ -217,10 +219,10 @@ def _enumerate_paths(h: pham.PermExpHamiltonian, tables, q_max: int):
 
 
 class _Order(NamedTuple):
-    """Segment-independent data of the order-q terms."""
+    """The order-q terms' data that does not depend on t_w."""
     q: int
     rows: slice            # their rows in the term table
-    dd_rows: np.ndarray    # (B * 2^n, q + 1) inputs [x_1, ..., x_q, 0]
+    divided: np.ndarray    # (steps, B, 2^n) e^{dt [x_1, ..., x_q, 0]} per distinct step
     gap: np.ndarray        # (B, 2^n) E_z - E_{z_q}
     rates_sum: np.ndarray  # (B, 2^n)
     d_coeff: np.ndarray    # (B, 2^n)
@@ -229,12 +231,15 @@ class _Order(NamedTuple):
 
 
 class SegmentPlan:
-    """The segment-independent part of the Dyson segments of h to order
-    q_max, built once per run.  It keeps the divided differences of the last
-    step length asked for, since a schedule's equal steps are consecutive."""
+    """The Dyson segments of h over one schedule, less their phases and
+    bounds at t_w: the permutation paths to order Q, and the divided
+    differences of every path at every distinct step length, one
+    `dd.exp_dd_steps` call per order.  Built once per run."""
 
-    def __init__(self, h: pham.PermExpHamiltonian, q_max: int):
-        self.h, self.q_max = h, q_max
+    def __init__(self, h: pham.PermExpHamiltonian, schedule: Schedule):
+        self.h, self.schedule = h, schedule
+        steps = sorted({dt for _, dt in schedule.steps})
+        self._step_index = {dt: i for i, dt in enumerate(steps)}
         tables = _lookup_tables(h)
         _, rate, amp_scale, _ = tables
         lam_ik = rate.real.max(axis=2)           # per-(i,k) growth exponent
@@ -243,34 +248,32 @@ class SegmentPlan:
         self.orders: list[_Order] = []
         masks, qs, start = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)], 1
         for big_i, big_k, cum, e_prev, e_final, rates, d_coeff in _enumerate_paths(
-                h, tables, q_max):
+                h, tables, schedule.Q):
             nb, q = big_i.shape
             suffix = np.flip(np.cumsum(np.flip(rates, axis=1), axis=1), axis=1)
             xrows = 1j * (e_final[:, None, :] - e_prev) + suffix  # (B, q, dim)
             dd_rows = np.concatenate(
                 [xrows.transpose(0, 2, 1).reshape(nb * dim, q),
                  np.zeros((nb * dim, 1), dtype=complex)], axis=1)
+            divided = dd.exp_dd_steps(dd_rows, steps).reshape(len(steps), nb, dim)
             self.orders.append(_Order(
-                q, slice(start, start + nb), dd_rows, h.h0_diag[None, :] - e_final,
+                q, slice(start, start + nb), divided, h.h0_diag[None, :] - e_final,
                 rates.sum(axis=1), d_coeff, lam_ik[big_i, big_k],
                 amp_scale[big_i, big_k].prod(axis=1)))
             masks.append(cum[:, -1])
             qs.append(np.full(nb, q))
             start += nb
         self.cum_mask, self.q = np.concatenate(masks), np.concatenate(qs)
-        self.factors = np.array([(-1j) ** q for q in range(q_max + 1)])[self.q]  # (-i)^q
-        self._dd_step = self._dd = None
+        self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
 
     def __len__(self) -> int:
         return len(self.q)
 
     def divided(self, dt: float) -> list[np.ndarray]:
-        """e^{dt [x_1,...,x_q, 0]} of every order, shape (B, 2^n) each."""
-        if dt != self._dd_step:
-            self._dd = [dd.exp_dd_scaled_batch(dt, o.dd_rows).reshape(o.gap.shape)
-                        for o in self.orders]
-            self._dd_step = dt
-        return self._dd
+        """e^{dt [x_1,...,x_q, 0]} of every order, shape (B, 2^n) each, for a
+        step length dt of the schedule."""
+        i = self._step_index[dt]
+        return [o.divided[i] for o in self.orders]
 
 
 def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
@@ -279,13 +282,13 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
 
     The mode is inherited from the schedule: exact per-term Gamma bounds or
     the uniform (larger, state-preparation-cheap) bound.  ``plan`` is the
-    run's SegmentPlan for (h, Q); one is built when it is omitted.
+    run's SegmentPlan for (h, schedule); one is built, for every step of the
+    schedule, when it is omitted.
     """
     if plan is None:
-        plan = SegmentPlan(h, schedule.Q)
-    elif plan.h is not h or plan.q_max != schedule.Q:
-        raise ValueError(f"plan of order {plan.q_max} does not match this model "
-                         f"at order {schedule.Q}")
+        plan = SegmentPlan(h, schedule)
+    elif plan.h is not h or plan.schedule != schedule:
+        raise ValueError("the plan was built for another model or schedule")
     t_w, dt_w = schedule.steps[w]
     dt_tilde = schedule.dt_tilde(w)
 

@@ -212,7 +212,7 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     schedule = sched.build_schedule(h, t_total, eps=eps, mode=mode)
     budget = RESIDUAL_ABORT * eps / schedule.r
     residuals, deficits = [], []
-    plan = dyson.SegmentPlan(h, schedule.Q)
+    plan = dyson.SegmentPlan(h, schedule)
     layout = None
     for w in range(schedule.r):
         seg = dyson.build_segment(h, schedule, w, plan=plan)

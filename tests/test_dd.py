@@ -323,7 +323,7 @@ def mp_exp_dd(xs):
 
 
 def test_imaginary_rows_above_the_series_cutoff():
-    # the compensated series lost 8.3e-9 and 1.1e-7 on these (shifted
+    # the Taylor series lost 8.3e-9 and 1.1e-7 on these (shifted
     # spreads 19.4 and 25.8)
     for xs in ([31j, -7.75j], [31j, 31j, -7.75j]):
         assert rel_err(dd.exp_dd(xs), mp_exp_dd(xs)) <= 1e-10, xs
@@ -418,3 +418,131 @@ def test_wide_rows_property(case):
     vals = dd.exp_dd_batch(np.array([xs, xs[perm]]))
     assert rel_err(vals[0], ref) <= 1e-9
     assert rel_err(vals[1], vals[0]) <= 1e-9
+
+
+# --- many step lengths: one coefficient pass per row --------------------------
+
+def steps_reference(xs, dts):
+    """Per-step batches e^{dt [x]}, shape (len(dts), B), and the real-part
+    bounds of the same values."""
+    q = xs.shape[1] - 1
+    ref = np.array([dd.exp_dd_scaled_batch(float(dt), xs) for dt in dts])
+    bound = np.array([abs(dt)**q * dd.exp_dd_bound_batch(dt * xs) for dt in dts])
+    return ref, bound
+
+
+def mixed_rows(rng, n, q):
+    """Rows of spreads from 0.01 to 40 with imaginary, complex and repeated
+    entries, so that a set of steps puts each row in the series range at
+    some steps and beyond it at others."""
+    spread = np.exp(rng.uniform(np.log(0.01), np.log(40.0), n))
+    rows = spread[:, None] * (1j * rng.uniform(-1, 1, (n, q + 1)))
+    rows[::3] += rng.uniform(-0.5, 0.5, (len(rows[::3]), q + 1))
+    rows[::4, 1] = rows[::4, 0]
+    return rows
+
+
+def test_steps_single_unit_step_is_the_batch():
+    rows = mixed_rows(np.random.default_rng(26), 300, 5)
+    assert np.array_equal(dd.exp_dd_steps(rows, [1.0])[0], dd.exp_dd_batch(rows))
+
+
+def test_steps_match_per_step_batches():
+    # every (step, row) pair, with zero and negative steps: within 1e-12 of
+    # the real-part bound (per entry, both sides carry the series' error of
+    # up to ~1e-10 at shifted spreads 9-12); pairs beyond the cutoff are the
+    # same kernel values
+    rng = np.random.default_rng(27)
+    dts = np.array([0.3, 1.0, 0.0, -0.7, 2.5, 0.3, 6.0])
+    for q in (1, 3, 6):
+        rows = mixed_rows(rng, 200, q)
+        got = dd.exp_dd_steps(rows, dts)
+        ref, bound = steps_reference(rows, dts)
+        assert got.shape == (len(dts), len(rows))
+        assert (np.abs(got - ref) <= 1e-12 * bound).all()
+        spread = np.abs(rows - rows.mean(axis=1, keepdims=True)).max(axis=1)
+        wide = spread[None, :] * np.abs(dts)[:, None] > dd.SERIES_SPREAD_CUTOFF
+        assert wide.any() and not wide.all()
+        assert np.array_equal(got[wide], ref[wide])
+        assert np.array_equal(got[2], np.zeros(len(rows)))
+
+
+def test_steps_stack_wide_pairs_into_one_batch_call(monkeypatch):
+    rows = mixed_rows(np.random.default_rng(28), 100, 4)
+    dts = np.array([0.1, 0.5, 2.0, 4.0])
+    spread = np.abs(rows - rows.mean(axis=1, keepdims=True)).max(axis=1)
+    n_wide = np.count_nonzero(spread[None, :] * dts[:, None] > dd.SERIES_SPREAD_CUTOFF)
+    calls = []
+    real = dd.exp_dd_batch
+    monkeypatch.setattr(dd, "exp_dd_batch", lambda xs: calls.append(len(xs)) or real(xs))
+    dd.exp_dd_steps(rows, dts)
+    assert calls == [n_wide] and n_wide > 0
+    dd.exp_dd_steps(rows, dts[:1] * 1e-3)
+    assert calls == [n_wide]
+
+
+def test_steps_chunks_do_not_change_values(monkeypatch):
+    # chunk boundaries that cut through rows of different step counts
+    rows = mixed_rows(np.random.default_rng(29), 60, 3)
+    dts = np.array([0.05, 0.4, 1.0, 3.0])
+    whole = dd.exp_dd_steps(rows, dts)
+    monkeypatch.setattr(dd, "SERIES_CHUNK", 7)
+    chunked = dd.exp_dd_steps(rows, dts)
+    _, bound = steps_reference(rows, dts)
+    assert (np.abs(chunked - whole) <= 1e-15 * bound).all()
+
+
+def test_steps_order_zero_and_input_checks():
+    xs = np.array([[0.3 + 2.0j], [-1.0 + 0.0j]])
+    dts = np.array([0.0, 0.5, -2.0])
+    np.testing.assert_allclose(dd.exp_dd_steps(xs, dts), np.exp(np.outer(dts, xs[:, 0])),
+                               rtol=1e-15)
+    for bad in ([np.inf], [[0.5]], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            dd.exp_dd_steps(np.ones((2, 3)), bad)
+    with pytest.raises(ValueError):
+        dd.exp_dd_steps(np.array([[1.0, np.nan]]), [1.0])
+    with pytest.raises(ValueError):
+        dd.exp_dd_steps(np.ones(3), [1.0])
+
+
+@st.composite
+def row_and_steps(draw):
+    """An imaginary, complex or repeated row of spread rho, and 2-8 step
+    lengths with rho * dt <= 9."""
+    q = draw(st.integers(1, 8))
+    unit = st.floats(-1.0, 1.0)
+    xs = 1j * np.array(draw(st.lists(unit, min_size=q + 1, max_size=q + 1)))
+    kind = draw(st.sampled_from(["imaginary", "complex", "repeats"]))
+    if kind == "complex":
+        xs = xs + 0.5 * np.array(draw(st.lists(unit, min_size=q + 1, max_size=q + 1)))
+    elif kind == "repeats":
+        for j in draw(st.lists(st.integers(1, q), min_size=1, max_size=q)):
+            xs[j] = xs[draw(st.integers(0, q))]
+    rho = np.abs(xs - xs.mean()).max()
+    reach = draw(st.lists(st.floats(0.0, 9.0, exclude_min=True), min_size=2, max_size=8))
+    dts = np.array(reach) / max(rho, 1e-3)
+    return xs, dts
+
+
+def mp_exp_dd_at(dt, xs):
+    """Reference e^{dt [x_0,...,x_q]}, with the inputs dt * x_j formed at 50
+    digits rather than rounded to doubles first."""
+    mpmath = pytest.importorskip("mpmath")
+    m = len(xs)
+    with mpmath.workdps(50):
+        a = mpmath.matrix(m, m)
+        for i, x in enumerate(xs):
+            a[i, i] = mpmath.mpf(dt) * mpmath.mpc(complex(x).real, complex(x).imag)
+            if i + 1 < m:
+                a[i, i + 1] = 1
+        return complex(mpmath.mpf(dt) ** (m - 1) * mpmath.expm(a)[0, m - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_and_steps())
+def test_steps_property_against_mpmath(case):
+    xs, dts = case
+    got = dd.exp_dd_steps(xs[None, :], dts)[:, 0]
+    for dt, value in zip(dts, got):
+        assert rel_err(value, mp_exp_dd_at(dt, xs)) <= 1e-10, (xs, dt)

@@ -178,8 +178,9 @@ def test_segment_near_unitarity_and_oracle_distance():
     eps = 1e-3
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 2.0, eps=eps)
+    plan = dyson.SegmentPlan(h, s)
     for w in range(s.r - (1 if s.final_step_clamped else 0)):
-        u = dyson.build_segment(h, s, w).matrix()
+        u = dyson.build_segment(h, s, w, plan=plan).matrix()
         assert spectral(u.conj().T @ u - np.eye(h.dim)) <= 3 * eps / s.r
         t_w, dt_w = s.steps[w]
         ref = oracle.propagate_interaction(h, t_w, t_w + dt_w, tol=1e-11).U
@@ -193,8 +194,9 @@ def test_segment_chaining_matches_full_interaction_propagator():
     t_total = 2.0
     s = sched.build_schedule(h, t_total, eps=eps)
     prod = np.eye(h.dim, dtype=complex)
+    plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
-        prod = dyson.build_segment(h, s, w).matrix() @ prod
+        prod = dyson.build_segment(h, s, w, plan=plan).matrix() @ prod
     ref = oracle.propagate_interaction(h, 0.0, t_total, tol=1e-11).U
     assert spectral(prod - ref) <= eps + 1e-6
 
@@ -207,7 +209,7 @@ def test_segment_s_is_the_schedule_s(mode):
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 1.5, eps=1e-2, mode=mode)
     assert s.final_step_clamped and s.r > 1
-    plan = dyson.SegmentPlan(h, s.Q)
+    plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
         assert dyson.build_segment(h, s, w, plan=plan).s == s.s(w)
 
@@ -306,9 +308,10 @@ def test_alt_equals_main_when_h0_vanishes():
     h = pham.from_pauli_spec({"n": 1, "v": [{"pauli": "X", "coeff": [
         {"amp": [0.5, 0.0], "rate": [-0.3, 0.0]}]}]})
     s = sched.build_schedule(h, 1.0, eps=1e-4)
+    plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
         a = dyson.alt_segment_unitary(h, s, w)
-        b = dyson.build_segment(h, s, w).matrix()
+        b = dyson.build_segment(h, s, w, plan=plan).matrix()
         assert spectral(a - b) < 1e-11
 
 
@@ -317,9 +320,10 @@ def test_alt_intertwining_identity():
     for _ in range(3):
         h = pham.from_pauli_spec(random_model_spec(rng, n=2))
         s = sched.build_schedule(h, 1.5, eps=1e-3)
+        plan = dyson.SegmentPlan(h, s)
         for w in range(min(s.r, 3)):
             t_w, dt_w = s.steps[w]
-            ui = dyson.build_segment(h, s, w).matrix()
+            ui = dyson.build_segment(h, s, w, plan=plan).matrix()
             alt = dyson.alt_segment_unitary(h, s, w)
             left = np.diag(np.exp(-1j * h.h0_diag * (t_w + dt_w))) @ ui
             right = alt @ np.diag(np.exp(-1j * h.h0_diag * t_w))
@@ -333,9 +337,10 @@ def test_alt_product_vs_interaction_product():
     s = sched.build_schedule(h, t_total, eps=1e-4)
     alt_prod = np.eye(h.dim, dtype=complex)
     ui_prod = np.eye(h.dim, dtype=complex)
+    plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
         alt_prod = dyson.alt_segment_unitary(h, s, w) @ alt_prod
-        ui_prod = dyson.build_segment(h, s, w).matrix() @ ui_prod
+        ui_prod = dyson.build_segment(h, s, w, plan=plan).matrix() @ ui_prod
     lhs = alt_prod
     rhs = np.diag(np.exp(-1j * h.h0_diag * t_total)) @ ui_prod
     assert spectral(lhs - rhs) < 1e-8
@@ -388,9 +393,9 @@ def test_shared_plan_segments_bitwise_equal_fresh(mode):
     rng = np.random.default_rng(72)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 2.0, eps=1e-3, mode=mode)
-    plan = dyson.SegmentPlan(h, s.Q)
+    plan = dyson.SegmentPlan(h, s)
     assert len(plan) == dyson.count_terms(h, s.Q) // h.dim
-    for w in list(range(s.r)) + [0]:  # revisit segment 0 after the memo moved on
+    for w in list(range(s.r)) + [0]:  # revisit segment 0 after the last step
         shared = dyson.build_segment(h, s, w, plan=plan)
         fresh = dyson.build_segment(h, s, w)
         assert len(shared.blocks) == len(fresh.blocks) == len(plan)
@@ -417,29 +422,83 @@ def test_matrix_matches_term_loop():
 def test_build_segment_rejects_mismatched_plan():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s = sched.build_schedule(h, 1.0, eps=1e-3)
-    plan = dyson.SegmentPlan(h, s.Q)
+    plan = dyson.SegmentPlan(h, s)
     with pytest.raises(ValueError):
         dyson.build_segment(h, replace(s, Q=s.Q - 1), 0, plan=plan)
     other = oscillating_hamiltonian(1.0, 1.0, 3.0)
     with pytest.raises(ValueError):
         dyson.build_segment(other, s, 0, plan=plan)
+    longer = sched.build_schedule(h, 1.3, eps=1e-3)
+    assert longer.Q == s.Q and longer.steps[0] == s.steps[0]
+    with pytest.raises(ValueError):
+        dyson.build_segment(h, longer, 0, plan=plan)
 
 
 def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
-    # lambda = 0: every step but the clamped last one has the same length
+    # lambda = 0: every step but the clamped last one has the same length;
+    # the plan evaluates each order once, at both lengths, and the segments
+    # only look the values up
     h = oscillating_hamiltonian(1.0, 1.0, 0.0)
     s = sched.build_schedule(h, 10.0, eps=1e-3)
-    calls = []
-    real = dd.exp_dd_batch
-    monkeypatch.setattr(dd, "exp_dd_batch", lambda xs: calls.append(len(xs)) or real(xs))
-    plan = dyson.SegmentPlan(h, s.Q)
+    steps = sorted(set(dt for _, dt in s.steps))
+    assert len(steps) == 2
+    calls, rows = [], []
+    real_steps, real_coefficients = dd.exp_dd_steps, dd._coefficients
+    monkeypatch.setattr(dd, "exp_dd_steps",
+                        lambda xs, dts: calls.append((len(xs), list(dts))) or real_steps(xs, dts))
+    monkeypatch.setattr(dd, "_coefficients",
+                        lambda zs, radius: rows.append(len(zs)) or real_coefficients(zs, radius))
+    plan = dyson.SegmentPlan(h, s)
+    n_rows = sum(n for n, _ in calls)
+    assert len(calls) == s.Q and all(dts == steps for _, dts in calls)
+    assert n_rows == (len(plan) - 1) * h.dim and sum(rows) == n_rows  # one pass per row
     for w in range(s.r):
         dyson.build_segment(h, s, w, plan=plan)
-    assert len(calls) == s.Q * len(set(dt for _, dt in s.steps)) <= 2 * s.Q
-    # a new plan shares nothing with the old one, not even the last step
-    before = len(calls)
-    dyson.build_segment(h, s, s.r - 1, plan=dyson.SegmentPlan(h, s.Q))
-    assert len(calls) == before + s.Q
+    assert len(calls) == s.Q
+    # a new plan shares nothing with the old one
+    dyson.build_segment(h, s, s.r - 1, plan=dyson.SegmentPlan(h, s))
+    assert len(calls) == 2 * s.Q and sum(rows) == 2 * n_rows
+
+
+# A decaying model (rates -0.37) whose steps grow, with static energies large
+# enough that some divided-difference rows leave the series range between
+# one step length and the next, in both modes.
+DECAYING_WIDE_SPEC = {
+    "n": 2,
+    "h0": [{"coupling": -35.0, "z_mask": "10"}, {"coupling": -26.5, "z_mask": "01"},
+           {"coupling": -14.3, "z_mask": "11"}],
+    "v": [{"pauli": "ZX", "coeff": [{"amp": [0.206, -0.239], "rate": [-0.371, 0.763]},
+                                    {"amp": [0.206, 0.239], "rate": [-0.371, -0.763]}]},
+          {"pauli": "YY", "coeff": [{"amp": [0.6, 0.0], "rate": [-0.374, 0.0]}]}],
+}
+
+
+@pytest.mark.parametrize("mode", [sched.MODE_EXACT, sched.MODE_UNIFORM])
+def test_plan_values_match_per_step_batches(mode, monkeypatch):
+    # every order at every distinct step, against dd.exp_dd_scaled_batch at
+    # that step alone: within 1e-12 of each value's real-part bound (per
+    # entry, both carry the series' error of up to ~1e-10 at shifted spreads
+    # 9-12), and equal where the pair is beyond the series cutoff
+    h = pham.from_pauli_spec(DECAYING_WIDE_SPEC)
+    s = sched.build_schedule(h, 3.0, eps=1e-3, mode=mode)
+    rows = []
+    real = dd.exp_dd_steps
+    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts: rows.append(xs) or real(xs, dts))
+    plan = dyson.SegmentPlan(h, s)
+    steps = sorted(set(dt for _, dt in s.steps))
+    assert len(steps) > 1 and len(rows) == len(plan.orders) == s.Q
+    crossing = 0
+    for o, xs in zip(plan.orders, rows):
+        spread = np.abs(xs - xs.mean(axis=1, keepdims=True)).max(axis=1)
+        wide = spread[None, :] * np.array(steps)[:, None] > dd.SERIES_SPREAD_CUTOFF
+        crossing += np.count_nonzero(wide.any(axis=0) & ~wide.all(axis=0))
+        for dt, wide_at_dt in zip(steps, wide):
+            got = plan.divided(dt)[o.q - 1].ravel()
+            ref = dd.exp_dd_scaled_batch(dt, xs)
+            bound = dt**o.q * dd.exp_dd_bound_batch(dt * xs)
+            assert (np.abs(got - ref) <= 1e-12 * bound).all(), (o.q, dt)
+            assert np.array_equal(got[wide_at_dt], ref[wide_at_dt])
+    assert crossing > 0
 
 
 def test_alt_matches_term_by_term_construction():

@@ -334,17 +334,16 @@ def test_run_full_abort_on_tiny_budget(monkeypatch):
 
 
 def test_run_full_divided_difference_work_per_run(monkeypatch):
-    # the plan's memo lives in one run: a second run repeats all the work,
-    # and the oscillating model at alpha = 0 over T = 10 (two distinct step
-    # lengths) evaluates each order's batch at most twice
+    # each run makes one coefficient pass per order, at every distinct step
+    # length of its schedule (two for the oscillating model at alpha = 0
+    # over T = 10), and a second run repeats all of it
     h = oscillating_hamiltonian(1.0, 1.0, 0.0)
     psi = np.full(2, 1 / math.sqrt(2), dtype=complex)
-    counts = []
-    real = dd.exp_dd_batch
-    monkeypatch.setattr(dd, "exp_dd_batch", lambda xs: counts.append(1) or real(xs))
+    steps = []
+    real = dd.exp_dd_steps
+    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts: steps.append(len(dts)) or real(xs, dts))
     first_final, diag = lcu.run_full(h, 10.0, 1e-3, psi)
-    first = len(counts)
+    first = len(steps)
     second_final, _ = lcu.run_full(h, 10.0, 1e-3, psi)
-    assert len(counts) - first == first
-    assert diag["r"] == 29 and first <= 2 * diag["Q"]
+    assert diag["r"] == 29 and first == diag["Q"] and steps == [2] * (2 * first)
     assert np.array_equal(first_final.system_block(0), second_final.system_block(0))
