@@ -357,6 +357,7 @@ def exp_dd_steps(xs: np.ndarray, dts) -> np.ndarray:
         return np.exp(np.multiply.outer(dts, xs[:, 0]))
     mu, ys, spread = _shifted(xs)
     out = _series(ys, mu, spread, dts)
+    # the products _series compares with the cutoff: each pair is taken once
     wide_s, wide_b = np.nonzero(spread[None, :] * np.abs(dts)[:, None] > SERIES_SPREAD_CUTOFF)
     if len(wide_s):
         out[wide_s, wide_b] = _step_powers(dts, q)[wide_s] * exp_dd_batch(
