@@ -147,11 +147,11 @@ def _step_powers(dts: np.ndarray, q: int) -> np.ndarray:
     return np.array([dt**q for dt in dts.tolist()])
 
 
-def _series(ys: np.ndarray, mu: np.ndarray, spread: np.ndarray,
+def _series(xs: np.ndarray, mu: np.ndarray, spread: np.ndarray,
             dts: np.ndarray) -> np.ndarray:
-    """e^{dt [x]} for every step dt in dts and every row x = mu + y, over
-    the pairs with spread * |dt| <= SERIES_SPREAD_CUTOFF; shape (S, B), the
-    other pairs 0.
+    """e^{dt [x]} for every step dt in dts and every row x of xs, of mean mu
+    and y = x - mu, over the pairs with spread * |dt| <= SERIES_SPREAD_CUTOFF;
+    shape (S, B), the other pairs 0.
 
     Let tau be a row's longest step in range.  Its coefficient pass runs on
     tau * y, where the terms are largest, and stops by the rule at tau (at
@@ -165,7 +165,7 @@ def _series(ys: np.ndarray, mu: np.ndarray, spread: np.ndarray,
     through in chunks of SERIES_CHUNK, sorted by tau; only one chunk's
     coefficients are held at a time.
     """
-    dtq = _step_powers(dts, ys.shape[1] - 1)
+    dtq = _step_powers(dts, xs.shape[1] - 1)
     mag = np.abs(dts)
     by_mag = np.argsort(mag, kind="stable")
     # a row's steps in range are a prefix of the steps sorted by |dt|
@@ -173,12 +173,12 @@ def _series(ys: np.ndarray, mu: np.ndarray, spread: np.ndarray,
         spread[None, :] * mag[by_mag, None] <= SERIES_SPREAD_CUTOFF, axis=0)
     rows = np.argsort(n_in, kind="stable")
     rows = rows[n_in[rows] > 0]
-    out = np.zeros((len(dts), len(ys)), dtype=complex)
+    out = np.zeros((len(dts), len(xs)), dtype=complex)
     for lo in range(0, len(rows), SERIES_CHUNK):
         chunk = rows[lo:lo + SERIES_CHUNK]
         k = n_in[chunk]
         tau = mag[by_mag[k - 1]]
-        coef = _coefficients(ys[chunk] * tau[:, None], spread[chunk] * tau)
+        coef = _coefficients((xs[chunk] - mu[chunk, None]) * tau[:, None], spread[chunk] * tau)
         powers = np.arange(len(coef))
         cuts = np.flatnonzero(np.diff(k)) + 1
         for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(chunk)]):
@@ -333,11 +333,10 @@ def _checked_rows(xs) -> np.ndarray:
     return xs
 
 
-def _shifted(xs: np.ndarray):
-    """Row means, mean-shifted rows and their spreads."""
+def _mean_spread(xs: np.ndarray):
+    """Row means, and the largest distance of a row's input from its mean."""
     mu = xs.mean(axis=1)
-    ys = xs - mu[:, None]
-    return mu, ys, np.abs(ys).max(axis=1)
+    return mu, np.abs(xs - mu[:, None]).max(axis=1)
 
 
 def exp_dd_steps(xs: np.ndarray, dts) -> np.ndarray:
@@ -355,13 +354,14 @@ def exp_dd_steps(xs: np.ndarray, dts) -> np.ndarray:
     q = xs.shape[1] - 1
     if q == 0:
         return np.exp(np.multiply.outer(dts, xs[:, 0]))
-    mu, ys, spread = _shifted(xs)
-    out = _series(ys, mu, spread, dts)
+    mu, spread = _mean_spread(xs)
+    out = _series(xs, mu, spread, dts)
     # the products _series compares with the cutoff: each pair is taken once
     wide_s, wide_b = np.nonzero(spread[None, :] * np.abs(dts)[:, None] > SERIES_SPREAD_CUTOFF)
     if len(wide_s):
-        out[wide_s, wide_b] = _step_powers(dts, q)[wide_s] * exp_dd_batch(
-            dts[wide_s, None] * xs[wide_b])
+        stacked = xs[wide_b]
+        stacked *= dts[wide_s, None]
+        out[wide_s, wide_b] = _step_powers(dts, q)[wide_s] * exp_dd_batch(stacked)
     return out
 
 
@@ -374,8 +374,8 @@ def exp_dd_batch(xs: np.ndarray) -> np.ndarray:
     xs = _checked_rows(xs)
     if xs.shape[1] == 1:
         return np.exp(xs[:, 0])
-    mu, ys, spread = _shifted(xs)
-    out = _series(ys, mu, spread, np.ones(1))[0]
+    mu, spread = _mean_spread(xs)
+    out = _series(xs, mu, spread, np.ones(1))[0]
     wide = spread > SERIES_SPREAD_CUTOFF
     if wide.any():
         out[wide] = _wide_batch(xs[wide])

@@ -238,33 +238,43 @@ class SegmentPlan:
 
     def __init__(self, h: pham.PermExpHamiltonian, schedule: Schedule):
         self.h, self.schedule = h, schedule
+        dd_rows = self._enumerate(h, schedule.Q)
+        # evaluated after the enumeration has returned and freed its temporaries
         steps = sorted({dt for _, dt in schedule.steps})
         self._step_index = {dt: i for i, dt in enumerate(steps)}
+        self.orders = [o._replace(divided=dd.exp_dd_steps(xs, steps).reshape(
+            len(steps), *o.gap.shape)) for o, xs in zip(self.orders, dd_rows)]
+        self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
+
+    def _enumerate(self, h: pham.PermExpHamiltonian, q_max: int) -> list[np.ndarray]:
+        """Sets the orders' data but their divided differences, and every
+        term's order and mask; returns each order's divided-difference inputs
+        [x_1, ..., x_q, 0], shape (B * 2^n, q + 1)."""
         tables = _lookup_tables(h)
         _, rate, amp_scale, _ = tables
         lam_ik = rate.real.max(axis=2)           # per-(i,k) growth exponent
         self.gmax = amp_scale.max() if amp_scale.size else 0.0
         dim = h.dim
         self.orders: list[_Order] = []
+        dd_rows = []
         masks, qs, start = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)], 1
         for big_i, big_k, cum, e_prev, e_final, rates, d_coeff in _enumerate_paths(
-                h, tables, schedule.Q):
+                h, tables, q_max):
             nb, q = big_i.shape
             suffix = np.flip(np.cumsum(np.flip(rates, axis=1), axis=1), axis=1)
             xrows = 1j * (e_final[:, None, :] - e_prev) + suffix  # (B, q, dim)
-            dd_rows = np.concatenate(
+            dd_rows.append(np.concatenate(
                 [xrows.transpose(0, 2, 1).reshape(nb * dim, q),
-                 np.zeros((nb * dim, 1), dtype=complex)], axis=1)
-            divided = dd.exp_dd_steps(dd_rows, steps).reshape(len(steps), nb, dim)
+                 np.zeros((nb * dim, 1), dtype=complex)], axis=1))
             self.orders.append(_Order(
-                q, slice(start, start + nb), divided, h.h0_diag[None, :] - e_final,
+                q, slice(start, start + nb), None, h.h0_diag[None, :] - e_final,
                 rates.sum(axis=1), d_coeff, lam_ik[big_i, big_k],
                 amp_scale[big_i, big_k].prod(axis=1)))
             masks.append(cum[:, -1])
             qs.append(np.full(nb, q))
             start += nb
         self.cum_mask, self.q = np.concatenate(masks), np.concatenate(qs)
-        self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
+        return dd_rows
 
     def __len__(self) -> int:
         return len(self.q)
