@@ -57,9 +57,10 @@ from scipy.linalg import expm
 
 # Shifted-series validity radius; wider rows go to the scaling-and-squaring
 # kernel.  The series sums terms as large as e^spread/q! to a value that for
-# imaginary inputs can be far smaller: against a 50-digit reference, on 6,000
-# random rows (q <= 8) its worst relative error was 3e-12 below spread 9,
-# 1.3e-10 up to 12 and 7e-10 up to 14 (kernel: 3e-14), 1.1e-7 at 25.8.
+# imaginary inputs can be far smaller: against a 50-digit reference, on 3,000
+# random rows (q <= 8) at 2-8 steps each, its worst relative error was 1.2e-11
+# up to spread 9 and 2.0e-10 up to 12 (kernel: 3e-14), and it grows fast
+# beyond (with compensated summation: 7e-10 up to 14, 1.1e-7 at 25.8).
 SERIES_SPREAD_CUTOFF = 12.0
 SERIES_TERM_CAP = 500
 # Rows per coefficient pass: the (terms, rows) coefficient block of a chunk
