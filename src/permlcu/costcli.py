@@ -61,8 +61,9 @@ def _log2_ceil(value: int) -> int:
 
 
 def qubit_cost(p: CostParams) -> int:
-    """Ancilla-qubit estimate Q*ceil(log2(max(2, M*K))) + n + 1."""
-    return p.Q * _log2_ceil(max(2, p.M * p.K)) + p.n + 1
+    """Qubit estimate Q*ceil(log2(max(2, M*K))) + n + 2: the order registers,
+    the system, the cosine qubit and the flag of the padding term."""
+    return p.Q * _log2_ceil(max(2, p.M * p.K)) + p.n + 2
 
 
 def gate_cost(p: CostParams) -> CostReport:

@@ -7,10 +7,11 @@ reflection sending the all-zero ancilla to the weight state; the controlled
 unitary applies (-i)^q P_{i_q} Phi_{x} per ancilla basis state; oblivious
 amplitude amplification composes A = -W R W^dag R W with W = B^dag V_c B.
 
-For a unitary segment operator the projected result is exactly
-(3/s - 4/s^3) * U |psi>; the sign of that factor is a classically known
-global phase, normalized away so small-s clamped final segments and the
-V = 0 limit act as the identity they represent.
+A padding term after the Dyson terms (coefficient 0, mask 0, bound 2 - s)
+brings every segment's normalization to exactly 2 (Berry, Childs, Cleve,
+Kothari & Somma, PRL 114, 090502 (2015)): its two cosine branches, +i and
+-i, cancel, so the projected block is U/2.  At s = 2 the amplification is
+exact: the projected result is U |psi>, and the deficits are at roundoff level.
 """
 from __future__ import annotations
 
@@ -47,8 +48,9 @@ class RegisterLayout:
 
     @property
     def n_terms(self) -> int:
+        """The Dyson terms up to order Q plus the padding term."""
         base = self.dim_i * self.dim_k
-        return sum(base**q for q in range(self.Q + 1))
+        return sum(base**q for q in range(self.Q + 1)) + 1
 
     @property
     def ancilla_dim(self) -> int:
@@ -89,7 +91,6 @@ class Statevector:
 class LCUContext:
     """Per-segment data: preparation amplitudes and controlled-unitary tables."""
     layout: RegisterLayout
-    s: float
     b_amps: np.ndarray       # (ancilla_dim,) real preparation amplitudes
     phase_table: np.ndarray  # (ancilla_dim, 2^n) factors (-i)^q e^{i(+-phi+theta)}
     gather: np.ndarray       # (n_terms, 1, 2^n) z ^ mask, shared by a term's x rows
@@ -98,34 +99,39 @@ class LCUContext:
 def build_context(seg: dyson.SegmentOperator) -> LCUContext:
     layout = layout_for(seg.h, seg.q_max)
     terms = seg.blocks
-    if len(terms) != layout.n_terms:
+    if len(terms) + 1 != layout.n_terms:
         raise RuntimeError("segment enumeration does not match the register layout")
     adim = layout.ancilla_dim
     # row 2t + x: term t, cosine branch x; bound = dt_tilde^q/q! * Gamma-part
-    # in either mode, so the prepared weight is bound/(2s) per x branch
+    # in either mode, and the padding term's bound 2 - s brings the total to
+    # 2, so the prepared weight is bound/4 per x branch
+    pad = 2.0 - seg.s
+    pad_phi, pad_theta = dyson.phase_angles(np.zeros(1), pad)
     b = np.empty(adim)
-    b[0::2] = b[1::2] = np.sqrt(terms.bound / (2.0 * seg.s))
+    b[0::2] = b[1::2] = np.sqrt(np.append(terms.bound, pad) / 4.0)
     factors = seg.plan.factors[:, None]
     phases = np.empty((adim, seg.h.dim), dtype=complex)
-    phases[0::2] = factors * np.exp(1j * (terms.phi + terms.theta))
-    phases[1::2] = factors * np.exp(1j * (-terms.phi + terms.theta))
+    phases[0:-2:2] = factors * np.exp(1j * (terms.phi + terms.theta))
+    phases[1:-2:2] = factors * np.exp(1j * (-terms.phi + terms.theta))
+    phases[-2] = np.exp(1j * (pad_phi + pad_theta))
+    phases[-1] = np.exp(1j * (-pad_phi + pad_theta))
     drift = abs(float(b @ b) - 1.0)
     if drift > 1e-8:
         raise RuntimeError(f"preparation amplitudes drifted from unit norm by {drift:.2e}")
     b /= np.linalg.norm(b)
-    gather = (terms.cum_mask[:, None] ^ np.arange(seg.h.dim))[:, None, :]
-    return LCUContext(layout=layout, s=seg.s, b_amps=b, phase_table=phases, gather=gather)
+    gather = (np.append(terms.cum_mask, 0)[:, None] ^ np.arange(seg.h.dim))[:, None, :]
+    return LCUContext(layout=layout, b_amps=b, phase_table=phases, gather=gather)
 
 
 class AncillaPreparation:
     """Real Householder reflection with B|0> = psi0 (so B = B^dag = B^{-1}).
 
     With psi0 = LCUContext.b_amps, B prepares the per-term square-root weights
-    sqrt(dt_tilde^q Gamma_term / (2 q! s)) with the x qubit in (|0>+|1>)/sqrt(2).
+    sqrt(dt_tilde^q Gamma_term / (4 q!)), and sqrt((2 - s)/4) for the padding
+    term, with the x qubit in (|0>+|1>)/sqrt(2).
     """
 
     def __init__(self, psi0: np.ndarray):
-        self.psi0 = psi0
         w = psi0.astype(float).copy()
         w[0] -= 1.0
         self._w = w / np.linalg.norm(w)
@@ -167,22 +173,14 @@ def oaa_sequence(apply_w, apply_w_dagger, joint: np.ndarray) -> np.ndarray:
     return -cur
 
 
-def amplification_factor(s: float) -> float:
-    """Projected amplitude 3/s - 4/s^3 = sin(3 arcsin(1/s)) of the OAA output."""
-    return 3.0 / s - 4.0 / s**3
-
-
 def apply_A(ctx: LCUContext, psi: Statevector) -> Statevector:
-    """One OAA application, with the known global sign of the projected branch
-    normalized to +1 (it flips for small-s clamped segments and V = 0)."""
+    """One OAA application at s = 2."""
     if np.linalg.norm(psi.amps[1:]) > 1e-10 * max(psi.norm, 1e-30):
         raise AncillaPreconditionError("apply_A requires the ancilla in |0...0>")
     prep = AncillaPreparation(ctx.b_amps)
     out = oaa_sequence(lambda j: _apply_w(ctx, prep, j),
                        lambda j: _apply_w_dagger(ctx, prep, j),
                        psi.amps.copy())
-    if amplification_factor(ctx.s) < 0.0:
-        out = -out
     return Statevector(amps=out, layout=psi.layout)
 
 
@@ -199,8 +197,8 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     Returns (final Statevector, diagnostics).  Between segments the ancilla
     is projected back to |0...0> and the system renormalized; the projection
     deficit and the direction residual against the dense segment operator
-    are recorded per segment.  A residual above RESIDUAL_ABORT * eps / r
-    aborts with diagnostics attached.
+    are recorded per segment.  A residual above RESIDUAL_ABORT * eps / r,
+    or a non-finite one, aborts with diagnostics attached.
     """
     if h.n > MAX_PIPELINE_QUBITS:
         raise ValueError(f"full pipeline rated for n <= {MAX_PIPELINE_QUBITS}")
@@ -213,33 +211,24 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     budget = RESIDUAL_ABORT * eps / schedule.r
     residuals, deficits = [], []
     plan = dyson.SegmentPlan(h, schedule)
-    layout = None
     for w in range(schedule.r):
         seg = dyson.build_segment(h, schedule, w, plan=plan)
         ctx = build_context(seg)
-        layout = ctx.layout
-        state = Statevector.from_system(ctx.layout, psi)
-        state = apply_A(ctx, state)
-        block = state.system_block(0)
+        block = apply_A(ctx, Statevector.from_system(ctx.layout, psi)).system_block(0)
         block_norm = float(np.linalg.norm(block))
-        if block_norm < 1e-6:
-            raise SimulationAbort(
-                f"segment {w}: projected amplitude {block_norm:.2e} vanished "
-                f"(s = {seg.s:.6f} near the amplification zero)")
         new_psi = block / block_norm
         ref = seg.matrix() @ psi
         ref /= np.linalg.norm(ref)
         residual = float(np.linalg.norm(new_psi - ref))
-        deficit = 1.0 - block_norm
         residuals.append(residual)
-        deficits.append(deficit)
-        if residual > budget:
+        deficits.append(1.0 - block_norm)
+        if not residual <= budget:
             raise SimulationAbort(
                 f"segment {w} residual {residual:.3e} exceeds budget {budget:.3e}",
                 {"residuals": residuals, "deficits": deficits})
         psi = new_psi
     psi = apply_H0_phase(h, t_total, psi)
-    final = Statevector.from_system(layout, psi) if layout is not None else None
+    final = Statevector.from_system(ctx.layout, psi)  # r >= 1 for every schedule
     diagnostics = {
         "r": schedule.r, "Q": schedule.Q,
         "residuals": residuals, "deficits": deficits,

@@ -10,6 +10,7 @@ a Pauli or Z-mask string corresponds to qubit j.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,14 @@ def _require(cond: bool, msg: str) -> None:
         raise HamiltonianSpecError(msg)
 
 
+def _real(value, what: str) -> float:
+    """A finite JSON number; bool is refused, though Python counts it an int."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max,
+             f"{what} must be a finite real number, got {value!r:.40}")
+    return float(value)
+
+
 def _parse_bitmask(s, n: int) -> int:
     _require(isinstance(s, str) and len(s) == n and set(s) <= {"0", "1"},
              f"z_mask must be a {n}-character string over 0/1, got {s!r}")
@@ -89,12 +98,9 @@ def _parse_bitmask(s, n: int) -> int:
 
 
 def _parse_complex(pair, what: str) -> complex:
-    _require(isinstance(pair, (list, tuple)) and len(pair) == 2
-             and all(isinstance(v, (int, float)) for v in pair),
+    _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
              f"{what} must be a [re, im] pair, got {pair!r}")
-    val = complex(float(pair[0]), float(pair[1]))
-    _require(np.isfinite(val.real) and np.isfinite(val.imag), f"{what} must be finite")
-    return val
+    return complex(_real(pair[0], what), _real(pair[1], what))
 
 
 def _pauli_factor(pauli: str, n: int) -> tuple[int, np.ndarray]:
@@ -135,6 +141,7 @@ def _check_hermitian_structure(mask: int, by_rate: dict, scale: float) -> bool:
     return True
 
 
+@np.errstate(over="ignore")  # overflowing sums are refused below instead
 def from_pauli_spec(spec: dict) -> PermExpHamiltonian:
     """Build the permutation-expanded model from a HamiltonianSpec document.
 
@@ -145,8 +152,10 @@ def from_pauli_spec(spec: dict) -> PermExpHamiltonian:
     _require(isinstance(spec, dict), "spec must be a JSON object")
     unknown = set(spec) - {"n", "h0", "v"}
     _require(not unknown, f"unknown spec keys: {sorted(unknown)}")
+    _require(all(isinstance(spec.get(k, []), list) for k in ("h0", "v")), "h0 and v must be lists")
     n = spec.get("n")
-    _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+             "n must be a positive integer")
     _require(n <= MAX_QUBITS, f"n={n} exceeds the dense-representation cap of {MAX_QUBITS}")
     dim = 1 << n
     z = np.arange(dim)
@@ -156,12 +165,11 @@ def from_pauli_spec(spec: dict) -> PermExpHamiltonian:
     for entry in spec.get("h0", []):
         _require(isinstance(entry, dict) and set(entry) == {"coupling", "z_mask"},
                  f"h0 entries need exactly coupling and z_mask, got {entry!r}")
-        coupling = entry["coupling"]
-        _require(isinstance(coupling, (int, float)) and np.isfinite(coupling),
-                 "coupling must be a finite real number")
+        coupling = _real(entry["coupling"], "coupling")
         zmask = _parse_bitmask(entry["z_mask"], n)
-        zterms.append((float(coupling), zmask))
+        zterms.append((coupling, zmask))
         h0_diag = h0_diag + coupling * (1.0 - 2.0 * (_popcount(z & zmask) & 1))
+    _require(np.isfinite(h0_diag).all(), "the h0 couplings overflow")
 
     # accumulate amp vectors per (mask, rate)
     by_mask: dict[int, dict[complex, np.ndarray]] = {}
@@ -182,6 +190,8 @@ def from_pauli_spec(spec: dict) -> PermExpHamiltonian:
             rate = _parse_complex(c["rate"], "rate")
             vec = by_mask[mask].get(rate)
             by_mask[mask][rate] = (amp * diag) if vec is None else vec + amp * diag
+    _require(all(np.isfinite(np.abs(a)).all() for m in by_mask.values() for a in m.values()),
+             "the amplitudes of one mask and rate overflow")
 
     # drop all-zero rate groups, keep deterministic order: mask 0 first
     scale = max((float(np.abs(a).max()) for m in by_mask.values() for a in m.values()),

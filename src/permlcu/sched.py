@@ -1,7 +1,7 @@
 """Adaptive time partitioning of [0, T] and truncation-order selection.
 
 Each non-final step solves Gamma(t_w) * (e^{lam*dt} - 1)/lam = ln 2, which
-keeps the per-segment LCU normalization near 2.  The closed form is
+keeps the normalization of each segment's Dyson terms near 2.  The closed form is
 dt = ln(1 + lam*ln2/Gamma(t_w))/lam; three regimes follow from the sign of
 lam (constant steps, saturating step count, shrinking steps).  When the
 proposed step overshoots T, vanishes, or the logarithm argument turns
@@ -45,8 +45,8 @@ class Schedule:
         return _dt_tilde(self.steps[w][1], self.lam)
 
     def s(self, w: int) -> float:
-        """LCU normalization sum_{q<=Q} (Gamma(t_w) dt_tilde_w)^q / q! of
-        segment w; the step rule pins it near 2 for every unclamped step."""
+        """Dyson-term normalization sum_{q<=Q} (Gamma(t_w) dt_tilde_w)^q / q! of
+        segment w, near 2 for every unclamped step; the LCU pads it to 2."""
         u = self.gammas[w] * self.dt_tilde(w)
         return sum(u**q / math.factorial(q) for q in range(self.Q + 1))
 

@@ -24,12 +24,13 @@ def test_gate_cost_zero_segments():
 
 
 def test_qubit_cost_values():
+    # order registers + system + cosine qubit + padding-term flag
     assert costcli.qubit_cost(costcli.CostParams(
-        M=1, K=1, r=1, Q=5, k_od=1, L=0, d=0, n=3)) == 5 + 3 + 1
+        M=1, K=1, r=1, Q=5, k_od=1, L=0, d=0, n=3)) == 5 + 3 + 2
     assert costcli.qubit_cost(costcli.CostParams(
-        M=4, K=2, r=1, Q=3, k_od=1, L=0, d=0, n=2)) == 9 + 2 + 1
+        M=4, K=2, r=1, Q=3, k_od=1, L=0, d=0, n=2)) == 9 + 2 + 2
     assert costcli.qubit_cost(costcli.CostParams(
-        M=2, K=2, r=1, Q=0, k_od=1, L=0, d=0, n=4)) == 4 + 1
+        M=2, K=2, r=1, Q=0, k_od=1, L=0, d=0, n=4)) == 4 + 2
 
 
 def test_h0_circuit_count():

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from permlcu import dd, dyson, lcu, oracle, pham, sched
@@ -28,7 +29,7 @@ def build_pipeline(h, t_total, eps, mode=sched.MODE_EXACT, w=0):
 
 def test_layout_counts():
     layout = lcu.RegisterLayout(Q=3, dim_i=2, dim_k=2, n=2)
-    assert layout.n_terms == 1 + 4 + 16 + 64
+    assert layout.n_terms == 1 + 4 + 16 + 64 + 1  # Dyson terms plus the padding term
     assert layout.ancilla_dim == 2 * layout.n_terms
     assert layout.joint_dim == layout.ancilla_dim * 4
 
@@ -36,7 +37,7 @@ def test_layout_counts():
 def test_layout_empty_interaction():
     h = pham.from_pauli_spec({"n": 1, "h0": [{"coupling": 1.0, "z_mask": "1"}]})
     layout = lcu.layout_for(h, 4)
-    assert layout.n_terms == 1 and layout.ancilla_dim == 2
+    assert layout.n_terms == 2 and layout.ancilla_dim == 4
 
 
 # --- state preparation ------------------------------------------------------------
@@ -46,18 +47,19 @@ def test_prepare_b_order_zero():
     s = sched.build_schedule(h, 1.0)
     seg = dyson.build_segment(h, replace(s, Q=0), 0)
     ctx = lcu.build_context(seg)
-    assert ctx.s == 1.0
-    np.testing.assert_allclose(ctx.b_amps, [1 / math.sqrt(2)] * 2, rtol=1e-14)
+    assert seg.s == 1.0
+    # the q = 0 term and the padding term 2 - s = 1, a quarter per x branch
+    np.testing.assert_allclose(ctx.b_amps, [0.5] * 4, rtol=1e-14)
 
 
 def test_prepare_b_static_first_order():
-    # M = K = 1, lambda = 0: weights {1, ln2}/s with s = 1 + ln2
+    # M = K = 1, lambda = 0: weights {1, ln2, 2 - s}/4 with s = 1 + ln2
     h = pham.from_pauli_spec(static_spec(0.0, 1.0))
     s = sched.build_schedule(h, 10.0)
     seg = dyson.build_segment(h, replace(s, Q=1), 0)
     ctx = lcu.build_context(seg)
     assert seg.s == pytest.approx(1 + LN2, rel=1e-12)
-    expect = np.sqrt(np.array([1.0, 1.0, LN2, LN2]) / (2 * (1 + LN2)))
+    expect = np.sqrt(np.array([1.0, 1.0, LN2, LN2, 1 - LN2, 1 - LN2]) / 4)
     np.testing.assert_allclose(ctx.b_amps, expect, rtol=1e-12)
 
 
@@ -67,7 +69,7 @@ def test_prepare_b_uniform_mode_equal_amplitudes():
     s = sched.build_schedule(h, 2.0, mode=sched.MODE_UNIFORM)
     seg = dyson.build_segment(h, replace(s, Q=1), 0)
     ctx = lcu.build_context(seg)
-    order1 = ctx.b_amps[2:]
+    order1 = ctx.b_amps[2:-2]
     assert np.ptp(order1) < 1e-14  # every (i, k, x) weight identical at fixed q
 
 
@@ -110,7 +112,8 @@ def test_vc_first_order_block_hand_trace():
 
 def test_context_tables_match_term_loop():
     # the sliced tables equal the per-term construction; one term per
-    # ancilla pair (2t, 2t + 1) with the cosine branches +-phi
+    # ancilla pair (2t, 2t + 1) with the cosine branches +-phi, and last the
+    # padding term: bound 2 - s, identity, branches +-i
     rng = np.random.default_rng(75)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     for mode in (sched.MODE_EXACT, sched.MODE_UNIFORM):
@@ -118,17 +121,29 @@ def test_context_tables_match_term_loop():
         tab = seg.blocks
         b = np.zeros(ctx.layout.ancilla_dim)
         phases = np.zeros((ctx.layout.ancilla_dim, h.dim), dtype=complex)
-        gather = np.zeros((len(tab), 1, h.dim), dtype=np.int64)
+        gather = np.zeros((len(tab) + 1, 1, h.dim), dtype=np.int64)
         for t in range(len(tab)):
-            b[2 * t] = b[2 * t + 1] = math.sqrt(tab.bound[t] / (2.0 * seg.s))
+            b[2 * t] = b[2 * t + 1] = math.sqrt(tab.bound[t] / 4.0)
             factor = (-1j) ** int(tab.q[t])
             phases[2 * t] = factor * np.exp(1j * (tab.phi[t] + tab.theta[t]))
             phases[2 * t + 1] = factor * np.exp(1j * (-tab.phi[t] + tab.theta[t]))
             for z in range(h.dim):
                 gather[t, 0, z] = tab.cum_mask[t] ^ z
+        b[-2] = b[-1] = math.sqrt((2.0 - seg.s) / 4.0)
+        phases[-2] = np.exp(1j * math.pi / 2)
+        phases[-1] = np.exp(-1j * math.pi / 2)
+        gather[-1, 0] = np.arange(h.dim)
         assert np.array_equal(ctx.b_amps, b / np.linalg.norm(b))
         assert np.array_equal(ctx.phase_table, phases)
         assert np.array_equal(ctx.gather, gather)
+
+
+def test_context_rejects_normalization_above_two():
+    # the padding term's bound 2 - s must not be negative
+    h = oscillating_hamiltonian(1.0, 1.0, 2.0)
+    _, seg, _ = build_pipeline(h, 1.0, 1e-3)
+    with pytest.raises(dyson.TermBoundError):
+        lcu.build_context(replace(seg, s=2.0 + 1e-9))
 
 
 def test_vc_preserves_norm():
@@ -154,7 +169,7 @@ def test_w_projected_block_is_segment_over_s():
             joint = np.zeros((ctx.layout.ancilla_dim, h.dim), dtype=complex)
             joint[0] = psi
             out = lcu._apply_w(ctx, prep, joint)
-            expect = useg @ psi / seg.s
+            expect = useg @ psi / 2.0  # the padding term brings s to 2
             assert np.linalg.norm(out[0] - expect) < 1e-10
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
@@ -232,13 +247,6 @@ def test_apply_a_requires_zero_ancilla():
         lcu.apply_A(ctx, lcu.Statevector(amps=joint, layout=ctx.layout))
 
 
-def test_amplification_factor_values():
-    assert lcu.amplification_factor(2.0) == pytest.approx(1.0)
-    assert lcu.amplification_factor(1.0) == pytest.approx(-1.0)
-    s_zero = 2.0 / math.sqrt(3.0)
-    assert abs(lcu.amplification_factor(s_zero)) < 1e-12
-
-
 # --- diagonal phase ---------------------------------------------------------------
 
 def test_apply_h0_phase():
@@ -264,7 +272,7 @@ def test_run_full_v_zero_is_diagonal_phase():
     final, diag = lcu.run_full(h, 2.5, 1e-3, psi)
     expect = np.exp(-1j * h.h0_diag * 2.5) * psi
     np.testing.assert_allclose(final.system_block(0), expect, atol=1e-12)
-    assert diag["r"] == 1
+    assert diag["r"] == 1 and abs(diag["total_deficit"]) <= 1e-12
     assert set(diag) == {"r", "Q", "residuals", "deficits", "total_deficit"}
     assert not np.shares_memory(final.system_block(0), final.amps)
 
@@ -279,6 +287,7 @@ def test_run_full_oscillating_matches_ode_oracle():
     err = np.linalg.norm(final.system_block(0) - ref)
     assert err <= eps
     assert abs(np.vdot(ref, final.system_block(0))) >= 1 - 2 * eps
+    assert abs(diag["total_deficit"]) <= eps
 
 
 def test_run_full_decay_saturated_schedule():
@@ -290,6 +299,7 @@ def test_run_full_decay_saturated_schedule():
     assert diag["r"] == sched.build_schedule(h, t_total).r
     ref = oracle.propagate_ode(h, 0.0, t_total, tol=1e-11).U @ psi
     assert np.linalg.norm(final.system_block(0) - ref) <= eps
+    assert abs(diag["total_deficit"]) <= eps
 
 
 def test_run_full_uniform_mode_matches_oracle():
@@ -302,6 +312,42 @@ def test_run_full_uniform_mode_matches_oracle():
     for mode in (sched.MODE_EXACT, sched.MODE_UNIFORM):
         final, diag = lcu.run_full(h, t_total, eps, psi, mode=mode)
         assert np.linalg.norm(final.system_block(0) - ref) <= eps, mode
+        assert abs(diag["total_deficit"]) <= eps, mode
+
+
+def test_run_full_at_the_unpadded_amplification_zero():
+    # the seed-200 criterion-4 model at the duration where the final
+    # segment's s is 2/sqrt(3): without the padding term the projected
+    # amplitude 3/s - 4/s^3 of its amplification vanishes there
+    eps = 1e-3
+    h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(200), n=2, m_max=2, k_max=2))
+    lo, hi = 0.8, 0.85  # r = 3 throughout; the final s grows with T
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        s = sched.build_schedule(h, mid, eps=eps)
+        lo, hi = (mid, hi) if s.s(s.r - 1) < 2 / math.sqrt(3) else (lo, mid)
+    s = sched.build_schedule(h, lo, eps=eps)
+    assert s.r == 3 and s.s(2) == pytest.approx(2 / math.sqrt(3), abs=1e-12)
+    assert lo == pytest.approx(0.821899774028, abs=1e-11)
+    psi = haar_state(np.random.default_rng(72), 4)
+    final, diag = lcu.run_full(h, lo, eps, psi)
+    ref = oracle.propagate_ode(h, 0.0, lo, tol=1e-11).U @ psi
+    assert np.linalg.norm(final.system_block(0) - ref) <= eps
+    assert abs(diag["total_deficit"]) <= eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2), t_total=st.floats(0.05, 4.0))
+def test_run_full_matches_oracle_at_any_duration(seed, n, t_total):
+    # no duration scan: the final segment's s lands anywhere below 2
+    eps = 1e-3
+    rng = np.random.default_rng(seed)
+    h = pham.from_pauli_spec(random_model_spec(rng, n=n))
+    psi = haar_state(rng, h.dim)
+    final, diag = lcu.run_full(h, t_total, eps, psi)
+    ref = oracle.propagate_ode(h, 0.0, t_total, tol=1e-11).U @ psi
+    assert np.linalg.norm(final.system_block(0) - ref) <= eps
+    assert abs(diag["total_deficit"]) <= eps
 
 
 def test_run_full_uniform_s_matches_alternative_formula():
@@ -331,6 +377,18 @@ def test_run_full_abort_on_tiny_budget(monkeypatch):
     with pytest.raises(lcu.SimulationAbort) as exc:
         lcu.run_full(h, 2.0, 1e-3, psi)
     assert set(exc.value.diagnostics) == {"residuals", "deficits"}
+
+
+def test_run_full_aborts_on_non_finite_state(monkeypatch):
+    # a NaN residual fails the budget check instead of passing it; numpy
+    # warns on the way, when the NaN block is normalized
+    h = oscillating_hamiltonian(1.0, 1.0, 2.0)
+    real = lcu.apply_A
+    monkeypatch.setattr(lcu, "apply_A", lambda ctx, psi: lcu.Statevector(
+        amps=real(ctx, psi).amps * np.nan, layout=psi.layout))
+    with pytest.warns(RuntimeWarning), pytest.raises(lcu.SimulationAbort,
+                                                     match="segment 0 residual nan"):
+        lcu.run_full(h, 2.0, 1e-3, np.array([1.0, 0.0], dtype=complex))
 
 
 def test_run_full_divided_difference_work_per_run(monkeypatch):

@@ -1,10 +1,13 @@
 """Tests for the permutation-expanded Hamiltonian model and its parser."""
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permlcu import pham
+from permlcu import costcli, pham
 from permlcu.models import (decay_spec, oscillating_hamiltonian, oscillating_spec,
                             random_model_spec, static_spec)
 
@@ -118,6 +121,85 @@ def test_rejects_schema_violations():
         pham.from_pauli_spec({"n": 1, "h0": [{"coupling": 1.0, "z_mask": "10"}]})
     with pytest.raises(pham.HamiltonianSpecError):
         pham.from_pauli_spec({"n": 1, "bogus": []})
+
+
+def _valid_spec(n):
+    return {"n": n, "h0": [{"coupling": 0.7, "z_mask": "1" * n}],
+            "v": [{"pauli": "X" * n, "coeff": [{"amp": [0.5, 0.0], "rate": [-0.1, 0.0]}]}]}
+
+
+_BAD_REALS = st.sampled_from([True, False, None, "1", [1.0], {}, math.inf, -math.inf,
+                              math.nan, 10**400, -10**400])
+_NOT_LISTS = st.sampled_from([5, 1.5, "x", {}, None, True])
+_HUGE = st.floats(0.9 * sys.float_info.max, sys.float_info.max)
+
+
+@st.composite
+def broken_specs(draw):
+    """A valid spec with one defect: malformed, non-finite, overflowing or non-Hermitian."""
+    n = draw(st.integers(1, 3))
+    spec = _valid_spec(n)
+    coeff = spec["v"][0]["coeff"][0]
+    kind = draw(st.integers(0, 10))
+    if kind == 0:
+        return draw(st.sampled_from([[], "x", 5, None, {**spec, "extra": 1}]))
+    if kind == 1:
+        spec["n"] = draw(st.sampled_from([True, 0, -1, 1.0, "1", None, 13, 10**400]))
+    elif kind == 2:
+        spec[draw(st.sampled_from(["h0", "v"]))] = draw(_NOT_LISTS)
+    elif kind == 3:
+        spec["v"][0]["coeff"] = draw(st.one_of(_NOT_LISTS, st.just([])))
+    elif kind == 4:
+        spec["h0"][0]["coupling"] = draw(_BAD_REALS)
+    elif kind == 5:
+        coeff[draw(st.sampled_from(["amp", "rate"]))][draw(st.integers(0, 1))] = draw(_BAD_REALS)
+    elif kind == 6:
+        key = draw(st.sampled_from(["h0", "v"]))
+        spec[key][0] = draw(st.sampled_from([5, [], {}, {"pauli": "X" * n}, {"coupling": 1.0},
+                                             {**spec[key][0], "extra": 1}]))
+    elif kind == 7:
+        entry = draw(st.sampled_from(["pauli", "z_mask"]))
+        target = spec["v"][0] if entry == "pauli" else spec["h0"][0]
+        target[entry] = draw(st.sampled_from(["Q" * n, "X" * (n + 1), "", 1, None, "2" * n]))
+    elif kind == 8:  # two couplings whose sum overflows the h0 diagonal
+        c = draw(_HUGE) * draw(st.sampled_from([1.0, -1.0]))
+        spec["h0"] = [{"coupling": c, "z_mask": "1" * n}] * 2
+    elif kind == 9:  # amplitudes of one mask and rate whose sum or modulus overflows
+        a = draw(_HUGE)
+        amps = draw(st.sampled_from([[[a, 0.0], [a, 0.0]], [[a, a]]]))
+        spec["v"].append({"pauli": "Z" * n, "coeff": [
+            {"amp": amp, "rate": [0.0, 0.0]} for amp in amps]})
+    else:  # an imaginary amplitude on X, or a complex rate without its partner
+        if draw(st.booleans()):
+            coeff["amp"][1] = draw(st.floats(0.1, 10.0))
+        else:
+            coeff["rate"][1] = draw(st.floats(0.1, 10.0))
+    return spec
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fuzz_base_spec_is_valid(n):
+    h = pham.from_pauli_spec(_valid_spec(n))
+    assert h.n == n and len(h.vterms) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_specs())
+def test_fuzz_broken_specs_raise_spec_error(spec):
+    with pytest.raises(pham.HamiltonianSpecError):
+        pham.from_pauli_spec(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"n": 1, "h0": 5},
+    {"n": 1, "v": [{"pauli": "Z", "coeff": [{"amp": [1e308, 0.0], "rate": [0.0, 0.0]}] * 2},
+                   {"pauli": "X", "coeff": [{"amp": [1.0, 0.0], "rate": [0.0, 0.0]}]}]},
+])
+def test_cli_schedule_exits_2_on_broken_spec(tmp_path, capsys, spec):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    assert costcli.main(["schedule", str(path), "--time", "1.0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # --- evaluation -------------------------------------------------------------
