@@ -30,23 +30,31 @@ case of the single step 1.
 Wider rows would cancel catastrophically in the series.  For them the
 divided difference is the corner entry of exp(A), A the bidiagonal matrix
 with the inputs on the diagonal and ones above it, and one batched kernel
-evaluates it for (B, q+1, q+1) stacks by scaling and squaring.  The inputs
-are shifted only by an integer real offset (a complex mean shift would
-round them), put in Leja order, and scaled by 2^-s so that their largest
-modulus is at most 1/4; a Taylor polynomial approximates the scaled
-exponential, and s squarings undo the scaling.  After every squaring the
-diagonal and the first superdiagonal are reset to their exact values
-(Al-Mohy & Higham, SIMAX 31, 2009, Code Fragment 2.1): e^{t x_k} and
-t e^{[t x_k, t x_{k+1}]}, the latter as the difference quotient when
-|t(x_{k+1} - x_k)| >= 1 and in the sinh form e^{(a+b)/2} sinh(d)/d,
-d = (b-a)/2, below that.  Against a 50-digit reference the kernel's worst
-relative error was 1.7e-14 on 150 wide rows drawn from the benchmark
-workloads (scipy's expm: 1.3e-10), 2.4e-12 on near-confluent clusters at
-spread 1e5 (scipy: 1.7e-8) and 2.0e-11 on 1,300 adversarial rows with
-near-confluent pairs, exact repeats and imaginary spreads up to 1e6
-(scipy: 1.4e-6).  The floor is the problem's conditioning: a row whose
-value is far below its real-part bound, e.g. real parts of 50 against an
-imaginary spread of 2e3, loses digits in any double-precision evaluation.
+evaluates it by scaling and squaring.  The inputs are shifted only by an
+integer real offset (a complex mean shift would round them), put in Leja
+order, and scaled by 2^-s so that their largest modulus is at most 1/4; a
+Taylor polynomial approximates the scaled exponential, and s squarings undo
+the scaling.  After every squaring the diagonal and the first superdiagonal
+are reset to their exact values (Al-Mohy & Higham, SIMAX 31, 2009, Code
+Fragment 2.1): e^{t x_k} and t e^{[t x_k, t x_{k+1}]}, the latter as the
+difference quotient when |t(x_{k+1} - x_k)| >= 1 and in the sinh form
+e^{(a+b)/2} sinh(d)/d, d = (b-a)/2, below that.  So a squaring only has to
+form the bands above the first superdiagonal, and the last one only the
+corner.  The kernel holds a chunk of rows batch-last as upper bands, one
+contiguous vector of rows per matrix entry, so that every step is
+elementwise over the rows; at q = 6 a squaring takes 120 complex products
+per row, against 343 for a dense matrix product.
+
+Against a 50-digit reference the kernel's worst relative error was 2.5e-13
+on 152 wide rows sampled from the frozen benchmark workloads (scipy's expm:
+3.1e-10): 1.4e-14 on the rows of c4-n2 case m4 and 3.3e-15 on osc-long
+a1e3, while the worst a1e6 rows have values 1e-27 to 1e-33 of their
+real-part bound.  It was 2.4e-12 on 140 seeded near-confluent clusters at
+spread 1e5 and 2.9e-11 on 1,300 seeded rows with near-confluent pairs,
+exact repeats and imaginary spreads up to 1e6.  The floor is the problem's
+conditioning: a row whose value is far below its real-part bound, e.g. real
+parts of 50 against an imaginary spread of 2e3, loses digits in any
+double-precision evaluation.
 """
 from __future__ import annotations
 
@@ -71,9 +79,11 @@ SERIES_CHUNK = 2048
 # most _THETA^13/13! = 2.4e-18 in every entry of the scaled exponential.
 _THETA = 0.25
 _TAYLOR_TAIL = 13
-# Wide rows per chunk; chunks of rows that need more than _BAND_LEVELS - 1
-# squarings (inputs beyond 5e8 in modulus) are smaller in proportion.
-WIDE_CHUNK = 256
+# Wide rows per chunk: at q = 8 a chunk's two band stacks take 1.3 MB, and
+# each array of its exact bands 72 kB per squaring level.  Chunks of rows
+# that need more than _BAND_LEVELS squarings (inputs beyond 1e9 in modulus)
+# are smaller in proportion.
+WIDE_CHUNK = 512
 _BAND_LEVELS = 32
 # sinh(d)/d = sum_k d^(2k)/(2k+1)!
 _SINHC = tuple(1.0 / math.factorial(2 * k + 1) for k in range(8))
@@ -205,20 +215,20 @@ def _exp_dd_pair(a: np.ndarray, b: np.ndarray, ea: np.ndarray,
     relative error of 5.8e-12, against 9.5e-16 for this rule.
     """
     diff = b - a
-    far = np.abs(diff) >= 1.0
+    near = np.abs(diff) < 1.0
     out = eb - ea
-    np.divide(out, diff, out=out, where=far)
+    np.divide(out, diff, out=out, where=~near)
+    diff = diff[near]
     d2 = np.multiply(diff, diff, out=diff)
     d2 *= 0.25
-    d2[far] = 0.0
     sinhc = np.full_like(d2, _SINHC[-1])
     for c in _SINHC[-2::-1]:
         sinhc *= d2
         sinhc += c
-    mid = np.add(a, b, out=d2)
+    mid = np.add(a[near], b[near], out=d2)
     mid *= 0.5
     sinhc *= np.exp(mid, out=mid)
-    np.copyto(out, sinhc, where=~far)
+    out[near] = sinhc
     return out
 
 
@@ -228,43 +238,74 @@ def _square_chunk(ys: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     Every row ends at level S = s[0] with the unscaled matrix; row r starts
     at level S - s[r], where its matrix is scaled by 2^-s[r].  At level L
-    all started rows hold exp(2^(L-S) A), so one squaring of the leading
-    rows moves them up a level, after which their diagonal and first
-    superdiagonal are reset to exact values (Al-Mohy & Higham, SIMAX 31,
-    2009, Code Fragment 2.1).
+    the rows started by then hold exp(2^(L-S) A), so one squaring of the
+    leading rows moves them up a level, after which their diagonal and
+    first superdiagonal are reset to exact values (Al-Mohy & Higham, SIMAX
+    31, 2009, Code Fragment 2.1).
+
+    The upper-triangular matrices are stored batch-last as upper bands,
+    x[d, i, r] = X_r[i, i+d], with the slots i + d >= m held at zero, so
+    every operation is elementwise over rows: a row's value does not depend
+    on the other rows of the chunk.
     """
     n, m = ys.shape
     q = m - 1
+    ys = ys.T  # (m, n)
+    if q == 1:  # the corner is the superdiagonal, which is exact
+        e = np.exp(ys)
+        return _exp_dd_pair(ys[0], ys[1], e[0], e[1])
     top = int(s[0])
-    # exact bands at every level L, scale t = 2^(L-S)
-    t = np.ldexp(1.0, np.arange(-top, 1))[:, None, None]
-    ty = t * ys
+    # Taylor polynomial of the scaled matrix in Horner form, x <- I + A x / k;
+    # a product with the bidiagonal matrix is a scaled band plus the next
+    # band shifted by one row.  After j steps only bands 0..j are nonzero.
+    t0 = np.ldexp(1.0, -s)
+    ty0 = ys * t0
+    x = np.zeros((m, m, n), dtype=complex)
+    y = np.zeros_like(x)
+    x[0] = 1.0
+    for j, k in enumerate(range(q + _TAYLOR_TAIL - 1, 0, -1), start=1):
+        nb = min(j + 1, m)
+        np.multiply(ty0 * (1.0 / k), x[:nb], out=y[:nb])
+        y[1:nb, :-1] += (t0 * (1.0 / k)) * x[:nb - 1, 1:]
+        y[0] += 1.0
+        x, y = y, x
+    if top == 0:
+        return x[q, 0]
+    # started[L]: rows started by level L = 0..S-1.  The exact bands of
+    # those rows at every such level lie side by side, level L in columns
+    # off[L]:off[L+1]; the squaring into level S forms only the corner and
+    # needs no bands.
+    started = np.searchsorted(-s, np.arange(-top, 0), side="right")
+    off = np.r_[0, np.cumsum(started)]
+    t = np.ldexp(1.0, np.repeat(np.arange(-top, 0), started))
+    ty = ys[:, np.concatenate([np.arange(k) for k in started])] * t
     diag = np.exp(ty)
-    sup = _exp_dd_pair(ty[..., :-1], ty[..., 1:], diag[..., :-1], diag[..., 1:])
+    sup = _exp_dd_pair(ty[:-1], ty[1:], diag[:-1], diag[1:])
     sup *= t
-    start = top - s
-    rows = np.arange(n)
-    # Taylor polynomial of the scaled matrix in Horner form; a product with
-    # the bidiagonal matrix is a scaled row plus the next row up.
-    diag_scaled = ty[start, rows][:, :, None]
-    sup_scaled = t[start]
-    x = np.zeros((n, m, m), dtype=complex)
-    x.reshape(n, m * m)[:, ::m + 1] = 1.0
-    for k in range(q + _TAYLOR_TAIL - 1, 0, -1):
-        bx = diag_scaled * x
-        bx[:, :-1] += sup_scaled * x[:, 1:]
-        bx *= 1.0 / k
-        bx.reshape(n, m * m)[:, ::m + 1] += 1.0
-        x = bx
-    band = x.reshape(n, m * m)
-    band[:, ::m + 1] = diag[start, rows]
-    band[:, 1::m + 1] = sup[start, rows]
-    for level in range(1, top + 1):
-        k = int(np.count_nonzero(s > top - level))
-        x[:k] = np.matmul(x[:k], x[:k])
-        band[:k, ::m + 1] = diag[level, :k]
-        band[:k, 1::m + 1] = sup[level, :k]
-    return x[:, 0, q]
+    k = started[-1]
+    at_start = off[top - s[:k]] + np.arange(k)
+    x[0, :, :k] = diag[:, at_start]
+    x[1, :-1, :k] = sup[:, at_start]
+    # squarings into levels 1..S-1, bands d >= 2 only:
+    # Y[d, i] = sum_e X[e, i] X[d-e, i+e].  Rows not started yet are only
+    # read, and hold their Taylor values in both buffers.
+    y[...] = x
+    for lvl in range(1, top):
+        k = started[lvl - 1]
+        b, out = x[..., :k], y[..., :k]
+        np.multiply(b[0, None], b[2:], out=out[2:])
+        for e in range(1, m):
+            d0 = max(e, 2)
+            out[d0:, :m - e] += b[e, None, :m - e] * b[d0 - e:m - e, e:]
+        out[0] = diag[:, off[lvl]:off[lvl] + k]
+        out[1, :-1] = sup[:, off[lvl]:off[lvl] + k]
+        x, y = y, x
+    corner = x[q, 0].copy()
+    k = started[-1]
+    corner[:k] = x[0, 0, :k] * x[q, 0, :k]
+    for e in range(1, m):
+        corner[:k] += x[e, 0, :k] * x[q - e, e, :k]
+    return corner
 
 
 def _leja_order(zs: np.ndarray) -> np.ndarray:
@@ -307,8 +348,7 @@ def _wide_batch(xs: np.ndarray) -> np.ndarray:
     error, against 3.1e-15 unshifted.  Rows are put in Leja order, and row
     r is scaled by 2^-s_r so that 2^-s_r max|x - shift| <= _THETA.  Rows
     are sorted by s_r and evaluated in chunks of at most WIDE_CHUNK, which
-    bounds the working set of the (n, m, m) stacks and of the per-level
-    bands.
+    bounds the working set of the band stacks and of the exact bands.
     """
     shift = np.rint(xs.real.mean(axis=1))[:, None]
     radius = np.hypot(xs.real - shift, xs.imag).max(axis=1)
@@ -317,8 +357,8 @@ def _wide_batch(xs: np.ndarray) -> np.ndarray:
     out = np.empty(len(xs), dtype=complex)
     lo = 0
     while lo < len(xs):
-        # the bands hold s+1 levels per row: past _BAND_LEVELS, fewer rows
-        levels = int(s[order[lo]]) + 1
+        # the exact bands hold up to s levels per row: past _BAND_LEVELS, fewer rows
+        levels = int(s[order[lo]])
         sel = order[lo:lo + max(1, WIDE_CHUNK * _BAND_LEVELS // max(levels, _BAND_LEVELS))]
         out[sel] = _square_chunk(_leja_order(xs[sel] - shift[sel]), s[sel])
         lo += len(sel)

@@ -20,10 +20,18 @@ LN2 = math.log(2.0)
 
 MODE_EXACT = "exact"
 MODE_UNIFORM = "uniform"
+# Steps a schedule may take.  A growing interaction shrinks the steps so fast
+# that T may never be reached (rate 700: about e^1400 steps to T = 2); the
+# rule takes about 7 us per step, so the cap is reached in under a second.
+MAX_STEPS = 100_000
 
 
 class InteractionVanished(Exception):
     """Gamma(t_w) <= 0: no interaction left, the caller must clamp the final step."""
+
+
+class ScheduleTooLongError(ValueError):
+    """The step rule needs more than MAX_STEPS steps to reach T."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,10 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
     clamped = False
     t = 0.0
     while t < t_total:
+        if len(steps) == MAX_STEPS:
+            raise ScheduleTooLongError(
+                f"the schedule to T = {t_total!r} took {len(steps)} steps and reached only "
+                f"t = {t!r}; the interaction grows too fast to partition")
         g = gamma(h, t)
         try:
             dt = next_step(g, lam)

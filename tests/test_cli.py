@@ -80,6 +80,16 @@ def test_input_errors_exit_2(tmp_path, capsys, spec_path):
     assert costcli.main(["dd", "not-json"]) == 2
 
 
+def test_schedule_that_cannot_reach_the_time_exits_2(tmp_path, capsys):
+    path = tmp_path / "growing.json"
+    path.write_text(json.dumps({"n": 1, "h0": [], "v": [
+        {"pauli": "X", "coeff": [{"amp": [0.5, 0.0], "rate": [700.0, 0.0]}]}]}))
+    assert costcli.main(["schedule", str(path), "--time", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "steps" in captured.err
+
+
 def test_env_fallback(spec_path, capsys, monkeypatch):
     monkeypatch.setenv("PERMLCU_TIME", "1.5")
     monkeypatch.setenv("PERMLCU_EPSILON", "1e-2")

@@ -1,5 +1,7 @@
 """Tests for divided differences of the exponential function."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,17 +358,60 @@ def test_wide_real_rows_for_the_bound():
         assert rel_err(got, mp_exp_dd(xs).real) <= 1e-12
 
 
-def test_wide_batch_larger_than_a_chunk_matches_single_rows():
+@pytest.mark.parametrize("q", [1, 5, 8])
+def test_wide_batch_larger_than_a_chunk_matches_single_rows(q):
     rng = np.random.default_rng(25)
     n = dd.WIDE_CHUNK + 300
     spread = np.exp(rng.uniform(np.log(31.0), np.log(1e6), n))
-    rows = 1j * spread[:, None] * rng.uniform(-1, 1, (n, 6))
+    rows = 1j * spread[:, None] * rng.uniform(-1, 1, (n, q + 1))
     rows[:, 0], rows[:, 1] = 1j * spread, -1j * spread
-    rows[::4, 2] = rows[::4, 3]  # exact repeats
-    rows[::3] += rng.uniform(-5, 5, (len(rows[::3]), 6))
+    if q >= 3:
+        rows[::4, 2] = rows[::4, 3]  # exact repeats
+    rows[::3] += rng.uniform(-5, 5, (len(rows[::3]), q + 1))
     batch = dd.exp_dd_batch(rows)
     single = np.array([dd.exp_dd_batch(r[None, :])[0] for r in rows])
     assert np.array_equal(batch, single)
+
+
+def frozen_wide_rows(workload, case_id):
+    """The kernel's inputs dt * x of a frozen benchmark case, by step dt:
+    the rows and steps `SegmentPlan` hands to `exp_dd_steps`, less the pairs
+    within the series cutoff."""
+    from permlcu import dyson, models, pham, sched
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "frozen" / f"{workload}.json"
+    case = next(c for c in json.loads(path.read_text())["cases"] if c["id"] == case_id)
+    h = (pham.from_pauli_spec(case["spec"]) if case.get("spec") is not None
+         else models.oscillating_hamiltonian(**case["oscillating"]))
+    schedule = sched.build_schedule(h, case["t_total"], eps=case["eps"], mode=case["mode"])
+    calls = []
+
+    def record(xs, dts):
+        calls.append((xs, np.asarray(dts)))
+        return np.zeros((len(dts), len(xs)), dtype=complex)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd, "exp_dd_steps", record)
+        dyson.SegmentPlan(h, schedule)
+    by_step = {}
+    for xs, dts in calls:
+        spread = np.abs(xs - xs.mean(axis=1, keepdims=True)).max(axis=1)
+        for dt in dts:
+            wide = spread * abs(dt) > dd.SERIES_SPREAD_CUTOFF
+            by_step.setdefault(float(dt), []).extend(dt * xs[wide])
+    return by_step
+
+
+def test_wide_rows_of_the_frozen_workloads_against_mpmath():
+    # 10 rows each: c4-n2 m4 at its two long steps (4.24 and 20.5), and every
+    # wide row of osc-long a1e3 and a1e6 (frequencies 1e3 and 1e6)
+    m4 = frozen_wide_rows("c4-n2", "m4")
+    groups = [m4[dt] for dt in sorted(m4)[-2:]]
+    groups += [sum(frozen_wide_rows("osc-long", c).values(), []) for c in ("a1e3", "a1e6")]
+    rng = np.random.default_rng(8)
+    rows = [g[i] for g in groups for i in rng.choice(len(g), size=10, replace=False)]
+    for xs in rows:
+        got = dd.exp_dd_batch(xs[None, :])[0]
+        assert rel_err(got, mp_exp_dd(xs)) <= 1e-13, xs
 
 
 def test_oracle_does_not_use_the_batched_kernel(monkeypatch):

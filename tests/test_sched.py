@@ -242,3 +242,15 @@ def test_build_schedule_rejects_unknown_mode():
     h = pham.from_pauli_spec(static_spec())
     with pytest.raises(ValueError, match="unknown mode"):
         sched.build_schedule(h, 1.0, mode="bogus")
+
+
+def test_build_schedule_stops_at_the_step_cap():
+    # each step raises Gamma by only lam * ln2, so T = 2 needs ~e^1400 steps
+    h = pham.from_pauli_spec({"n": 1, "h0": [], "v": [
+        {"pauli": "X", "coeff": [{"amp": [0.5, 0.0], "rate": [700.0, 0.0]}]}]})
+    with pytest.raises(sched.ScheduleTooLongError) as err:
+        sched.build_schedule(h, 2.0, eps=1e-3)
+    msg = str(err.value)
+    assert "T = 2.0" in msg and f"took {sched.MAX_STEPS} steps" in msg
+    t_reached = float(msg.split("reached only t = ")[1].split(";")[0])
+    assert 0.0 < t_reached < 0.1
