@@ -22,7 +22,8 @@ MODE_EXACT = "exact"
 MODE_UNIFORM = "uniform"
 # Steps a schedule may take.  A growing interaction shrinks the steps so fast
 # that T may never be reached (rate 700: about e^1400 steps to T = 2); the
-# rule takes about 7 us per step, so the cap is reached in under a second.
+# rule takes about 7 us per step on a 2-vCPU Xeon, so the cap is reached in
+# under a second.
 MAX_STEPS = 100_000
 
 
