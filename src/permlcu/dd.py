@@ -153,7 +153,7 @@ def _coefficients(zs: np.ndarray, radius: np.ndarray) -> np.ndarray:
 
 
 def _step_powers(dts: np.ndarray, q: int) -> np.ndarray:
-    """dt^q per step, by Python's float power as in exp_dd_scaled_batch (numpy's
+    """dt^q per step, by Python's float power as in exp_dd_scaled (numpy's
     array power differs from it in the last bit for about 5% of inputs)."""
     return np.array([dt**q for dt in dts.tolist()])
 
@@ -441,16 +441,6 @@ def exp_dd_scaled(t: float, xs) -> complex:
     if t == 0.0:
         return 1.0 + 0.0j if q == 0 else 0.0 + 0.0j
     return complex(t**q * exp_dd(t * xs))
-
-
-def exp_dd_scaled_batch(t: float, xs: np.ndarray) -> np.ndarray:
-    """Batch form of exp_dd_scaled over rows of xs."""
-    xs = np.asarray(xs, dtype=complex)
-    q = xs.shape[1] - 1
-    if t == 0.0:
-        fill = 1.0 if q == 0 else 0.0
-        return np.full(xs.shape[0], fill, dtype=complex)
-    return t**q * exp_dd_batch(t * xs)
 
 
 def exp_dd_bound(xs) -> float:

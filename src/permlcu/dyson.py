@@ -18,6 +18,15 @@ are known before the first segment, so a `SegmentPlan` enumerates the
 permutation paths once per run and evaluates the divided differences of
 every distinct step length at once; each segment is an array table of its
 terms built from the plan.
+
+The alternative (Schroedinger-frame) segment absorbs the static phases,
+U_alt = e^{-i H0 t_{w+1}} U_I e^{i H0 t_w}.  Its inputs are
+y_j = -i(E_{z_{j-1}} - E_z) - sum_{l<j} rate_l, j = 1..q+1, and the
+interaction inputs are the same rows shifted by their last entry,
+x_j = y_j - y_{q+1}, so e^{dt [y]} = e^{dt y_{q+1}} e^{dt [x]} (Gupta,
+Barash & Hen, CPC 254 (2020); Kalev & Hen, NJP 23 (2021)).  The
+alternative form is therefore read from the same plan: no second path
+enumeration and no second divided-difference pass.
 """
 from __future__ import annotations
 
@@ -70,18 +79,15 @@ class SegmentOperator:
     plan: "SegmentPlan"
 
     def matrix(self) -> np.ndarray:
-        """Dense segment operator; deterministic term-ordered accumulation."""
-        return _accumulate(self.blocks.cum_mask, self.plan.factors, self.blocks.coeff)
-
-
-def _accumulate(cum_mask: np.ndarray, factors: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Dense sum_t factors_t P_{cum_mask_t} diag(coeff_t), added term by term."""
-    nt, dim = coeff.shape
-    z = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    np.add.at(out, (cum_mask[:, None] ^ z, np.broadcast_to(z, (nt, dim))),
-              factors[:, None] * coeff)
-    return out
+        """Dense sum_t (-i)^q_t P_{cum_mask_t} diag(coeff_t), added term by
+        term in table order (deterministic)."""
+        tab = self.blocks
+        nt, dim = tab.coeff.shape
+        z = np.arange(dim)
+        out = np.zeros((dim, dim), dtype=complex)
+        np.add.at(out, (tab.cum_mask[:, None] ^ z, np.broadcast_to(z, (nt, dim))),
+                  self.plan.factors[:, None] * tab.coeff)
+        return out
 
 
 def interaction_inputs(h: pham.PermExpHamiltonian, iq, kq, z: int):
@@ -155,67 +161,10 @@ def phase_angles(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.n
     return phi, theta
 
 
-def _lookup_tables(h: pham.PermExpHamiltonian):
-    """Stacked (i, k) -> vector tables for vectorized enumeration."""
-    n_i, n_k = len(h.vterms), h.num_exp_terms
-    dim = h.dim
-    amp = np.zeros((n_i, n_k, dim), dtype=complex)
-    rate = np.zeros((n_i, n_k, dim), dtype=complex)
-    amp_scale = np.zeros((n_i, n_k))
-    masks = np.zeros(n_i, dtype=np.int64)
-    for i, term in enumerate(h.vterms):
-        masks[i] = term.mask
-        for k, et in enumerate(term.exp_terms):
-            amp[i, k] = et.amp
-            rate[i, k] = et.rate
-            amp_scale[i, k] = et.amp_max
-    return amp, rate, amp_scale, masks
-
-
 def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
     """Enumerated (q, i_q, k_q, z) tuples up to order q_max."""
     base = len(h.vterms) * h.num_exp_terms
     return h.dim * sum(base**q for q in range(q_max + 1))
-
-
-def _enumerate_paths(h: pham.PermExpHamiltonian, tables, q_max: int):
-    """Per order q = 1..q_max, the permutation paths of all (i_q, k_q), i_q
-    outer and k_q inner, both lexicographic: (i, k, cum, e_prev, e_final,
-    rates, d_coeff), shapes (B, q) for the multi-indices and cumulative masks,
-    (B, q, 2^n) for E_{z_{j-1}} and the rates, (B, 2^n) for E_{z_q} and d."""
-    if q_max is None:
-        raise ValueError("truncation order missing: build the schedule with eps")
-    if count_terms(h, q_max) > ENUMERATION_GUARD:
-        raise EnumerationLimitError(
-            f"{count_terms(h, q_max)} terms exceed the enumeration guard {ENUMERATION_GUARD}")
-    amp, rate, _, masks = tables
-    n_i, n_k = amp.shape[:2]
-    if not (n_i and n_k):
-        return
-    dim = h.dim
-    z = np.arange(dim)
-    energies = h.h0_diag
-    for q in range(1, q_max + 1):
-        i_tuples = np.array(list(product(range(n_i), repeat=q)), dtype=np.int64)
-        k_tuples = np.array(list(product(range(n_k), repeat=q)), dtype=np.int64)
-        n_it, n_kt = len(i_tuples), len(k_tuples)
-        big_i = np.repeat(i_tuples, n_kt, axis=0)            # (B, q)
-        big_k = np.tile(k_tuples, (n_it, 1))                 # (B, q)
-        nb = n_it * n_kt
-
-        cum = np.zeros((nb, q), dtype=np.int64)
-        acc = np.zeros(nb, dtype=np.int64)
-        for j in range(q):
-            acc = acc ^ masks[big_i[:, j]]
-            cum[:, j] = acc
-        zp = cum[:, :, None] ^ z[None, None, :]              # (B, q, dim)
-
-        e_prev = np.concatenate(
-            [np.broadcast_to(energies[z], (nb, 1, dim)),
-             energies[zp[:, :-1, :]]], axis=1)
-        yield (big_i, big_k, cum, e_prev, energies[zp[:, -1, :]],
-               rate[big_i[:, :, None], big_k[:, :, None], zp],
-               amp[big_i[:, :, None], big_k[:, :, None], zp].prod(axis=1))
 
 
 class _Order(NamedTuple):
@@ -249,27 +198,51 @@ class SegmentPlan:
     def _enumerate(self, h: pham.PermExpHamiltonian, q_max: int) -> list[np.ndarray]:
         """Sets the orders' data but their divided differences, and every
         term's order and mask; returns each order's divided-difference inputs
-        [x_1, ..., x_q, 0], shape (B * 2^n, q + 1)."""
-        tables = _lookup_tables(h)
-        _, rate, amp_scale, _ = tables
+        [x_1, ..., x_q, 0], shape (B * 2^n, q + 1).
+
+        The paths of order q are enumerated at once over all (i_q, k_q),
+        i_q outer and k_q inner, both lexicographic."""
+        if q_max is None:
+            raise ValueError("truncation order missing: build the schedule with eps")
+        if count_terms(h, q_max) > ENUMERATION_GUARD:
+            raise EnumerationLimitError(
+                f"{count_terms(h, q_max)} terms exceed the enumeration guard {ENUMERATION_GUARD}")
+        n_i, n_k, dim = len(h.vterms), h.num_exp_terms, h.dim
+        # stacked (i, k) -> per-z tables
+        amp = np.zeros((n_i, n_k, dim), dtype=complex)
+        rate = np.zeros((n_i, n_k, dim), dtype=complex)
+        amp_scale = np.zeros((n_i, n_k))
+        for i, term in enumerate(h.vterms):
+            for k, et in enumerate(term.exp_terms):
+                amp[i, k], rate[i, k], amp_scale[i, k] = et.amp, et.rate, et.amp_max
+        term_masks = np.array([term.mask for term in h.vterms], dtype=np.int64)
         lam_ik = rate.real.max(axis=2)           # per-(i,k) growth exponent
         self.gmax = amp_scale.max() if amp_scale.size else 0.0
-        dim = h.dim
+        energies, z = h.h0_diag, np.arange(dim)
         self.orders: list[_Order] = []
         dd_rows = []
         masks, qs, start = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)], 1
-        for big_i, big_k, cum, e_prev, e_final, rates, d_coeff in _enumerate_paths(
-                h, tables, q_max):
-            nb, q = big_i.shape
+        for q in range(1, q_max + 1 if n_i and n_k else 1):
+            big_i = np.repeat(np.array(list(product(range(n_i), repeat=q)), dtype=np.int64),
+                              n_k**q, axis=0)                             # (B, q)
+            big_k = np.tile(np.array(list(product(range(n_k), repeat=q)), dtype=np.int64),
+                            (n_i**q, 1))
+            nb = len(big_i)
+            cum = np.bitwise_xor.accumulate(term_masks[big_i], axis=1)    # P_{i_1..i_j} masks
+            zp = cum[:, :, None] ^ z                                      # (B, q, dim) z_j
+            e_prev = np.concatenate(
+                [np.broadcast_to(energies, (nb, 1, dim)), energies[zp[:, :-1]]], axis=1)
+            e_final = energies[zp[:, -1]]                                 # (B, dim)
+            rates = rate[big_i[:, :, None], big_k[:, :, None], zp]
             suffix = np.flip(np.cumsum(np.flip(rates, axis=1), axis=1), axis=1)
-            xrows = 1j * (e_final[:, None, :] - e_prev) + suffix  # (B, q, dim)
+            xrows = 1j * (e_final[:, None, :] - e_prev) + suffix          # (B, q, dim)
             dd_rows.append(np.concatenate(
                 [xrows.transpose(0, 2, 1).reshape(nb * dim, q),
                  np.zeros((nb * dim, 1), dtype=complex)], axis=1))
             self.orders.append(_Order(
-                q, slice(start, start + nb), None, h.h0_diag[None, :] - e_final,
-                rates.sum(axis=1), d_coeff, lam_ik[big_i, big_k],
-                amp_scale[big_i, big_k].prod(axis=1)))
+                q, slice(start, start + nb), None, energies[None, :] - e_final,
+                rates.sum(axis=1), amp[big_i[:, :, None], big_k[:, :, None], zp].prod(axis=1),
+                lam_ik[big_i, big_k], amp_scale[big_i, big_k].prod(axis=1)))
             masks.append(cum[:, -1])
             qs.append(np.full(nb, q))
             start += nb
@@ -320,33 +293,20 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     return SegmentOperator(h=h, q_max=schedule.Q, s=schedule.s(w), blocks=table, plan=plan)
 
 
-def alt_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int) -> np.ndarray:
-    """Dense Schroedinger-frame segment with the static phases absorbed.
+def alt_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
+                        plan: SegmentPlan | None = None) -> np.ndarray:
+    """Dense Schroedinger-frame segment with the static phases absorbed,
 
-    Built from the shifted inputs y_j = -i(E_{z_{j-1}} - E_z) - sum_{l<j} rate_l
-    (y_1 = 0) and a trailing diagonal e^{-i H0 dt_w}; satisfies
-    e^{-i H0 t_{w+1}} U_I = U_alt e^{-i H0 t_w} segment by segment.
+        U_alt = e^{-i H0 t_{w+1}} U_I e^{i H0 t_w}:
+
+    the interaction-frame segment of `build_segment`, same ``plan``
+    contract, with its rows times e^{-i E t_{w+1}} and its columns times
+    e^{i E t_w}.  Term by term this is the expansion in the inputs
+    y_j = -i(E_{z_{j-1}} - E_z) - sum_{l<j} rate_l (y_1 = 0), which are the
+    interaction inputs shifted, y_j = x_j + y_{q+1}, with a trailing
+    diagonal e^{-i H0 dt_w}.
     """
     t_w, dt_w = schedule.steps[w]
-    dim = h.dim
     energies = h.h0_diag
-    masks, factors = [np.zeros(1, dtype=np.int64)], [np.ones(1, dtype=complex)]  # q = 0
-    coeffs = [np.ones((1, dim), dtype=complex)]
-    for big_i, _, cum, e_prev, e_final, rates, d_coeff in _enumerate_paths(
-            h, _lookup_tables(h), schedule.Q):
-        nb, q = big_i.shape
-        rates_sum = rates.sum(axis=1)
-        prefix = np.concatenate(
-            [np.zeros((nb, 1, dim), dtype=complex),
-             np.cumsum(rates, axis=1)[:, :-1, :]], axis=1)       # sum_{l<j} rate_l
-        yrows = -1j * (e_prev - energies[None, None, :]) - prefix  # (B, q, dim)
-        y_last = -1j * (e_final - energies[None, :]) - rates_sum   # j = q + 1
-        flat = np.concatenate(
-            [yrows.transpose(0, 2, 1).reshape(nb * dim, q),
-             y_last.reshape(nb * dim, 1)], axis=1)
-        divided = dd.exp_dd_scaled_batch(dt_w, flat).reshape(nb, dim)
-        coeffs.append(np.exp((t_w + dt_w) * rates_sum) * divided * d_coeff)
-        masks.append(cum[:, -1])
-        factors.append(np.full(nb, (-1j) ** q))
-    out = _accumulate(np.concatenate(masks), np.concatenate(factors), np.concatenate(coeffs))
-    return out * np.exp(-1j * energies * dt_w)[None, :]
+    u_i = build_segment(h, schedule, w, plan).matrix()
+    return np.exp(-1j * energies * (t_w + dt_w))[:, None] * u_i * np.exp(1j * energies * t_w)

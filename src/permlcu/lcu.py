@@ -199,12 +199,22 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     deficit and the direction residual against the dense segment operator
     are recorded per segment.  A residual above RESIDUAL_ABORT * eps / r,
     or a non-finite one, aborts with diagnostics attached.
+
+    psi_system must be a finite, nonzero vector of length 2^n; it is
+    normalized.  Any other state raises ValueError before the schedule is
+    built.
     """
     if h.n > MAX_PIPELINE_QUBITS:
         raise ValueError(f"full pipeline rated for n <= {MAX_PIPELINE_QUBITS}")
     psi = np.asarray(psi_system, dtype=complex)
-    nrm = np.linalg.norm(psi)
-    if not (nrm > 0):
+    if psi.shape != (h.dim,):
+        raise ValueError(f"initial system state must be a 1-D vector of length {h.dim}, "
+                         f"not of shape {psi.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = np.linalg.norm(psi)
+    if not np.isfinite(nrm):
+        raise ValueError("initial system state must be finite, and so must its norm")
+    if nrm == 0:
         raise ValueError("initial system state must be nonzero")
     psi = psi / nrm
     schedule = sched.build_schedule(h, t_total, eps=eps, mode=mode)

@@ -310,7 +310,7 @@ def test_alt_equals_main_when_h0_vanishes():
     s = sched.build_schedule(h, 1.0, eps=1e-4)
     plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
-        a = dyson.alt_segment_unitary(h, s, w)
+        a = dyson.alt_segment_unitary(h, s, w, plan=plan)
         b = dyson.build_segment(h, s, w, plan=plan).matrix()
         assert spectral(a - b) < 1e-11
 
@@ -324,7 +324,7 @@ def test_alt_intertwining_identity():
         for w in range(min(s.r, 3)):
             t_w, dt_w = s.steps[w]
             ui = dyson.build_segment(h, s, w, plan=plan).matrix()
-            alt = dyson.alt_segment_unitary(h, s, w)
+            alt = dyson.alt_segment_unitary(h, s, w, plan=plan)
             left = np.diag(np.exp(-1j * h.h0_diag * (t_w + dt_w))) @ ui
             right = alt @ np.diag(np.exp(-1j * h.h0_diag * t_w))
             assert spectral(left - right) < 1e-10
@@ -339,7 +339,7 @@ def test_alt_product_vs_interaction_product():
     ui_prod = np.eye(h.dim, dtype=complex)
     plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
-        alt_prod = dyson.alt_segment_unitary(h, s, w) @ alt_prod
+        alt_prod = dyson.alt_segment_unitary(h, s, w, plan=plan) @ alt_prod
         ui_prod = dyson.build_segment(h, s, w, plan=plan).matrix() @ ui_prod
     lhs = alt_prod
     rhs = np.diag(np.exp(-1j * h.h0_diag * t_total)) @ ui_prod
@@ -351,15 +351,16 @@ def test_alt_time_independent_reduction():
     h = pham.from_pauli_spec(static_spec(0.8, 1.1))
     eps = 1e-3
     s = sched.build_schedule(h, 3.0, eps=eps)
-    alt0 = dyson.alt_segment_unitary(h, s, 0)
-    alt1 = dyson.alt_segment_unitary(h, s, 1)
+    plan = dyson.SegmentPlan(h, s)
+    alt0 = dyson.alt_segment_unitary(h, s, 0, plan=plan)
+    alt1 = dyson.alt_segment_unitary(h, s, 1, plan=plan)
     assert spectral(alt0 - alt1) < 1e-12
     u_od = alt0 @ np.diag(np.exp(1j * h.h0_diag * s.steps[0][1]))
     np.testing.assert_allclose(
         alt0, u_od @ np.diag(np.exp(-1j * h.h0_diag * s.steps[0][1])), atol=1e-12)
     prod = np.eye(2, dtype=complex)
     for w in range(s.r):
-        prod = dyson.alt_segment_unitary(h, s, w) @ prod
+        prod = dyson.alt_segment_unitary(h, s, w, plan=plan) @ prod
     ref = expm(-1j * pham.eval_H(h, 0.0) * 3.0)
     assert spectral(prod - ref) <= 2 * eps
 
@@ -432,6 +433,9 @@ def test_build_segment_rejects_mismatched_plan():
     assert longer.Q == s.Q and longer.steps[0] == s.steps[0]
     with pytest.raises(ValueError):
         dyson.build_segment(h, longer, 0, plan=plan)
+    for model, schedule in ((other, s), (h, longer), (h, replace(s, Q=s.Q - 1))):
+        with pytest.raises(ValueError):
+            dyson.alt_segment_unitary(model, schedule, 0, plan=plan)
 
 
 def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
@@ -475,8 +479,8 @@ DECAYING_WIDE_SPEC = {
 
 @pytest.mark.parametrize("mode", [sched.MODE_EXACT, sched.MODE_UNIFORM])
 def test_plan_values_match_per_step_batches(mode, monkeypatch):
-    # every order at every distinct step, against dd.exp_dd_scaled_batch at
-    # that step alone: within 1e-12 of each value's real-part bound (per
+    # every order at every distinct step, against dd.exp_dd_batch at that
+    # step alone: within 1e-12 of each value's real-part bound (per
     # entry, both carry the series' error of up to ~1e-10 at shifted spreads
     # 9-12), and equal where the pair is beyond the series cutoff
     h = pham.from_pauli_spec(DECAYING_WIDE_SPEC)
@@ -494,7 +498,7 @@ def test_plan_values_match_per_step_batches(mode, monkeypatch):
         crossing += np.count_nonzero(wide.any(axis=0) & ~wide.all(axis=0))
         for dt, wide_at_dt in zip(steps, wide):
             got = plan.divided(dt)[o.q - 1].ravel()
-            ref = dd.exp_dd_scaled_batch(dt, xs)
+            ref = dt**o.q * dd.exp_dd_batch(dt * xs)
             bound = dt**o.q * dd.exp_dd_bound_batch(dt * xs)
             assert (np.abs(got - ref) <= 1e-12 * bound).all(), (o.q, dt)
             assert np.array_equal(got[wide_at_dt], ref[wide_at_dt])
@@ -527,4 +531,25 @@ def test_alt_matches_term_by_term_construction():
                          * dd.exp_dd_scaled(dt_w, ys) * d_coeff)
                 ref[z_path[-1], z] += (-1j) ** q * coeff
     ref = ref * np.exp(-1j * energies * dt_w)[None, :]
-    np.testing.assert_allclose(dyson.alt_segment_unitary(h, s, w), ref, rtol=0, atol=1e-14)
+    alt = dyson.alt_segment_unitary(h, s, w, plan=dyson.SegmentPlan(h, s))
+    np.testing.assert_allclose(alt, ref, rtol=0, atol=1e-14)
+
+
+def test_alt_reads_the_plan(monkeypatch):
+    # given the run's plan, the alternative form evaluates no divided
+    # difference, and its values are those it has without a plan
+    rng = np.random.default_rng(75)
+    h = pham.from_pauli_spec(random_model_spec(rng, n=2))
+    s = sched.build_schedule(h, 1.5, eps=1e-3)
+    plan = dyson.SegmentPlan(h, s)
+    fresh = [dyson.alt_segment_unitary(h, s, w) for w in range(s.r)]
+    calls = []
+    for name in ("exp_dd_steps", "exp_dd_batch"):
+        real = getattr(dd, name)
+        monkeypatch.setattr(dd, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for w in range(s.r):
+        assert np.array_equal(dyson.alt_segment_unitary(h, s, w, plan=plan), fresh[w])
+    assert calls == []
+    dyson.alt_segment_unitary(h, s, 0)  # without a plan, one is built
+    assert "exp_dd_steps" in calls

@@ -368,6 +368,22 @@ def test_run_full_size_guard():
         lcu.run_full(h, 1.0, 1e-3, np.ones(512) / math.sqrt(512))
 
 
+@pytest.mark.parametrize("psi, condition", [
+    ([np.inf, 0, 0, 0], "finite"),
+    ([np.nan, 1, 0, 0], "finite"),
+    ([1e200, 1e200, 0, 0], "finite"),       # finite entries, overflowing norm
+    ([0, 0, 0, 0], "nonzero"),
+    ([1, 0], "length 4"),
+    ([[1, 0, 0, 0]], "1-D"),
+])
+def test_run_full_rejects_bad_initial_states(psi, condition, monkeypatch):
+    # one typed check, before the schedule is built
+    h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(5), n=2))
+    monkeypatch.setattr(sched, "build_schedule", lambda *args, **kwargs: pytest.fail("built"))
+    with pytest.raises(ValueError, match=condition):
+        lcu.run_full(h, 1.0, 1e-3, np.array(psi, dtype=complex))
+
+
 def test_run_full_abort_on_tiny_budget(monkeypatch):
     # healthy direction residuals sit at machine level; a sub-eps budget
     # exercises the abort path and its attached diagnostics
