@@ -228,7 +228,7 @@ class SegmentPlan:
             big_k = np.tile(np.array(list(product(range(n_k), repeat=q)), dtype=np.int64),
                             (n_i**q, 1))
             nb = len(big_i)
-            cum = np.bitwise_xor.accumulate(term_masks[big_i], axis=1)    # P_{i_1..i_j} masks
+            cum = np.bitwise_xor.accumulate(term_masks[big_i], axis=1)    # cumulative masks
             zp = cum[:, :, None] ^ z                                      # (B, q, dim) z_j
             e_prev = np.concatenate(
                 [np.broadcast_to(energies, (nb, 1, dim)), energies[zp[:, :-1]]], axis=1)
