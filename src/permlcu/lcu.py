@@ -2,16 +2,25 @@
 
 The ancilla indexes the enumerated Dyson terms: entry 2*t + x couples term t
 (ordered by ascending order q, then lexicographic multi-indices) with the
-cosine-decomposition qubit x.  The preparation B is a real Householder
-reflection sending the all-zero ancilla to the weight state; the controlled
-unitary applies (-i)^q P_{i_q} Phi_{x} per ancilla basis state; oblivious
-amplitude amplification composes A = -W R W^dag R W with W = B^dag V_c B.
+cosine-decomposition qubit x.  The preparation B is a real reflection
+sending the all-zero ancilla to the weight state |b>; the controlled unitary
+V_c applies (-i)^q P_{i_q} Phi_{x} per ancilla basis state; oblivious
+amplitude amplification composes A = -W R W^dag R W with W = B^dag V_c B and
+R = I - 2|0><0| on the ancilla.
+
+Since B = B^dag and B|0> = |b>, B R B is the reflection I - 2|b><b| about
+the weight state, so the system block that the run keeps is
+
+    <0|A|0> psi = -<b| V_c (I - 2|b><b|) V_c^dag (I - 2|b><b|) V_c |b> psi,
+
+which `apply_A` computes on (ancilla, system) arrays without forming B.
 
 A padding term after the Dyson terms (coefficient 0, mask 0, bound 2 - s)
 brings every segment's normalization to exactly 2 (Berry, Childs, Cleve,
 Kothari & Somma, PRL 114, 090502 (2015)): its two cosine branches, +i and
--i, cancel, so the projected block is U/2.  At s = 2 the amplification is
-exact: the projected result is U |psi>, and the deficits are at roundoff level.
+-i, cancel, so the projected block <b|V_c|b> is U/2.  At s = 2 the
+amplification is exact: the projected result is U |psi>, and the deficits
+are at roundoff level.
 """
 from __future__ import annotations
 
@@ -24,10 +33,6 @@ from .sched import MODE_EXACT
 
 MAX_PIPELINE_QUBITS = 8
 RESIDUAL_ABORT = 10.0
-
-
-class AncillaPreconditionError(ValueError):
-    """The operation requires the ancilla register in the all-zero state."""
 
 
 class SimulationAbort(RuntimeError):
@@ -71,10 +76,6 @@ class Statevector:
     amps: np.ndarray
     layout: RegisterLayout
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def system_block(self, ancilla_index: int = 0) -> np.ndarray:
         """A copy of one ancilla row, so that keeping it does not keep the
         whole ancilla-sized array alive."""
@@ -93,7 +94,7 @@ class LCUContext:
     layout: RegisterLayout
     b_amps: np.ndarray       # (ancilla_dim,) real preparation amplitudes
     phase_table: np.ndarray  # (ancilla_dim, 2^n) factors (-i)^q e^{i(+-phi+theta)}
-    gather: np.ndarray       # (n_terms, 1, 2^n) z ^ mask, shared by a term's x rows
+    gather: np.ndarray       # (ancilla_dim * 2^n,) flat index: entry (a, z) reads (a, z ^ mask)
 
 
 def build_context(seg: dyson.SegmentOperator) -> LCUContext:
@@ -119,48 +120,21 @@ def build_context(seg: dyson.SegmentOperator) -> LCUContext:
     if drift > 1e-8:
         raise RuntimeError(f"preparation amplitudes drifted from unit norm by {drift:.2e}")
     b /= np.linalg.norm(b)
-    gather = (np.append(terms.cum_mask, 0)[:, None] ^ np.arange(seg.h.dim))[:, None, :]
+    # the mask is below 2^n, so XOR on the flat index a * 2^n + z flips only z
+    masks = np.repeat(np.append(terms.cum_mask, 0), 2)
+    gather = (np.arange(adim * seg.h.dim).reshape(adim, seg.h.dim) ^ masks[:, None]).ravel()
     return LCUContext(layout=layout, b_amps=b, phase_table=phases, gather=gather)
 
 
-class AncillaPreparation:
-    """Real Householder reflection with B|0> = psi0 (so B = B^dag = B^{-1}).
-
-    With psi0 = LCUContext.b_amps, B prepares the per-term square-root weights
-    sqrt(dt_tilde^q Gamma_term / (4 q!)), and sqrt((2 - s)/4) for the padding
-    term, with the x qubit in (|0>+|1>)/sqrt(2).
-    """
-
-    def __init__(self, psi0: np.ndarray):
-        w = psi0.astype(float).copy()
-        w[0] -= 1.0
-        self._w = w / np.linalg.norm(w)
-
-    def apply(self, joint: np.ndarray) -> np.ndarray:
-        return joint - 2.0 * np.outer(self._w, self._w @ joint)
-
-    apply_dagger = apply
-
-
-def _permute(ctx: LCUContext, joint: np.ndarray) -> np.ndarray:
-    """System block a gets P_{i_q}: amplitude z moves to z ^ mask (an involution)."""
-    pairs = joint.reshape(-1, 2, joint.shape[1])
-    return np.take_along_axis(pairs, ctx.gather, axis=2).reshape(joint.shape)
-
-
 def apply_Vc(ctx: LCUContext, joint: np.ndarray) -> np.ndarray:
-    """Controlled segment unitary: system block a gets (-i)^q P_{i_q} Phi_{a}."""
-    return _permute(ctx, ctx.phase_table * joint)
+    """Controlled segment unitary on an (ancilla, system) array: system block
+    a gets (-i)^q P_{i_q} Phi_{a}, so amplitude z moves to z ^ mask."""
+    return (ctx.phase_table * joint).ravel().take(ctx.gather).reshape(joint.shape)
 
 
-def _apply_w(ctx: LCUContext, prep: AncillaPreparation, joint: np.ndarray) -> np.ndarray:
-    return prep.apply_dagger(apply_Vc(ctx, prep.apply(joint)))
-
-
-def _apply_w_dagger(ctx: LCUContext, prep: AncillaPreparation, joint: np.ndarray) -> np.ndarray:
-    # V_c is block diagonal: its adjoint conjugates phases and inverts the
-    # permutation (XOR masks are involutions, so the permutation is reused)
-    return prep.apply_dagger(ctx.phase_table.conj() * _permute(ctx, prep.apply(joint)))
+def _reflect_about_b(ctx: LCUContext, joint: np.ndarray) -> None:
+    """(I - 2|b><b|) (x) I in place."""
+    joint -= np.outer(ctx.b_amps, 2.0 * (ctx.b_amps @ joint))
 
 
 def oaa_sequence(apply_w, apply_w_dagger, joint: np.ndarray) -> np.ndarray:
@@ -173,15 +147,22 @@ def oaa_sequence(apply_w, apply_w_dagger, joint: np.ndarray) -> np.ndarray:
     return -cur
 
 
-def apply_A(ctx: LCUContext, psi: Statevector) -> Statevector:
-    """One OAA application at s = 2."""
-    if np.linalg.norm(psi.amps[1:]) > 1e-10 * max(psi.norm, 1e-30):
-        raise AncillaPreconditionError("apply_A requires the ancilla in |0...0>")
-    prep = AncillaPreparation(ctx.b_amps)
-    out = oaa_sequence(lambda j: _apply_w(ctx, prep, j),
-                       lambda j: _apply_w_dagger(ctx, prep, j),
-                       psi.amps.copy())
-    return Statevector(amps=out, layout=psi.layout)
+def apply_A(ctx: LCUContext, psi: np.ndarray) -> np.ndarray:
+    """The system block <0|A|0> psi of one OAA application at s = 2.
+
+    psi is the system vector, shape (2^n,); so is the result.  V_c^dag is
+    the same gather (XOR masks are involutions) followed by the conjugate
+    phases.
+    """
+    dim = ctx.phase_table.shape[1]
+    if np.shape(psi) != (dim,):
+        raise ValueError(f"apply_A takes a system vector of shape ({dim},), "
+                         f"not of shape {np.shape(psi)}")
+    cur = apply_Vc(ctx, np.outer(ctx.b_amps, psi))
+    _reflect_about_b(ctx, cur)
+    cur = ctx.phase_table.conj() * cur.ravel().take(ctx.gather).reshape(cur.shape)
+    _reflect_about_b(ctx, cur)
+    return -(ctx.b_amps @ apply_Vc(ctx, cur))
 
 
 def apply_H0_phase(h: pham.PermExpHamiltonian, t: float, psi: np.ndarray) -> np.ndarray:
@@ -224,7 +205,7 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     for w in range(schedule.r):
         seg = dyson.build_segment(h, schedule, w, plan=plan)
         ctx = build_context(seg)
-        block = apply_A(ctx, Statevector.from_system(ctx.layout, psi)).system_block(0)
+        block = apply_A(ctx, psi)
         block_norm = float(np.linalg.norm(block))
         new_psi = block / block_norm
         ref = seg.matrix() @ psi

@@ -26,6 +26,7 @@ from .pham import PermExpHamiltonian
 
 MAX_PIPELINE_QUBITS = 8
 MAX_STEPS = 1_000_000  # accepted plus rejected DOP853 steps per call
+SOLVERS_PER_THREAD = 4  # distinct tolerances kept; the least recently used goes first
 # negative IDID return codes of Hairer's DOP853
 _DOP853_FAILURES = {-1: "input is not consistent", -2: f"more than {MAX_STEPS} steps",
                     -3: "step size became too small", -4: "problem is probably stiff"}
@@ -85,9 +86,10 @@ class _Dop853:
     and to the integrator's step callback that it is given and never drops
     it, so an `ode` made per run would stay in memory with its work arrays
     and everything its right-hand side holds.  Each thread therefore keeps
-    one solver per tolerance, with a fixed right-hand side that reads the
-    current problem from the solver.  Not re-entrant: a callable H(t) must
-    not call the oracle itself.
+    one solver per tolerance, for its last SOLVERS_PER_THREAD tolerances,
+    with a fixed right-hand side that reads the current problem from the
+    solver.  For the same reason an evicted solver is not freed.  Not
+    re-entrant: a callable H(t) must not call the oracle itself.
     """
 
     def __init__(self, tol: float):
@@ -130,7 +132,7 @@ class _Dop853:
 
 
 class _ThreadSolvers(threading.local):
-    """This thread's solvers, one per tolerance."""
+    """This thread's solvers, one per tolerance, least recently used first."""
 
     def __init__(self):
         self.by_tol: dict[float, _Dop853] = {}
@@ -143,9 +145,13 @@ def _integrate(gen_of_t, dim: int, t0: float, t1: float, tol: float) -> Propagat
     if t1 == t0:
         return PropagatorResult(U=np.eye(dim, dtype=complex), est_error=tol, steps_taken=0)
     solvers = _SOLVERS.by_tol
-    if tol not in solvers:
-        solvers[tol] = _Dop853(tol)
-    u, code, accepted = solvers[tol].run(gen_of_t, dim, t0, t1)
+    solver = solvers.pop(tol, None)
+    if solver is None:
+        solver = _Dop853(tol)
+        if len(solvers) >= SOLVERS_PER_THREAD:
+            del solvers[next(iter(solvers))]
+    solvers[tol] = solver
+    u, code, accepted = solver.run(gen_of_t, dim, t0, t1)
     if code < 0:
         raise StiffnessError(f"integrator failed on [{t0}, {t1}] with code {code}: "
                              f"{_DOP853_FAILURES.get(code, 'unknown failure')}")

@@ -25,6 +25,40 @@ def build_pipeline(h, t_total, eps, mode=sched.MODE_EXACT, w=0):
     return s, seg, lcu.build_context(seg)
 
 
+# --- full-statevector reference: B, W and the OAA gate by gate on the joint state
+
+def householder(b_amps):
+    """The real reflection B = I - 2|u><u| = B^dag with B|0> = |b>, as the
+    function applying it to an (ancilla, ...) array (a dense B would take
+    ancilla_dim^2 entries)."""
+    u = np.array(b_amps, dtype=float)
+    u[0] -= 1.0
+    u /= np.linalg.norm(u)
+    return lambda joint: joint - 2.0 * np.multiply.outer(u, np.tensordot(u, joint, 1))
+
+
+def apply_vc_dagger(ctx, joint):
+    # XOR masks are involutions: the gather is its own inverse
+    return ctx.phase_table.conj() * joint.ravel().take(ctx.gather).reshape(joint.shape)
+
+
+def apply_w(ctx, b, joint):
+    return b(lcu.apply_Vc(ctx, b(joint)))
+
+
+def apply_w_dagger(ctx, b, joint):
+    return b(apply_vc_dagger(ctx, b(joint)))
+
+
+def full_statevector_oaa(ctx, psi):
+    """-W R W^dag R W on |0> (x) psi over the whole (ancilla, system) state."""
+    b = householder(ctx.b_amps)
+    joint = np.zeros((ctx.layout.ancilla_dim, len(psi)), dtype=complex)
+    joint[0] = psi
+    return lcu.oaa_sequence(lambda j: apply_w(ctx, b, j),
+                            lambda j: apply_w_dagger(ctx, b, j), joint)
+
+
 # --- register layout ------------------------------------------------------------
 
 def test_layout_counts():
@@ -76,13 +110,15 @@ def test_prepare_b_uniform_mode_equal_amplitudes():
 def test_prepare_b_householder_unitary():
     h = oscillating_hamiltonian(1.0, 1.0, 5.0)
     _, seg, ctx = build_pipeline(h, 1.0, 1e-3)
-    prep = lcu.AncillaPreparation(ctx.b_amps)
+    b = householder(ctx.b_amps)
     e0 = np.zeros((ctx.layout.ancilla_dim, 1))
     e0[0, 0] = 1.0
-    np.testing.assert_allclose(prep.apply(e0)[:, 0], ctx.b_amps, atol=1e-13)
+    np.testing.assert_allclose(b(e0)[:, 0], ctx.b_amps, atol=1e-13)
     rng = np.random.default_rng(61)
     v = rng.normal(size=(ctx.layout.ancilla_dim, 3))
-    np.testing.assert_allclose(prep.apply(prep.apply(v)), v, atol=1e-12)
+    np.testing.assert_allclose(b(b(v)), v, atol=1e-12)
+    dense = b(np.eye(ctx.layout.ancilla_dim))
+    np.testing.assert_allclose(dense, dense.T, atol=1e-15)
 
 
 # --- controlled unitary -------------------------------------------------------------
@@ -121,18 +157,19 @@ def test_context_tables_match_term_loop():
         tab = seg.blocks
         b = np.zeros(ctx.layout.ancilla_dim)
         phases = np.zeros((ctx.layout.ancilla_dim, h.dim), dtype=complex)
-        gather = np.zeros((len(tab) + 1, 1, h.dim), dtype=np.int64)
+        gather = np.zeros(ctx.layout.joint_dim, dtype=np.int64)
+        masks = [int(m) for m in tab.cum_mask] + [0]
         for t in range(len(tab)):
             b[2 * t] = b[2 * t + 1] = math.sqrt(tab.bound[t] / 4.0)
             factor = (-1j) ** int(tab.q[t])
             phases[2 * t] = factor * np.exp(1j * (tab.phi[t] + tab.theta[t]))
             phases[2 * t + 1] = factor * np.exp(1j * (-tab.phi[t] + tab.theta[t]))
-            for z in range(h.dim):
-                gather[t, 0, z] = tab.cum_mask[t] ^ z
         b[-2] = b[-1] = math.sqrt((2.0 - seg.s) / 4.0)
         phases[-2] = np.exp(1j * math.pi / 2)
         phases[-1] = np.exp(-1j * math.pi / 2)
-        gather[-1, 0] = np.arange(h.dim)
+        for a in range(ctx.layout.ancilla_dim):  # row a reads z ^ mask of its term
+            for z in range(h.dim):
+                gather[a * h.dim + z] = a * h.dim + (masks[a // 2] ^ z)
         assert np.array_equal(ctx.b_amps, b / np.linalg.norm(b))
         assert np.array_equal(ctx.phase_table, phases)
         assert np.array_equal(ctx.gather, gather)
@@ -162,15 +199,17 @@ def test_w_projected_block_is_segment_over_s():
     for seed in range(3):
         h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(64 + seed), n=2))
         _, seg, ctx = build_pipeline(h, 2.0, 1e-3)
-        prep = lcu.AncillaPreparation(ctx.b_amps)
+        b = householder(ctx.b_amps)
         useg = seg.matrix()
         for _ in range(3):
             psi = haar_state(rng, h.dim)
             joint = np.zeros((ctx.layout.ancilla_dim, h.dim), dtype=complex)
             joint[0] = psi
-            out = lcu._apply_w(ctx, prep, joint)
+            out = apply_w(ctx, b, joint)
+            block = ctx.b_amps @ lcu.apply_Vc(ctx, np.outer(ctx.b_amps, psi))  # <b|V_c|b> psi
             expect = useg @ psi / 2.0  # the padding term brings s to 2
-            assert np.linalg.norm(out[0] - expect) < 1e-10
+            assert np.linalg.norm(block - expect) < 1e-10
+            assert np.linalg.norm(out[0] - block) < 1e-13
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -218,9 +257,10 @@ def test_apply_a_identity_on_empty_interaction():
     s = sched.build_schedule(h, 1.0, eps=1e-3)
     seg = dyson.build_segment(h, s, 0)
     ctx = lcu.build_context(seg)
-    psi = lcu.Statevector.from_system(ctx.layout, np.array([0.6, 0.8]))
+    psi = np.array([0.6, 0.8])
     out = lcu.apply_A(ctx, psi)
-    np.testing.assert_allclose(out.amps, psi.amps, atol=1e-12)
+    assert out.shape == (2,)
+    np.testing.assert_allclose(out, psi, atol=1e-12)
 
 
 def test_apply_a_residual_within_budget():
@@ -231,20 +271,51 @@ def test_apply_a_residual_within_budget():
     useg = seg.matrix()
     for _ in range(5):
         psi = haar_state(rng, 2)
-        state = lcu.Statevector.from_system(ctx.layout, psi)
-        out = lcu.apply_A(ctx, state)
+        block = lcu.apply_A(ctx, psi)
         ref = useg @ psi
-        assert np.linalg.norm(out.amps[0] - ref) <= 3 * eps / s.r
-        assert abs(out.norm - 1.0) < 1e-12
+        assert np.linalg.norm(block - ref) <= 3 * eps / s.r
+        assert abs(np.linalg.norm(block) - 1.0) < 1e-12
 
 
 def test_apply_a_requires_zero_ancilla():
+    # apply_A takes the system vector: the ancilla starts in |0...0> by
+    # construction, and a joint state or a wrong length is refused by shape
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     _, seg, ctx = build_pipeline(h, 1.0, 1e-3)
     joint = np.zeros((ctx.layout.ancilla_dim, 2), dtype=complex)
     joint[3, 0] = 1.0
-    with pytest.raises(lcu.AncillaPreconditionError):
-        lcu.apply_A(ctx, lcu.Statevector(amps=joint, layout=ctx.layout))
+    for bad in (joint, np.ones(4), np.ones((1, 2)), 1.0):
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            lcu.apply_A(ctx, bad)
+
+
+def _random_contexts():
+    # n <= 2 random models in both modes: first and clamped final segment
+    for seed in range(4):
+        rng = np.random.default_rng(90 + seed)
+        h = pham.from_pauli_spec(random_model_spec(rng, n=1 + seed % 2))
+        for mode in (sched.MODE_EXACT, sched.MODE_UNIFORM):
+            s = sched.build_schedule(h, 1.3, eps=1e-3, mode=mode)
+            assert s.final_step_clamped
+            plan = dyson.SegmentPlan(h, s)
+            for w in sorted({0, s.r - 1}):
+                yield h, lcu.build_context(dyson.build_segment(h, s, w, plan=plan))
+    h = pham.from_pauli_spec({"n": 2, "h0": [{"coupling": 0.9, "z_mask": "01"}]})
+    yield h, build_pipeline(h, 1.0, 1e-3)[2]  # empty interaction
+
+
+def test_apply_a_matches_full_statevector_oaa():
+    # the folded form equals row 0 of -W R W^dag R W on the whole joint state,
+    # with B built here as a dense Householder matrix from the weights
+    rng = np.random.default_rng(91)
+    checked = 0
+    for h, ctx in _random_contexts():
+        for _ in range(2):
+            psi = haar_state(rng, h.dim)
+            full = full_statevector_oaa(ctx, psi)
+            assert np.linalg.norm(lcu.apply_A(ctx, psi) - full[0]) <= 1e-13
+            checked += 1
+    assert checked == 2 * (4 * 2 * 2 + 1)
 
 
 # --- diagonal phase ---------------------------------------------------------------
@@ -400,8 +471,7 @@ def test_run_full_aborts_on_non_finite_state(monkeypatch):
     # warns on the way, when the NaN block is normalized
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     real = lcu.apply_A
-    monkeypatch.setattr(lcu, "apply_A", lambda ctx, psi: lcu.Statevector(
-        amps=real(ctx, psi).amps * np.nan, layout=psi.layout))
+    monkeypatch.setattr(lcu, "apply_A", lambda ctx, psi: real(ctx, psi) * np.nan)
     with pytest.warns(RuntimeWarning), pytest.raises(lcu.SimulationAbort,
                                                      match="segment 0 residual nan"):
         lcu.run_full(h, 2.0, 1e-3, np.array([1.0, 0.0], dtype=complex))
@@ -421,3 +491,16 @@ def test_run_full_divided_difference_work_per_run(monkeypatch):
     second_final, _ = lcu.run_full(h, 10.0, 1e-3, psi)
     assert diag["r"] == 29 and first == diag["Q"] and steps == [2] * (2 * first)
     assert np.array_equal(first_final.system_block(0), second_final.system_block(0))
+
+
+def test_run_full_builds_one_statevector(monkeypatch):
+    # the segments work on system vectors; the only ancilla-sized state is
+    # the returned one
+    h = oscillating_hamiltonian(1.0, 1.0, 3.0)
+    made = []
+    real = lcu.Statevector.__init__
+    monkeypatch.setattr(lcu.Statevector, "__init__",
+                        lambda self, *args, **kwargs: made.append(1) or real(self, *args, **kwargs))
+    final, diag = lcu.run_full(h, 2.0, 1e-3, np.array([1.0, 0.0], dtype=complex))
+    assert diag["r"] > 1 and len(made) == 1
+    assert final.amps.shape == (final.layout.ancilla_dim, 2)

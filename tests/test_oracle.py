@@ -231,6 +231,33 @@ def test_repeated_calls_hold_no_memory():
     assert grown < 200 * 256
 
 
+def test_solver_cache_is_bounded():
+    # one solver per tolerance and thread, at most SOLVERS_PER_THREAD of them,
+    # the least recently used evicted first; a new thread starts with none
+    h = oscillating_hamiltonian(1.0, 1.0, 2.0)
+    tols = [1e-8 * (1 + k) for k in range(10)]
+    seen = []
+
+    def run():
+        solvers = oracle._SOLVERS.by_tol
+        oracle.propagate_ode(h, 0.0, 0.1, tol=tols[0])
+        first = solvers[tols[0]]
+        for tol in tols[1:]:
+            oracle.propagate_ode(h, 0.0, 0.1, tol=tols[0])  # keeps tols[0] in use
+            oracle.propagate_ode(h, 0.0, 0.1, tol=tol)
+            seen.append(len(solvers))
+        seen.append(list(solvers))
+        seen.append(solvers[tols[0]] is first)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    cap = oracle.SOLVERS_PER_THREAD
+    assert max(seen[:-2]) == cap
+    assert seen[-2] == [*tols[-(cap - 1):-1], tols[0], tols[-1]] and seen[-1]
+
+
 def test_oracle_imports_nothing_from_the_engine():
     tree = ast.parse(inspect.getsource(oracle))
     imported = set()
