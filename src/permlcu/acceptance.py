@@ -74,7 +74,7 @@ def criterion_1(budget_s: float = 30.0):
         # independent bidiagonal oracle
         worst = 0.0
         for i in range(len(rows)):
-            ref = dd.exp_dd_oracle_bidiagonal(rows[i])
+            ref = oracle.exp_dd_oracle_bidiagonal(rows[i])
             worst = max(worst, abs(vals[i] - ref) / max(abs(ref), 1e-300))
         if worst > 1e-10:
             failures.append(f"q={q}: bidiagonal oracle deviation {worst:.2e}")
@@ -84,7 +84,7 @@ def criterion_1(budget_s: float = 30.0):
         lam = rng.uniform(-1, 1, q) + 1j * rng.uniform(-1, 1, q)
         xs = [lam[j:].sum() for j in range(q)] + [0.0]
         grid = 400 if q <= 2 else 120
-        quad = dd.hermite_genocchi_quadrature(lam, grid)
+        quad = oracle.hermite_genocchi_quadrature(lam, grid)
         ref = dd.exp_dd(xs)
         if abs(quad - ref) / max(abs(ref), 1e-300) > 1e-6:
             failures.append(f"quadrature trial {trial}: mismatch")

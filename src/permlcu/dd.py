@@ -1,8 +1,9 @@
 """Divided differences of the exponential function with complex inputs.
 
 Evaluates e^{[x_0,...,x_q]} for arbitrary complex input lists, including
-exact repeats (confluent case), together with the real-part upper bound,
-an independent bidiagonal-matrix oracle, and a simplex-quadrature oracle.
+exact repeats (confluent case), together with the real-part upper bound.
+Its oracles (the bidiagonal matrix exponential and the simplex quadrature)
+live in `oracle`, which shares no code with this module.
 
 Method: a row's spread is the largest distance of an input from the row
 mean mu.  Rows whose spread is at most ``SERIES_SPREAD_CUTOFF`` are shifted
@@ -61,7 +62,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 # Shifted-series validity radius; wider rows go to the scaling-and-squaring
 # kernel.  The series sums terms as large as e^spread/q! to a value that for
@@ -87,12 +87,7 @@ WIDE_CHUNK = 512
 _BAND_LEVELS = 32
 # sinh(d)/d = sum_k d^(2k)/(2k+1)!
 _SINHC = tuple(1.0 / math.factorial(2 * k + 1) for k in range(8))
-ORACLE_MAX_INPUTS = 32
 _TINY = 1e-300
-
-
-class UnsupportedSizeError(ValueError):
-    """Input list exceeds the scale an oracle routine is rated for."""
 
 
 def _validate_inputs(xs) -> np.ndarray:
@@ -452,66 +447,3 @@ def exp_dd_bound(xs) -> float:
 def exp_dd_bound_batch(xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=complex)
     return exp_dd_batch(xs.real + 0.0j).real
-
-
-def exp_dd_oracle_bidiagonal(xs) -> complex:
-    """Independent oracle: divided difference as the corner of a matrix exponential.
-
-    The upper bidiagonal matrix with xs on the diagonal and ones on the
-    superdiagonal has e^{[x_0,...,x_q]} as the (0, q) entry of its exponential.
-    """
-    xs = _validate_inputs(xs)
-    if len(xs) > ORACLE_MAX_INPUTS:
-        raise UnsupportedSizeError(
-            f"bidiagonal oracle supports at most {ORACLE_MAX_INPUTS} inputs, got {len(xs)}")
-    m = len(xs)
-    if m == 1:
-        return complex(np.exp(xs[0]))
-    mat = np.diag(xs) + np.diag(np.ones(m - 1), 1)
-    return complex(expm(mat)[0, -1])
-
-
-def _simpson_nodes(grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Simpson nodes/weights on [0, 1] with an even panel count."""
-    panels = grid + (grid % 2)
-    u = np.linspace(0.0, 1.0, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= 1.0 / (3.0 * panels)
-    return u, w
-
-
-def hermite_genocchi_quadrature(lambdas, grid: int) -> complex:
-    """Nested simplex integral of exp(sum_l lambda_l s_l) by composite quadrature.
-
-    Evaluates int_0^1 ds_q ... int_0^{s_2} ds_1 e^{lambda_1 s_1 + ... + lambda_q s_q}
-    on the simplex 0 <= s_1 <= ... <= s_q <= 1, which converges to
-    exp_dd([x_1,...,x_q, 0]) with x_j = sum_{l>=j} lambda_l.  Cost grows as grid^q.
-    """
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
-    q = len(lam)
-    if q == 0:
-        raise ValueError("need at least one exponent")
-    if q > 3:
-        raise UnsupportedSizeError("simplex quadrature is rated for q <= 3")
-    if grid < 10:
-        raise ValueError("grid must be at least 10")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("exponents must be finite")
-    u, w = _simpson_nodes(grid)
-    # Map the simplex to the unit cube: s_j = prod_{l=j}^{q} u_l, with
-    # Jacobian prod_{l=2}^{q} u_l^{l-1}.
-    grids = np.meshgrid(*([u] * q), indexing="ij")
-    s = [None] * q
-    s[q - 1] = grids[q - 1]
-    for j in range(q - 2, -1, -1):
-        s[j] = s[j + 1] * grids[j]
-    phase = sum(lam[j] * s[j] for j in range(q))
-    jac = 1.0
-    for l in range(1, q):
-        jac = jac * grids[l] ** l
-    integrand = np.exp(phase) * jac
-    for _ in range(q):
-        integrand = np.tensordot(integrand, w, axes=([-1], [0]))
-    return complex(integrand)

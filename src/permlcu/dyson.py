@@ -19,6 +19,14 @@ permutation paths once per run and evaluates the divided differences of
 every distinct step length at once; each segment is an array table of its
 terms built from the plan.
 
+A term whose d_coeff = prod_j D_{i_j,k_j}(z_j) is exactly 0 vanishes
+whatever its divided difference: a path through a zero-padded exponential
+slot (the parser pads every PermTerm to a common K) or through a zero entry
+of an amplitude diagonal.  The plan keeps the per-entry data and evaluates
+the divided differences on the amplitude support only, the entries with a
+nonzero d_coeff, with no threshold; the table keeps every term, with
+coefficient 0 off the support, so the LCU and its bounds are unchanged.
+
 The alternative (Schroedinger-frame) segment absorbs the static phases,
 U_alt = e^{-i H0 t_{w+1}} U_I e^{i H0 t_w}.  Its inputs are
 y_j = -i(E_{z_{j-1}} - E_z) - sum_{l<j} rate_l, j = 1..q+1, and the
@@ -90,53 +98,6 @@ class SegmentOperator:
         return out
 
 
-def interaction_inputs(h: pham.PermExpHamiltonian, iq, kq, z: int):
-    """Divided-difference inputs, permuted-state path, and static d-product.
-
-    x_j = i(E_{z_q} - E_{z_{j-1}}) + sum_{l=j..q} rate_{i_l,k_l}[z_l], with
-    z_l the state after the first l permutations and z_0 = z.
-    """
-    iq, kq = tuple(iq), tuple(kq)
-    q = len(iq)
-    if len(kq) != q:
-        raise ValueError("i and k multi-indices must have equal order")
-    energies = h.h0_diag
-    z_path = []
-    cur = z
-    for i in iq:
-        cur ^= h.vterms[i].mask
-        z_path.append(cur)
-    d_coeff = 1.0 + 0.0j
-    rates = []
-    for j in range(q):
-        et = h.vterms[iq[j]].exp_terms[kq[j]]
-        d_coeff *= et.amp[z_path[j]]
-        rates.append(complex(et.rate[z_path[j]]))
-    e_final = energies[z_path[-1]] if q else energies[z]
-    suffix = 0.0 + 0.0j
-    xj = [0.0 + 0.0j] * q
-    for j in range(q - 1, -1, -1):
-        suffix += rates[j]
-        e_prev = energies[z_path[j - 1]] if j > 0 else energies[z]
-        xj[j] = 1j * (e_final - e_prev) + suffix
-    return tuple(xj), tuple(z_path), complex(d_coeff)
-
-
-def term_coefficient(h: pham.PermExpHamiltonian, t_w: float, dt_w: float,
-                     iq, kq, z: int) -> complex:
-    """Scalar coefficient of P_{i_q}|z><z| in the segment expansion (reference path)."""
-    xj, z_path, d_coeff = interaction_inputs(h, iq, kq, z)
-    q = len(xj)
-    if q == 0:
-        return complex(dd.exp_dd_scaled(dt_w, [0.0]))
-    rates_sum = sum(
-        complex(h.vterms[iq[j]].exp_terms[kq[j]].rate[z_path[j]]) for j in range(q))
-    energies = h.h0_diag
-    phase = np.exp(-1j * t_w * (energies[z] - energies[z_path[-1]]))
-    divided = dd.exp_dd_scaled(dt_w, list(xj) + [0.0])
-    return complex(phase * np.exp(t_w * rates_sum) * divided * d_coeff)
-
-
 def phase_angles(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise (phi, theta) with coeff = bound * cos(phi) * e^{i theta} and
     phi in [0, pi/2]; ``bound`` broadcasts against ``coeff``.
@@ -168,13 +129,16 @@ def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
 
 
 class _Order(NamedTuple):
-    """The order-q terms' data that does not depend on t_w."""
+    """The order-q terms' data that does not depend on t_w.  The per-entry
+    arrays hold the amplitude support only: the S entries (path, z) whose
+    d_coeff is nonzero, in flat (B, 2^n) order."""
     q: int
     rows: slice            # their rows in the term table
-    divided: np.ndarray    # (steps, B, 2^n) e^{dt [x_1, ..., x_q, 0]} per distinct step
-    gap: np.ndarray        # (B, 2^n) E_z - E_{z_q}
-    rates_sum: np.ndarray  # (B, 2^n)
-    d_coeff: np.ndarray    # (B, 2^n)
+    support: np.ndarray | slice  # (S,) flat indices into (B, 2^n); slice(None) if all
+    divided: np.ndarray    # (steps, S) e^{dt [x_1, ..., x_q, 0]} per distinct step
+    gap: np.ndarray        # (S,) E_z - E_{z_q}
+    rates_sum: np.ndarray  # (S,)
+    d_coeff: np.ndarray    # (S,)
     lam: np.ndarray        # (B, q) growth exponent of each (i_j, k_j)
     amp_prod: np.ndarray   # (B,) product of the amplitude scales
 
@@ -182,26 +146,31 @@ class _Order(NamedTuple):
 class SegmentPlan:
     """The Dyson segments of h over one schedule, less their phases and
     bounds at t_w: the permutation paths to order Q, and the divided
-    differences of every path at every distinct step length, one
-    `dd.exp_dd_steps` call per order.  Built once per run."""
+    differences at every distinct step length of the entries on the
+    amplitude support, one `dd.exp_dd_steps` call per order.  Built once
+    per run; ``dd_rows`` counts the rows evaluated."""
 
     def __init__(self, h: pham.PermExpHamiltonian, schedule: Schedule):
         self.h, self.schedule = h, schedule
-        dd_rows = self._enumerate(h, schedule.Q)
+        rows = self._enumerate(h, schedule.Q)
         # evaluated after the enumeration has returned and freed its temporaries
         steps = sorted({dt for _, dt in schedule.steps})
         self._step_index = {dt: i for i, dt in enumerate(steps)}
-        self.orders = [o._replace(divided=dd.exp_dd_steps(xs, steps).reshape(
-            len(steps), *o.gap.shape)) for o, xs in zip(self.orders, dd_rows)]
+        self.orders = [o._replace(divided=dd.exp_dd_steps(xs, steps))
+                       for o, xs in zip(self.orders, rows)]
+        self.dd_rows = sum(len(xs) for xs in rows)
         self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
 
     def _enumerate(self, h: pham.PermExpHamiltonian, q_max: int) -> list[np.ndarray]:
         """Sets the orders' data but their divided differences, and every
         term's order and mask; returns each order's divided-difference inputs
-        [x_1, ..., x_q, 0], shape (B * 2^n, q + 1).
+        [x_1, ..., x_q, 0] on its support, shape (S, q + 1).
 
         The paths of order q are enumerated at once over all (i_q, k_q),
-        i_q outer and k_q inner, both lexicographic."""
+        i_q outer and k_q inner, both lexicographic.  A path through a
+        zero-padded exponential slot, or through a zero entry of an
+        amplitude diagonal, has d_coeff exactly 0 and is left off the
+        support; a kept row is the one the full enumeration gives."""
         if q_max is None:
             raise ValueError("truncation order missing: build the schedule with eps")
         if count_terms(h, q_max) > ENUMERATION_GUARD:
@@ -220,7 +189,7 @@ class SegmentPlan:
         self.gmax = amp_scale.max() if amp_scale.size else 0.0
         energies, z = h.h0_diag, np.arange(dim)
         self.orders: list[_Order] = []
-        dd_rows = []
+        rows = []
         masks, qs, start = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)], 1
         for q in range(1, q_max + 1 if n_i and n_k else 1):
             big_i = np.repeat(np.array(list(product(range(n_i), repeat=q)), dtype=np.int64),
@@ -230,31 +199,39 @@ class SegmentPlan:
             nb = len(big_i)
             cum = np.bitwise_xor.accumulate(term_masks[big_i], axis=1)    # cumulative masks
             zp = cum[:, :, None] ^ z                                      # (B, q, dim) z_j
-            e_prev = np.concatenate(
-                [np.broadcast_to(energies, (nb, 1, dim)), energies[zp[:, :-1]]], axis=1)
-            e_final = energies[zp[:, -1]]                                 # (B, dim)
             rates = rate[big_i[:, :, None], big_k[:, :, None], zp]
-            suffix = np.flip(np.cumsum(np.flip(rates, axis=1), axis=1), axis=1)
-            xrows = 1j * (e_final[:, None, :] - e_prev) + suffix          # (B, q, dim)
-            dd_rows.append(np.concatenate(
-                [xrows.transpose(0, 2, 1).reshape(nb * dim, q),
-                 np.zeros((nb * dim, 1), dtype=complex)], axis=1))
+            d_coeff = amp[big_i[:, :, None], big_k[:, :, None], zp].prod(axis=1).ravel()
+            support = np.flatnonzero(d_coeff)
+            path, z0 = np.divmod(support, dim)
+            zs, rs = zp[path, :, z0], rates[path, :, z0]                  # (S, q)
+            rates_sum = rates.sum(axis=1).ravel()
+            del zp, rates
+            # x_j = i(E_{z_q} - E_{z_{j-1}}) + sum_{l >= j} rate_l; x_{q+1} = 0
+            xs = np.zeros((len(support), q + 1), dtype=complex)
+            np.cumsum(rs[:, ::-1], axis=1, out=xs[:, q - 1::-1])
+            del rs
+            e_final = energies[zs[:, -1]]
+            xs[:, :q] += 1j * (e_final[:, None] - np.concatenate(
+                [energies[z0, None], energies[zs[:, :-1]]], axis=1))
+            rows.append(xs)
+            if len(support) == len(d_coeff):
+                support = slice(None)
             self.orders.append(_Order(
-                q, slice(start, start + nb), None, energies[None, :] - e_final,
-                rates.sum(axis=1), amp[big_i[:, :, None], big_k[:, :, None], zp].prod(axis=1),
+                q, slice(start, start + nb), support, None, energies[z0] - e_final,
+                rates_sum[support], d_coeff[support],
                 lam_ik[big_i, big_k], amp_scale[big_i, big_k].prod(axis=1)))
             masks.append(cum[:, -1])
             qs.append(np.full(nb, q))
             start += nb
         self.cum_mask, self.q = np.concatenate(masks), np.concatenate(qs)
-        return dd_rows
+        return rows
 
     def __len__(self) -> int:
         return len(self.q)
 
     def divided(self, dt: float) -> list[np.ndarray]:
-        """e^{dt [x_1,...,x_q, 0]} of every order, shape (B, 2^n) each, for a
-        step length dt of the schedule."""
+        """e^{dt [x_1,...,x_q, 0]} of every order on its support, shape (S,)
+        each, for a step length dt of the schedule."""
         i = self._step_index[dt]
         return [o.divided[i] for o in self.orders]
 
@@ -266,7 +243,8 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     The mode is inherited from the schedule: exact per-term Gamma bounds or
     the uniform (larger, state-preparation-cheap) bound.  ``plan`` is the
     run's SegmentPlan for (h, schedule); one is built, for every step of the
-    schedule, when it is omitted.
+    schedule, when it is omitted.  Coefficients off the amplitude support
+    are 0.
     """
     if plan is None:
         plan = SegmentPlan(h, schedule)
@@ -276,11 +254,20 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     dt_tilde = schedule.dt_tilde(w)
 
     # row 0 is the q = 0 term: coefficient, Gamma and bound 1
-    coeff = np.ones((len(plan), h.dim), dtype=complex)
+    coeff = np.zeros((len(plan), h.dim), dtype=complex)
+    coeff[0] = 1.0
     gamma_terms, bounds = np.ones(len(plan)), np.ones(len(plan))
     for o, divided in zip(plan.orders, plan.divided(dt_w)):
-        phase = np.exp(-1j * t_w * o.gap)
-        coeff[o.rows] = phase * np.exp(t_w * o.rates_sum) * divided * o.d_coeff
+        # phase * e^{t_w sum rates} * divided * d_coeff in this operand order
+        # at every size (numpy computes a product of large arrays into its
+        # right-hand temporary, operands swapped, and a complex product
+        # with swapped operands can round differently)
+        vals = np.exp(-1j * t_w * o.gap)
+        vals *= np.exp(t_w * o.rates_sum)
+        vals *= divided
+        vals *= o.d_coeff
+        # an order's rows are contiguous, so the flattened slice is a view
+        coeff[o.rows].reshape(-1)[o.support] = vals
         gamma_terms[o.rows] = np.exp(t_w * o.lam).prod(axis=1) * o.amp_prod
         scale = dt_tilde**o.q / math.factorial(o.q)
         if schedule.mode == MODE_UNIFORM:

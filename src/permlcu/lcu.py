@@ -223,6 +223,6 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     diagnostics = {
         "r": schedule.r, "Q": schedule.Q,
         "residuals": residuals, "deficits": deficits,
-        "total_deficit": float(sum(deficits)),
+        "total_deficit": float(sum(deficits)), "dd_rows": plan.dd_rows,
     }
     return final, diagnostics

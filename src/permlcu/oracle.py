@@ -1,6 +1,9 @@
 """Independent ground-truth propagators used by every acceptance check.
 
 Nothing here shares code with the divided-difference or segment machinery.
+The divided differences of exp have two oracles of their own: the corner
+of a bidiagonal matrix exponential (scipy's `expm`) and a composite
+quadrature over the simplex (the Hermite-Genocchi integral).
 Time-ordered propagators are integrated with Hairer's DOP853 via
 `scipy.integrate.ode` (a compiled stepping loop; the complex state is passed
 as a float64 view).  For a PermExpHamiltonian the generator -iH(t) is built
@@ -21,15 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import ode
+from scipy.linalg import expm
 
 from .pham import PermExpHamiltonian
 
 MAX_PIPELINE_QUBITS = 8
+ORACLE_MAX_INPUTS = 32
 MAX_STEPS = 1_000_000  # accepted plus rejected DOP853 steps per call
 SOLVERS_PER_THREAD = 4  # distinct tolerances kept; the least recently used goes first
 # negative IDID return codes of Hairer's DOP853
 _DOP853_FAILURES = {-1: "input is not consistent", -2: f"more than {MAX_STEPS} steps",
                     -3: "step size became too small", -4: "problem is probably stiff"}
+
+
+class UnsupportedSizeError(ValueError):
+    """Input list exceeds the scale an oracle routine is rated for."""
 
 
 class StiffnessError(RuntimeError):
@@ -206,3 +215,70 @@ def two_level_oscillating_propagator(h_field: float, gamma: float, alpha: float,
         rot = math.cos(w * t) * eye - 1j * math.sin(w * t) * axis / w
     frame = np.diag([np.exp(-0.5j * alpha * t), np.exp(0.5j * alpha * t)])
     return frame @ rot
+
+
+def exp_dd_oracle_bidiagonal(xs) -> complex:
+    """Independent oracle: divided difference as the corner of a matrix exponential.
+
+    The upper bidiagonal matrix with xs on the diagonal and ones on the
+    superdiagonal has e^{[x_0,...,x_q]} as the (0, q) entry of its exponential.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=complex))
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("input list must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("divided-difference inputs must be finite")
+    if len(xs) > ORACLE_MAX_INPUTS:
+        raise UnsupportedSizeError(
+            f"bidiagonal oracle supports at most {ORACLE_MAX_INPUTS} inputs, got {len(xs)}")
+    m = len(xs)
+    if m == 1:
+        return complex(np.exp(xs[0]))
+    mat = np.diag(xs) + np.diag(np.ones(m - 1), 1)
+    return complex(expm(mat)[0, -1])
+
+
+def _simpson_nodes(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson nodes/weights on [0, 1] with an even panel count."""
+    panels = grid + (grid % 2)
+    u = np.linspace(0.0, 1.0, panels + 1)
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= 1.0 / (3.0 * panels)
+    return u, w
+
+
+def hermite_genocchi_quadrature(lambdas, grid: int) -> complex:
+    """Nested simplex integral of exp(sum_l lambda_l s_l) by composite quadrature.
+
+    Evaluates int_0^1 ds_q ... int_0^{s_2} ds_1 e^{lambda_1 s_1 + ... + lambda_q s_q}
+    on the simplex 0 <= s_1 <= ... <= s_q <= 1, which converges to
+    exp_dd([x_1,...,x_q, 0]) with x_j = sum_{l>=j} lambda_l.  Cost grows as grid^q.
+    """
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
+    q = len(lam)
+    if q == 0:
+        raise ValueError("need at least one exponent")
+    if q > 3:
+        raise UnsupportedSizeError("simplex quadrature is rated for q <= 3")
+    if grid < 10:
+        raise ValueError("grid must be at least 10")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("exponents must be finite")
+    u, w = _simpson_nodes(grid)
+    # Map the simplex to the unit cube: s_j = prod_{l=j}^{q} u_l, with
+    # Jacobian prod_{l=2}^{q} u_l^{l-1}.
+    grids = np.meshgrid(*([u] * q), indexing="ij")
+    s = [None] * q
+    s[q - 1] = grids[q - 1]
+    for j in range(q - 2, -1, -1):
+        s[j] = s[j + 1] * grids[j]
+    phase = sum(lam[j] * s[j] for j in range(q))
+    jac = 1.0
+    for l in range(1, q):
+        jac = jac * grids[l] ** l
+    integrand = np.exp(phase) * jac
+    for _ in range(q):
+        integrand = np.tensordot(integrand, w, axes=([-1], [0]))
+    return complex(integrand)

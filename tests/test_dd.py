@@ -1,13 +1,12 @@
 """Tests for divided differences of the exponential function."""
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permlcu import dd, dyson, models, pham, sched
+from dyson_reference import dense_coefficients, frozen_model
+from permlcu import dd, oracle
 
 LN2 = math.log(2.0)
 
@@ -88,7 +87,7 @@ def test_exp_dd_matches_bidiagonal_oracle():
     for _ in range(300):
         q = int(rng.integers(1, 9))
         xs = random_inputs(rng, q)
-        assert rel_err(dd.exp_dd(xs), dd.exp_dd_oracle_bidiagonal(xs)) < 1e-10
+        assert rel_err(dd.exp_dd(xs), oracle.exp_dd_oracle_bidiagonal(xs)) < 1e-10
 
 
 def test_exp_dd_permutation_symmetry():
@@ -211,28 +210,28 @@ def test_bound_monotone_in_real_inputs():
 # --- bidiagonal oracle ------------------------------------------------------
 
 def test_oracle_trivial_values():
-    assert rel_err(dd.exp_dd_oracle_bidiagonal([0.0]), 1.0) < 1e-15
-    assert rel_err(dd.exp_dd_oracle_bidiagonal([0.0, LN2]), 1.0 / LN2) < 1e-13
+    assert rel_err(oracle.exp_dd_oracle_bidiagonal([0.0]), 1.0) < 1e-15
+    assert rel_err(oracle.exp_dd_oracle_bidiagonal([0.0, LN2]), 1.0 / LN2) < 1e-13
 
 
 def test_oracle_size_cap():
-    with pytest.raises(dd.UnsupportedSizeError):
-        dd.exp_dd_oracle_bidiagonal(np.zeros(33))
+    with pytest.raises(oracle.UnsupportedSizeError):
+        oracle.exp_dd_oracle_bidiagonal(np.zeros(33))
 
 
 # --- simplex quadrature -----------------------------------------------------
 
 def test_quadrature_single_exponent():
-    assert rel_err(dd.hermite_genocchi_quadrature([1.0], 200), math.e - 1.0) < 1e-9
-    assert rel_err(dd.hermite_genocchi_quadrature([0.0], 50), 1.0) < 1e-12
-    assert rel_err(dd.hermite_genocchi_quadrature([1.0], 200),
+    assert rel_err(oracle.hermite_genocchi_quadrature([1.0], 200), math.e - 1.0) < 1e-9
+    assert rel_err(oracle.hermite_genocchi_quadrature([0.0], 50), 1.0) < 1e-12
+    assert rel_err(oracle.hermite_genocchi_quadrature([1.0], 200),
                    dd.exp_dd([1.0, 0.0])) < 1e-9
 
 
 def test_quadrature_second_order():
     lam = [0.3, -0.2j]
     x = [lam[0] + lam[1], lam[1], 0.0]
-    val = dd.hermite_genocchi_quadrature(lam, 2000)
+    val = oracle.hermite_genocchi_quadrature(lam, 2000)
     assert rel_err(val, dd.exp_dd(x)) < 1e-6
 
 
@@ -241,17 +240,17 @@ def test_quadrature_third_order():
     for _ in range(3):
         lam = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
         xs = [lam[j:].sum() for j in range(3)] + [0.0]
-        val = dd.hermite_genocchi_quadrature(lam, 120)
+        val = oracle.hermite_genocchi_quadrature(lam, 120)
         assert rel_err(val, dd.exp_dd(xs)) < 1e-6
 
 
 def test_quadrature_guards():
-    with pytest.raises(dd.UnsupportedSizeError):
-        dd.hermite_genocchi_quadrature([1.0, 1.0, 1.0, 1.0], 100)
+    with pytest.raises(oracle.UnsupportedSizeError):
+        oracle.hermite_genocchi_quadrature([1.0, 1.0, 1.0, 1.0], 100)
     with pytest.raises(ValueError):
-        dd.hermite_genocchi_quadrature([1.0], 5)
+        oracle.hermite_genocchi_quadrature([1.0], 5)
     with pytest.raises(ValueError):
-        dd.hermite_genocchi_quadrature([], 100)
+        oracle.hermite_genocchi_quadrature([], 100)
 
 
 # --- integral identities ----------------------------------------------------
@@ -306,7 +305,7 @@ def test_batch_mixed_fallback_rows():
     ])
     batch = dd.exp_dd_batch(rows)
     for i in range(3):
-        assert rel_err(batch[i], dd.exp_dd_oracle_bidiagonal(rows[i])) < 1e-9
+        assert rel_err(batch[i], oracle.exp_dd_oracle_bidiagonal(rows[i])) < 1e-9
 
 
 # --- wide rows: batched scaling and squaring -------------------------------
@@ -375,13 +374,10 @@ def test_wide_batch_larger_than_a_chunk_matches_single_rows(q):
 
 def frozen_wide_rows(workload, case_id):
     """The kernel's inputs dt * x of a frozen benchmark case, by step dt:
-    the rows and steps `SegmentPlan` hands to `exp_dd_steps`, less the pairs
-    within the series cutoff."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "frozen" / f"{workload}.json"
-    case = next(c for c in json.loads(path.read_text())["cases"] if c["id"] == case_id)
-    h = (pham.from_pauli_spec(case["spec"]) if case.get("spec") is not None
-         else models.oscillating_hamiltonian(**case["oscillating"]))
-    schedule = sched.build_schedule(h, case["t_total"], eps=case["eps"], mode=case["mode"])
+    the rows of every (path, z) entry of its segments at every step of its
+    schedule, less the pairs within the series cutoff.  `SegmentPlan`
+    evaluates the rows of the amplitude support among them."""
+    h, schedule, _ = frozen_model(workload, case_id)
     calls = []
 
     def record(xs, dts):
@@ -390,7 +386,7 @@ def frozen_wide_rows(workload, case_id):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dd, "exp_dd_steps", record)
-        dyson.SegmentPlan(h, schedule)
+        dense_coefficients(h, schedule)
     by_step = {}
     for xs, dts in calls:
         spread = np.abs(xs - xs.mean(axis=1, keepdims=True)).max(axis=1)
@@ -417,7 +413,7 @@ def test_wide_rows_of_the_frozen_workloads_against_mpmath():
 
 def test_oracle_does_not_use_the_batched_kernel(monkeypatch):
     xs = np.array([1e5j, -1e5j, 3.0, 0.0])
-    expected = dd.exp_dd_oracle_bidiagonal(xs)
+    expected = oracle.exp_dd_oracle_bidiagonal(xs)
 
     def broken(*args, **kwargs):
         raise RuntimeError("batched kernel called")
@@ -426,7 +422,7 @@ def test_oracle_does_not_use_the_batched_kernel(monkeypatch):
     monkeypatch.setattr(dd, "exp_dd_batch", broken)
     with pytest.raises(RuntimeError):
         dd.exp_dd(xs)
-    assert dd.exp_dd_oracle_bidiagonal(xs) == expected
+    assert oracle.exp_dd_oracle_bidiagonal(xs) == expected
     assert rel_err(expected, mp_exp_dd(xs)) <= 1e-9
 
 

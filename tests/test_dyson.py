@@ -5,8 +5,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from dyson_reference import (dense_coefficients, frozen_model, interaction_inputs,
+                             term_coefficient)
 from permlcu import dd, dyson, oracle, pham, sched
 from permlcu.models import (decay_spec, oscillating_hamiltonian, random_model_spec,
                             static_spec)
@@ -29,19 +32,19 @@ def multi_indices(h, q_max):
 
 def test_inputs_empty_order():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
-    xj, z_path, d0 = dyson.interaction_inputs(h, (), (), 0)
+    xj, z_path, d0 = interaction_inputs(h, (), (), 0)
     assert xj == () and z_path == () and d0 == 1.0
 
 
 def test_inputs_oscillating_first_order():
     # x_1 = i(E_1 - E_0) + (-i alpha) = -i(2h + alpha); h=1, alpha=2 -> -4i
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
-    xj, z_path, d0 = dyson.interaction_inputs(h, (0,), (0,), 0)
+    xj, z_path, d0 = interaction_inputs(h, (0,), (0,), 0)
     assert z_path == (1,)
     assert xj[0] == pytest.approx(-4j)
     # that exponential term has amp support on entry 0 only, so d vanishes here
     assert d0 == 0.0
-    xj1, _, d1 = dyson.interaction_inputs(h, (0,), (1,), 0)
+    xj1, _, d1 = interaction_inputs(h, (0,), (1,), 0)
     assert xj1[0] == pytest.approx(1j * (-2.0 + 2.0))
     assert d1 == pytest.approx(1.0)
 
@@ -49,7 +52,7 @@ def test_inputs_oscillating_first_order():
 def test_inputs_vanish_for_static_no_h0():
     h = pham.from_pauli_spec({"n": 1, "v": [{"pauli": "X", "coeff": [
         {"amp": [0.8, 0.0], "rate": [0.0, 0.0]}]}]})
-    xj, z_path, d0 = dyson.interaction_inputs(h, (0, 0), (0, 0), 1)
+    xj, z_path, d0 = interaction_inputs(h, (0, 0), (0, 0), 1)
     assert all(x == 0 for x in xj)
     assert z_path == (0, 1)
     assert d0 == pytest.approx(0.8**2)
@@ -60,7 +63,7 @@ def test_inputs_path_is_cumulative_xor():
     h = pham.from_pauli_spec(random_model_spec(rng, n=3))
     iq = (0, min(1, len(h.vterms) - 1), 0)
     kq = (0, 0, 0)
-    _, z_path, _ = dyson.interaction_inputs(h, iq, kq, 5)
+    _, z_path, _ = interaction_inputs(h, iq, kq, 5)
     cur = 5
     for j, i in enumerate(iq):
         cur ^= h.vterms[i].mask
@@ -71,14 +74,14 @@ def test_inputs_path_is_cumulative_xor():
 
 def test_coefficient_zero_order_is_one():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
-    assert dyson.term_coefficient(h, 0.3, 0.5, (), (), 0) == 1.0
+    assert term_coefficient(h, 0.3, 0.5, (), (), 0) == 1.0
 
 
 def test_coefficient_static_first_order():
     gamma, dt = 0.9, 0.4
     h = pham.from_pauli_spec({"n": 1, "v": [{"pauli": "X", "coeff": [
         {"amp": [gamma, 0.0], "rate": [0.0, 0.0]}]}]})
-    coeff = dyson.term_coefficient(h, 0.0, dt, (0,), (0,), 0)
+    coeff = term_coefficient(h, 0.0, dt, (0,), (0,), 0)
     assert coeff == pytest.approx(gamma * dt)
 
 
@@ -94,7 +97,7 @@ def test_coefficient_bound_holds_per_term():
             iq = tuple(rng.integers(0, n_i, q))
             kq = tuple(rng.integers(0, n_k, q))
             z = int(rng.integers(0, h.dim))
-            xj, z_path, _ = dyson.interaction_inputs(h, iq, kq, z)
+            xj, z_path, _ = interaction_inputs(h, iq, kq, z)
             divided = dd.exp_dd_scaled(dt_w, list(xj) + [0.0])
             assert abs(divided) <= dt_tilde**q / math.factorial(q) * (1 + 1e-10)
 
@@ -148,7 +151,7 @@ def test_segment_blocks_match_scalar_reference():
     for t, (q, iq, kq) in zip(range(40), multi_indices(h, s.Q)):
         assert tab.q[t] == q and len(iq) == len(kq) == q
         for z in range(h.dim):
-            ref = dyson.term_coefficient(h, t_w, dt_w, iq, kq, z)
+            ref = term_coefficient(h, t_w, dt_w, iq, kq, z)
             assert abs(tab.coeff[t, z] - ref) < 1e-12 * max(1.0, abs(ref))
 
 
@@ -263,7 +266,7 @@ def test_segment_term_views():
     for t, (q, iq, kq) in enumerate(index[:10]):
         assert tab.q[t] == q
         for z in range(h.dim):
-            _, z_path, _ = dyson.interaction_inputs(h, iq, kq, z)
+            _, z_path, _ = interaction_inputs(h, iq, kq, z)
             if q:
                 assert z ^ tab.cum_mask[t] == z_path[-1]
             assert abs(tab.coeff[t, z]) <= (dt_tilde**q / math.factorial(q)
@@ -455,7 +458,10 @@ def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
     plan = dyson.SegmentPlan(h, s)
     n_rows = sum(n for n, _ in calls)
     assert len(calls) == s.Q and all(dts == steps for _, dts in calls)
-    assert n_rows == (len(plan) - 1) * h.dim and sum(rows) == n_rows  # one pass per row
+    # only the amplitude support is evaluated: each single-entry amplitude
+    # diagonal fixes k_j along a path, so 2 of the 2^(q+1) entries per order
+    assert (len(plan) - 1) * h.dim == 252 and n_rows == plan.dd_rows == 2 * s.Q == 12
+    assert sum(rows) == n_rows  # one pass per row
     for w in range(s.r):
         dyson.build_segment(h, s, w, plan=plan)
     assert len(calls) == s.Q
@@ -491,8 +497,11 @@ def test_plan_values_match_per_step_batches(mode, monkeypatch):
     plan = dyson.SegmentPlan(h, s)
     steps = sorted(set(dt for _, dt in s.steps))
     assert len(steps) > 1 and len(rows) == len(plan.orders) == s.Q
+    assert sum(map(len, rows)) < (len(plan) - 1) * h.dim  # the YY term is padded
     crossing = 0
     for o, xs in zip(plan.orders, rows):
+        # the rows handed over are the support rows, and only they
+        assert len(xs) == np.count_nonzero(o.d_coeff) == len(o.gap)
         spread = np.abs(xs - xs.mean(axis=1, keepdims=True)).max(axis=1)
         wide = spread[None, :] * np.array(steps)[:, None] > dd.SERIES_SPREAD_CUTOFF
         crossing += np.count_nonzero(wide.any(axis=0) & ~wide.all(axis=0))
@@ -503,6 +512,116 @@ def test_plan_values_match_per_step_batches(mode, monkeypatch):
             assert (np.abs(got - ref) <= 1e-12 * bound).all(), (o.q, dt)
             assert np.array_equal(got[wide_at_dt], ref[wide_at_dt])
     assert crossing > 0
+    # off the support every coefficient is exactly 0, and on it none is
+    for w in range(s.r):
+        coeff = dyson.build_segment(h, s, w, plan=plan).blocks.coeff
+        for o in plan.orders:
+            on = np.zeros(coeff[o.rows].size, dtype=bool)
+            on[o.support] = True
+            assert not coeff[o.rows].ravel()[~on].any() and coeff[o.rows].ravel()[on].all()
+
+
+def test_padded_slot_paths_have_zero_coefficients():
+    # the parser pads the K = 1 YY term to K = 2: a path through its padded
+    # slot has coefficient exactly 0, by the scalar reference and in the table
+    h = pham.from_pauli_spec(DECAYING_WIDE_SPEC)
+    s = sched.build_schedule(h, 3.0, eps=1e-3)
+    padded = {(i, k) for i, term in enumerate(h.vterms)
+              for k, et in enumerate(term.exp_terms) if not et.amp.any()}
+    assert len(padded) == 1
+    t_w, dt_w = s.steps[1]
+    tab = dyson.build_segment(h, s, 1).blocks
+    seen = 0
+    for t, (q, iq, kq) in enumerate(multi_indices(h, 2)):
+        if padded & set(zip(iq, kq)):
+            seen += 1
+            assert not tab.coeff[t].any()
+            assert all(term_coefficient(h, t_w, dt_w, iq, kq, z) == 0 for z in range(h.dim))
+    assert seen == 1 + 7  # q = 1: the slot itself; q = 2: 16 paths less 3 x 3 without it
+
+
+@st.composite
+def partial_support_models(draw):
+    """A model with a partial amplitude support, a schedule over it, and the
+    schedule's mode: a random spec with one K = 1 and one K = 2 term (the
+    parser pads the first to K = 2), or the oscillating model (single-entry
+    amplitude diagonals)."""
+    mode = draw(st.sampled_from([sched.MODE_EXACT, sched.MODE_UNIFORM]))
+    t_total = draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        h = oscillating_hamiltonian(1.0, 1.0, draw(st.sampled_from([0.0, 1.0, 1e3])))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        spec = random_model_spec(rng, n=draw(st.integers(2, 3)), m_max=2, k_max=2)
+        amp = float(rng.uniform(0.2, 0.8))
+        rate = complex(rng.uniform(-0.4, 0.1), rng.uniform(0.3, 2.0))
+        spec["v"][0]["coeff"] = [{"amp": [amp, 0.0], "rate": [rate.real, 0.0]}]
+        spec["v"][1]["coeff"] = [{"amp": [amp, 0.1], "rate": [rate.real, rate.imag]},
+                                 {"amp": [amp, -0.1], "rate": [rate.real, -rate.imag]}]
+        h = pham.from_pauli_spec(spec)
+    return h, sched.build_schedule(h, t_total, eps=1e-3, mode=mode)
+
+
+@settings(max_examples=25, deadline=None)
+@given(partial_support_models())
+def test_support_plan_matches_dense_build(case):
+    # the plan hands exp_dd_steps the dense rows of the entries with a
+    # nonzero d_coeff, and nothing else; given the dense build's divided
+    # differences there, every segment's table and matrix equal the dense
+    # build's bitwise.  With the real kernel they agree to within 1e-12 of
+    # each term's bound: the series' Vandermonde product rounds a row
+    # according to the batch it is in (its length and the row's place).
+    h, s = case
+    dense_rows, dense_vals = [], []
+    real = dd.exp_dd_steps
+
+    def record(xs, dts):
+        dense_rows.append(xs)
+        dense_vals.append(real(xs, dts))
+        return dense_vals[-1]
+
+    def served(xs, dts):
+        q = xs.shape[1] - 1
+        assert np.array_equal(xs, dense_rows[q - 1][supports[q - 1]])
+        return dense_vals[q - 1][:, supports[q - 1]]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd, "exp_dd_steps", record)
+        dense, supports = dense_coefficients(h, s)
+        mp.setattr(dd, "exp_dd_steps", served)
+        plan = dyson.SegmentPlan(h, s)
+    evaluated = dyson.SegmentPlan(h, s)
+    assert plan.dd_rows == evaluated.dd_rows == sum(map(len, supports))
+    assert plan.dd_rows < (len(plan) - 1) * h.dim
+    for w, coeff in enumerate(dense):
+        seg = dyson.build_segment(h, s, w, plan=plan)
+        tab = seg.blocks
+        assert np.array_equal(tab.coeff, coeff)
+        phi, theta = dyson.phase_angles(coeff, tab.bound[:, None])
+        assert np.array_equal(tab.phi, phi) and np.array_equal(tab.theta, theta)
+        full = replace(seg, blocks=replace(tab, coeff=coeff))
+        assert np.array_equal(seg.matrix(), full.matrix())
+        got = dyson.build_segment(h, s, w, plan=evaluated).blocks.coeff
+        assert (np.abs(got - coeff) <= 1e-12 * tab.bound[:, None]).all()
+        assert np.array_equal(got == 0, coeff == 0)
+
+
+@pytest.mark.parametrize("workload, case_id, rows, support, series_rows", [
+    ("c4-n2", "m4", 21840, 4368, 4368), ("osc-long", "a1e3", 252, 12, 0)])
+def test_plan_support_row_counts_on_frozen_cases(workload, case_id, rows, support,
+                                                 series_rows, monkeypatch):
+    # the plan evaluates the support rows only; those with a step in the
+    # series range go through the coefficient pass (a1e3's are all wide)
+    h, s, _ = frozen_model(workload, case_id)
+    handed, passed = [], []
+    real_steps, real_coefficients = dd.exp_dd_steps, dd._coefficients
+    monkeypatch.setattr(dd, "exp_dd_steps",
+                        lambda xs, dts: handed.append(len(xs)) or real_steps(xs, dts))
+    monkeypatch.setattr(dd, "_coefficients", lambda zs, radius:
+                        passed.append(len(zs)) or real_coefficients(zs, radius))
+    plan = dyson.SegmentPlan(h, s)
+    assert (len(plan) - 1) * h.dim == rows
+    assert sum(handed) == plan.dd_rows == support and sum(passed) == series_rows
 
 
 def test_alt_matches_term_by_term_construction():
@@ -521,7 +640,7 @@ def test_alt_matches_term_by_term_construction():
             iq = tuple(i for i, _ in path)
             kq = tuple(k for _, k in path)
             for z in range(h.dim):
-                _, z_path, d_coeff = dyson.interaction_inputs(h, iq, kq, z)
+                _, z_path, d_coeff = interaction_inputs(h, iq, kq, z)
                 rates = [complex(h.vterms[i].exp_terms[k].rate[zj])
                          for i, k, zj in zip(iq, kq, z_path)]
                 prev = (z,) + z_path

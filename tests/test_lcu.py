@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from dyson_reference import frozen_model
 from permlcu import dd, dyson, lcu, oracle, pham, sched
 from permlcu.models import (decay_spec, oscillating_hamiltonian, random_model_spec,
                             static_spec)
@@ -344,7 +345,8 @@ def test_run_full_v_zero_is_diagonal_phase():
     expect = np.exp(-1j * h.h0_diag * 2.5) * psi
     np.testing.assert_allclose(final.system_block(0), expect, atol=1e-12)
     assert diag["r"] == 1 and abs(diag["total_deficit"]) <= 1e-12
-    assert set(diag) == {"r", "Q", "residuals", "deficits", "total_deficit"}
+    assert set(diag) == {"r", "Q", "residuals", "deficits", "total_deficit", "dd_rows"}
+    assert diag["dd_rows"] == 0
     assert not np.shares_memory(final.system_block(0), final.amps)
 
 
@@ -491,6 +493,21 @@ def test_run_full_divided_difference_work_per_run(monkeypatch):
     second_final, _ = lcu.run_full(h, 10.0, 1e-3, psi)
     assert diag["r"] == 29 and first == diag["Q"] and steps == [2] * (2 * first)
     assert np.array_equal(first_final.system_block(0), second_final.system_block(0))
+
+
+def test_run_full_reports_the_rows_it_evaluates(monkeypatch):
+    # dd_rows counts the plan rows whose divided differences a run
+    # evaluates: on the frozen c4-n2 case m4, its amplitude support of 4,368
+    # rows out of 21,840
+    h, s, case = frozen_model("c4-n2", "m4")
+    handed = []
+    real = dd.exp_dd_steps
+    monkeypatch.setattr(dd, "exp_dd_steps",
+                        lambda xs, dts: handed.append(len(xs)) or real(xs, dts))
+    _, diag = lcu.run_full(h, case["t_total"], case["eps"], np.full(h.dim, 0.5, dtype=complex),
+                           mode=case["mode"])
+    assert (diag["r"], diag["Q"]) == (case["expect"]["r"], case["expect"]["Q"]) == (s.r, s.Q)
+    assert diag["dd_rows"] == sum(handed) == 4368
 
 
 def test_run_full_builds_one_statevector(monkeypatch):

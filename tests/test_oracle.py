@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from permlcu import oracle, pham
+from permlcu import dd, oracle, pham
 from permlcu.models import oscillating_hamiltonian, random_model_spec, static_spec
 
 
@@ -267,3 +267,16 @@ def test_oracle_imports_nothing_from_the_engine():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.name for alias in node.names)
     assert not {name.rsplit(".", 1)[-1] for name in imported} & {"dd", "dyson", "lcu", "sched"}
+
+
+def test_dd_oracles_live_in_the_oracle_module():
+    # the divided-difference oracles are defined here, under the import
+    # check above, and the kernel module no longer carries them
+    for name in ("exp_dd_oracle_bidiagonal", "hermite_genocchi_quadrature",
+                 "UnsupportedSizeError"):
+        assert getattr(oracle, name).__module__ == "permlcu.oracle"
+        assert not hasattr(dd, name)
+    with pytest.raises(ValueError):
+        oracle.exp_dd_oracle_bidiagonal([1.0, np.nan])
+    with pytest.raises(ValueError):
+        oracle.exp_dd_oracle_bidiagonal([])
