@@ -167,10 +167,8 @@ class SegmentPlan:
         [x_1, ..., x_q, 0] on its support, shape (S, q + 1).
 
         The paths of order q are enumerated at once over all (i_q, k_q),
-        i_q outer and k_q inner, both lexicographic.  A path through a
-        zero-padded exponential slot, or through a zero entry of an
-        amplitude diagonal, has d_coeff exactly 0 and is left off the
-        support; a kept row is the one the full enumeration gives."""
+        i_q outer and k_q inner, both lexicographic; the rows of the
+        entries with d_coeff exactly 0 are never built."""
         if q_max is None:
             raise ValueError("truncation order missing: build the schedule with eps")
         if count_terms(h, q_max) > ENUMERATION_GUARD:

@@ -562,16 +562,13 @@ def partial_support_models(draw):
     return h, sched.build_schedule(h, t_total, eps=1e-3, mode=mode)
 
 
-@settings(max_examples=25, deadline=None)
-@given(partial_support_models())
-def test_support_plan_matches_dense_build(case):
-    # the plan hands exp_dd_steps the dense rows of the entries with a
-    # nonzero d_coeff, and nothing else; given the dense build's divided
-    # differences there, every segment's table and matrix equal the dense
-    # build's bitwise.  With the real kernel they agree to within 1e-12 of
-    # each term's bound: the series' Vandermonde product rounds a row
-    # according to the batch it is in (its length and the row's place).
-    h, s = case
+def assert_plan_matches_dense_build(h, s):
+    """The plan hands exp_dd_steps the dense rows of the entries with a
+    nonzero d_coeff, and nothing else; given the dense build's divided
+    differences there, every segment's table and matrix equal the dense
+    build's bitwise.  With the real kernel they agree to within 1e-12 of
+    each term's bound: the series' Vandermonde product rounds a row
+    according to the batch it is in (its length and the row's place)."""
     dense_rows, dense_vals = [], []
     real = dd.exp_dd_steps
 
@@ -604,6 +601,31 @@ def test_support_plan_matches_dense_build(case):
         got = dyson.build_segment(h, s, w, plan=evaluated).blocks.coeff
         assert (np.abs(got - coeff) <= 1e-12 * tab.bound[:, None]).all()
         assert np.array_equal(got == 0, coeff == 0)
+    return supports
+
+
+@settings(max_examples=25, deadline=None)
+@given(partial_support_models())
+def test_support_plan_matches_dense_build(case):
+    assert_plan_matches_dense_build(*case)
+
+
+def test_support_keeps_tiny_amplitudes():
+    # no threshold: a d_coeff of 1e-150 or 8e-301 keeps its entry on the
+    # support; only an exact 0, here the underflow of three 1e-150 factors,
+    # leaves it
+    # built directly: the spec parser drops amplitudes below 1e-14 of the largest
+    h = pham.PermExpHamiltonian(
+        n=2, h0_diag=np.array([0.7, -0.7, 0.7, -0.7]), h0_zterms=((0.7, 1),),
+        vterms=(pham.PermTerm(mask=2, exp_terms=(pham.ExpTerm(
+                    rate=np.full(4, -0.2 + 0j), amp=np.full(4, 0.8 + 0j)),)),
+                pham.PermTerm(mask=1, exp_terms=(pham.ExpTerm(
+                    rate=np.zeros(4, dtype=complex), amp=np.full(4, 1e-150 + 0j)),))))
+    s = sched.build_schedule(h, 1.0, eps=1e-3)
+    supports = assert_plan_matches_dense_build(h, s)
+    for q, support in enumerate(supports, start=1):
+        n_tiny = (np.array(list(product(range(2), repeat=q))) == 1).sum(axis=1)
+        assert np.array_equal(support // h.dim, np.repeat(np.flatnonzero(n_tiny < 3), h.dim))
 
 
 @pytest.mark.parametrize("workload, case_id, rows, support, series_rows", [
