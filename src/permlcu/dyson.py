@@ -9,8 +9,8 @@ order-Q truncation of
 where the inputs x_j combine static-energy gaps along the permutation path
 with the exponential rates, and the divided difference replaces the nested
 time-ordered integrals.  Every scalar coefficient is bounded by
-(dt_tilde^q / q!) * Gamma_term, which fixes the phase pair (phi, theta)
-consumed by the LCU simulator.
+(dt_tilde^q / q!) * Gamma_term; the LCU simulator turns coefficient and
+bound into its cosine branches (`lcu.cosine_branches`).
 
 Everything but the phases at t_w and the divided differences at dt_w
 depends only on the model and the truncation order, and the step lengths
@@ -49,11 +49,6 @@ from . import dd, pham
 from .sched import MODE_UNIFORM, Schedule
 
 ENUMERATION_GUARD = 100_000_000
-BOUND_CLAMP_TOL = 1e-9
-
-
-class TermBoundError(RuntimeError):
-    """A coefficient exceeded its norm bound by more than roundoff: internal bug."""
 
 
 class EnumerationLimitError(ValueError):
@@ -68,10 +63,7 @@ class TermTable:
     q: np.ndarray           # (T,) order
     cum_mask: np.ndarray    # (T,) XOR mask of P_{i_q}
     coeff: np.ndarray       # (T, 2^n)
-    phi: np.ndarray         # (T, 2^n)
-    theta: np.ndarray       # (T, 2^n)
-    gamma_term: np.ndarray  # (T,)
-    bound: np.ndarray       # (T,) dt_tilde^q/q! * gamma bound used for the phases
+    bound: np.ndarray       # (T,) dt_tilde^q/q! * Gamma bound on |coeff|
 
     def __len__(self) -> int:
         return len(self.q)
@@ -81,7 +73,6 @@ class TermTable:
 class SegmentOperator:
     """Truncated Dyson expansion of U_I(t_w + dt_w, t_w) plus its LCU data."""
     h: pham.PermExpHamiltonian
-    q_max: int
     s: float
     blocks: TermTable
     plan: "SegmentPlan"
@@ -96,30 +87,6 @@ class SegmentOperator:
         np.add.at(out, (tab.cum_mask[:, None] ^ z, np.broadcast_to(z, (nt, dim))),
                   self.plan.factors[:, None] * tab.coeff)
         return out
-
-
-def phase_angles(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise (phi, theta) with coeff = bound * cos(phi) * e^{i theta} and
-    phi in [0, pi/2]; ``bound`` broadcasts against ``coeff``.
-
-    A zero bound is only legal for a zero coefficient (zero-padded exponential
-    terms); a negative bound, or a ratio above 1 + 1e-9, indicates a bound
-    violation, not roundoff.
-    """
-    mag = np.abs(coeff)
-    bound = np.broadcast_to(bound, mag.shape)
-    zero = bound == 0.0
-    if (bound < 0.0).any() or (mag[zero] > 0.0).any():
-        raise TermBoundError("nonzero coefficient on a zero bound, or a negative bound")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bound > 0.0, mag / bound, 0.0)
-    if ratio.max() > 1.0 + BOUND_CLAMP_TOL:
-        worst = np.unravel_index(ratio.argmax(), ratio.shape)
-        raise TermBoundError(f"|coeff|/bound = {ratio.max()} at entry {worst} "
-                             "exceeds 1 beyond roundoff")
-    phi = np.where(zero, math.pi / 2.0, np.arccos(np.minimum(ratio, 1.0)))
-    theta = np.where(mag > 0.0, np.angle(coeff), 0.0)
-    return phi, theta
 
 
 def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
@@ -251,10 +218,10 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     t_w, dt_w = schedule.steps[w]
     dt_tilde = schedule.dt_tilde(w)
 
-    # row 0 is the q = 0 term: coefficient, Gamma and bound 1
+    # row 0 is the q = 0 term: coefficient and bound 1
     coeff = np.zeros((len(plan), h.dim), dtype=complex)
     coeff[0] = 1.0
-    gamma_terms, bounds = np.ones(len(plan)), np.ones(len(plan))
+    bounds = np.ones(len(plan))
     for o, divided in zip(plan.orders, plan.divided(dt_w)):
         # phase * e^{t_w sum rates} * divided * d_coeff in this operand order
         # at every size (numpy computes a product of large arrays into its
@@ -266,16 +233,13 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
         vals *= o.d_coeff
         # an order's rows are contiguous, so the flattened slice is a view
         coeff[o.rows].reshape(-1)[o.support] = vals
-        gamma_terms[o.rows] = np.exp(t_w * o.lam).prod(axis=1) * o.amp_prod
         scale = dt_tilde**o.q / math.factorial(o.q)
         if schedule.mode == MODE_UNIFORM:
             bounds[o.rows] = scale * (plan.gmax * np.exp(t_w * schedule.lam))**o.q
         else:
-            bounds[o.rows] = scale * gamma_terms[o.rows]
-    phi, theta = phase_angles(coeff, bounds[:, None])
-    table = TermTable(q=plan.q, cum_mask=plan.cum_mask, coeff=coeff, phi=phi, theta=theta,
-                      gamma_term=gamma_terms, bound=bounds)
-    return SegmentOperator(h=h, q_max=schedule.Q, s=schedule.s(w), blocks=table, plan=plan)
+            bounds[o.rows] = scale * (np.exp(t_w * o.lam).prod(axis=1) * o.amp_prod)
+    table = TermTable(q=plan.q, cum_mask=plan.cum_mask, coeff=coeff, bound=bounds)
+    return SegmentOperator(h=h, s=schedule.s(w), blocks=table, plan=plan)
 
 
 def alt_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,

@@ -15,6 +15,11 @@ the weight state, so the system block that the run keeps is
 
 which `apply_A` computes on (ancilla, system) arrays without forming B.
 
+Each Dyson coefficient is bound * u with |u| <= 1, and u is the mean of the
+two unit-modulus cosine branches e^{i theta}(|u| +- i sqrt(1 - |u|^2)),
+u = |u| e^{i theta}; `cosine_branches` builds them straight from the
+coefficients and bounds and owns the check that the bounds hold.
+
 A padding term after the Dyson terms (coefficient 0, mask 0, bound 2 - s)
 brings every segment's normalization to exactly 2 (Berry, Childs, Cleve,
 Kothari & Somma, PRL 114, 090502 (2015)): its two cosine branches, +i and
@@ -33,6 +38,11 @@ from .sched import MODE_EXACT
 
 MAX_PIPELINE_QUBITS = 8
 RESIDUAL_ABORT = 10.0
+BOUND_CLAMP_TOL = 1e-9
+
+
+class TermBoundError(RuntimeError):
+    """A coefficient exceeded its norm bound by more than roundoff: internal bug."""
 
 
 class SimulationAbort(RuntimeError):
@@ -66,10 +76,6 @@ class RegisterLayout:
         return self.ancilla_dim * (1 << self.n)
 
 
-def layout_for(h: pham.PermExpHamiltonian, q_max: int) -> RegisterLayout:
-    return RegisterLayout(Q=q_max, dim_i=len(h.vterms), dim_k=h.num_exp_terms, n=h.n)
-
-
 @dataclass
 class Statevector:
     """Joint ancilla (x) system amplitudes, row-major (ancilla, system)."""
@@ -93,36 +99,69 @@ class LCUContext:
     """Per-segment data: preparation amplitudes and controlled-unitary tables."""
     layout: RegisterLayout
     b_amps: np.ndarray       # (ancilla_dim,) real preparation amplitudes
-    phase_table: np.ndarray  # (ancilla_dim, 2^n) factors (-i)^q e^{i(+-phi+theta)}
+    phase_table: np.ndarray  # (ancilla_dim, 2^n) factors (-i)^q c+-, see cosine_branches
     gather: np.ndarray       # (ancilla_dim * 2^n,) flat index: entry (a, z) reads (a, z ^ mask)
 
 
+def cosine_branches(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise unit-modulus branches c+- = e^{i theta}(|u| +- i sqrt(1 - |u|^2))
+    of u = coeff/bound = |u| e^{i theta}, so that coeff = bound (c+ + c-)/2;
+    ``bound`` broadcasts against ``coeff``.  |u| is clamped to 1, and u = 0
+    gives exactly (i, -i).  A coefficient of subnormal magnitude takes
+    theta = 0: its phase is below the roundoff of any bound, and
+    coeff/|coeff| would lose its precision.
+
+    A zero bound is only legal for a zero coefficient (zero-padded exponential
+    terms); a negative bound, or a ratio above 1 + 1e-9, indicates a bound
+    violation, not roundoff.
+    """
+    mag = np.abs(coeff)
+    bound = np.broadcast_to(bound, mag.shape)
+    zero = bound == 0.0
+    if (bound < 0.0).any() or (mag[zero] > 0.0).any():
+        raise TermBoundError("nonzero coefficient on a zero bound, or a negative bound")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(zero, 0.0, mag / bound)
+    if ratio.max() > 1.0 + BOUND_CLAMP_TOL:
+        worst = np.unravel_index(ratio.argmax(), ratio.shape)
+        raise TermBoundError(f"|coeff|/bound = {ratio.max()} at entry {worst} "
+                             "exceeds 1 beyond roundoff")
+    np.minimum(ratio, 1.0, out=ratio)
+    # e^{i theta}, a part at a time: a complex quotient goes through 1/|coeff|
+    unit = np.ones(mag.shape, dtype=complex)
+    normal = mag >= np.finfo(float).tiny
+    np.divide(coeff.real, mag, out=unit.real, where=normal)
+    np.divide(coeff.imag, mag, out=unit.imag, where=normal)
+    plus = ratio + 1j * np.sqrt((1.0 - ratio) * (1.0 + ratio))
+    return unit * plus, unit * plus.conj()
+
+
 def build_context(seg: dyson.SegmentOperator) -> LCUContext:
-    layout = layout_for(seg.h, seg.q_max)
-    terms = seg.blocks
+    h, terms = seg.h, seg.blocks
+    layout = RegisterLayout(Q=seg.plan.schedule.Q, dim_i=len(h.vterms),
+                            dim_k=h.num_exp_terms, n=h.n)
     if len(terms) + 1 != layout.n_terms:
         raise RuntimeError("segment enumeration does not match the register layout")
     adim = layout.ancilla_dim
     # row 2t + x: term t, cosine branch x; bound = dt_tilde^q/q! * Gamma-part
-    # in either mode, and the padding term's bound 2 - s brings the total to
-    # 2, so the prepared weight is bound/4 per x branch
-    pad = 2.0 - seg.s
-    pad_phi, pad_theta = dyson.phase_angles(np.zeros(1), pad)
-    b = np.empty(adim)
-    b[0::2] = b[1::2] = np.sqrt(np.append(terms.bound, pad) / 4.0)
-    factors = seg.plan.factors[:, None]
-    phases = np.empty((adim, seg.h.dim), dtype=complex)
-    phases[0:-2:2] = factors * np.exp(1j * (terms.phi + terms.theta))
-    phases[1:-2:2] = factors * np.exp(1j * (-terms.phi + terms.theta))
-    phases[-2] = np.exp(1j * (pad_phi + pad_theta))
-    phases[-1] = np.exp(1j * (-pad_phi + pad_theta))
+    # in either mode, and the padding term (coefficient 0, mask 0, factor 1)
+    # has bound 2 - s, which brings the total to 2, so the prepared weight
+    # is bound/4 per x branch
+    coeff = np.concatenate([terms.coeff, np.zeros((1, h.dim), dtype=complex)])
+    bound = np.append(terms.bound, 2.0 - seg.s)
+    plus, minus = cosine_branches(coeff, bound[:, None])
+    factors = np.append(seg.plan.factors, 1.0)[:, None]
+    phases = np.empty((adim, h.dim), dtype=complex)
+    np.multiply(factors, plus, out=phases[0::2])
+    np.multiply(factors, minus, out=phases[1::2])
+    b = np.repeat(np.sqrt(bound / 4.0), 2)
     drift = abs(float(b @ b) - 1.0)
     if drift > 1e-8:
         raise RuntimeError(f"preparation amplitudes drifted from unit norm by {drift:.2e}")
     b /= np.linalg.norm(b)
     # the mask is below 2^n, so XOR on the flat index a * 2^n + z flips only z
     masks = np.repeat(np.append(terms.cum_mask, 0), 2)
-    gather = (np.arange(adim * seg.h.dim).reshape(adim, seg.h.dim) ^ masks[:, None]).ravel()
+    gather = (np.arange(adim * h.dim).reshape(adim, h.dim) ^ masks[:, None]).ravel()
     return LCUContext(layout=layout, b_amps=b, phase_table=phases, gather=gather)
 
 

@@ -31,7 +31,6 @@ from .pham import PermExpHamiltonian
 MAX_PIPELINE_QUBITS = 8
 ORACLE_MAX_INPUTS = 32
 MAX_STEPS = 1_000_000  # accepted plus rejected DOP853 steps per call
-SOLVERS_PER_THREAD = 4  # distinct tolerances kept; the least recently used goes first
 # negative IDID return codes of Hairer's DOP853
 _DOP853_FAILURES = {-1: "input is not consistent", -2: f"more than {MAX_STEPS} steps",
                     -3: "step size became too small", -4: "problem is probably stiff"}
@@ -89,23 +88,22 @@ def generator_table(h: PermExpHamiltonian, interaction: bool = False):
 
 
 class _Dop853:
-    """scipy's `ode` with DOP853 at one tolerance, reused for every run.
+    """scipy's `ode` with DOP853, reused for every run of one thread.
 
     scipy's compiled DOP853 runner keeps a reference to the right-hand side
     and to the integrator's step callback that it is given and never drops
     it, so an `ode` made per run would stay in memory with its work arrays
     and everything its right-hand side holds.  Each thread therefore keeps
-    one solver per tolerance, for its last SOLVERS_PER_THREAD tolerances,
-    with a fixed right-hand side that reads the current problem from the
-    solver.  For the same reason an evicted solver is not freed.  Not
-    re-entrant: a callable H(t) must not call the oracle itself.
+    one solver, with a fixed right-hand side that reads the current problem
+    from the solver; each run sets the integrator's tolerances before
+    `set_initial_value`, whose reset reads them into the runner's arguments.
+    Not re-entrant: a callable H(t) must not call the oracle itself.
     """
 
-    def __init__(self, tol: float):
+    def __init__(self):
         self.gen_of_t = self.out = self.out_real = self.error = None
         self.accepted = 0
-        self.ode = ode(self._rhs).set_integrator(
-            "dop853", rtol=tol / 100.0, atol=tol / 100.0, nsteps=MAX_STEPS)
+        self.ode = ode(self._rhs).set_integrator("dop853", nsteps=MAX_STEPS)
         self.ode.set_solout(self._count)
 
     def _rhs(self, t, y):
@@ -121,11 +119,13 @@ class _Dop853:
     def _count(self, t, y):
         self.accepted += 1  # once at t0, then after every accepted step
 
-    def run(self, gen_of_t, dim: int, t0: float, t1: float):
-        """(U(t1), return code, accepted steps) for dU/dt = G(t) U, U(t0) = 1."""
+    def run(self, gen_of_t, dim: int, t0: float, t1: float, tol: float):
+        """(U(t1), return code, accepted steps) for dU/dt = G(t) U, U(t0) = 1,
+        at rtol = atol = tol/100."""
         self.gen_of_t, self.out = gen_of_t, np.empty((dim, dim), dtype=complex)
         self.out_real = self.out.view(float).reshape(-1)
         self.accepted = -1
+        self.ode._integrator.rtol = self.ode._integrator.atol = tol / 100.0
         self.ode.set_initial_value(np.eye(dim, dtype=complex).view(float).reshape(-1), t0)
         try:
             with warnings.catch_warnings():
@@ -141,10 +141,8 @@ class _Dop853:
 
 
 class _ThreadSolvers(threading.local):
-    """This thread's solvers, one per tolerance, least recently used first."""
-
-    def __init__(self):
-        self.by_tol: dict[float, _Dop853] = {}
+    """This thread's solver, made on its first run."""
+    solver: _Dop853 | None = None
 
 
 _SOLVERS = _ThreadSolvers()
@@ -153,14 +151,9 @@ _SOLVERS = _ThreadSolvers()
 def _integrate(gen_of_t, dim: int, t0: float, t1: float, tol: float) -> PropagatorResult:
     if t1 == t0:
         return PropagatorResult(U=np.eye(dim, dtype=complex), est_error=tol, steps_taken=0)
-    solvers = _SOLVERS.by_tol
-    solver = solvers.pop(tol, None)
-    if solver is None:
-        solver = _Dop853(tol)
-        if len(solvers) >= SOLVERS_PER_THREAD:
-            del solvers[next(iter(solvers))]
-    solvers[tol] = solver
-    u, code, accepted = solver.run(gen_of_t, dim, t0, t1)
+    if _SOLVERS.solver is None:
+        _SOLVERS.solver = _Dop853()
+    u, code, accepted = _SOLVERS.solver.run(gen_of_t, dim, t0, t1, tol)
     if code < 0:
         raise StiffnessError(f"integrator failed on [{t0}, {t1}] with code {code}: "
                              f"{_DOP853_FAILURES.get(code, 'unknown failure')}")

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from dyson_reference import (dense_coefficients, frozen_model, interaction_inputs,
                              term_coefficient)
-from permlcu import dd, dyson, oracle, pham, sched
+from permlcu import dd, dyson, lcu, oracle, pham, sched
 from permlcu.models import (decay_spec, oscillating_hamiltonian, random_model_spec,
                             static_spec)
 
@@ -100,36 +100,6 @@ def test_coefficient_bound_holds_per_term():
             xj, z_path, _ = interaction_inputs(h, iq, kq, z)
             divided = dd.exp_dd_scaled(dt_w, list(xj) + [0.0])
             assert abs(divided) <= dt_tilde**q / math.factorial(q) * (1 + 1e-10)
-
-
-# --- phase decomposition --------------------------------------------------------
-
-def test_phase_angles_cases():
-    phi, theta = dyson.phase_angles(
-        np.array([1.0 + 0.0j, 0.0j, 0.5 * np.exp(1j * math.pi / 3), 0.0j]),
-        np.array([1.0, 1.0, 1.0, 0.0]))
-    assert phi[0] == 0.0 and theta[0] == 0.0
-    assert phi[1] == pytest.approx(math.pi / 2) and theta[1] == 0.0
-    assert phi[2] == pytest.approx(math.pi / 3)
-    assert theta[2] == pytest.approx(math.pi / 3)
-    # zero-padded exponential term: zero coefficient on a zero bound
-    assert phi[3] == math.pi / 2 and theta[3] == 0.0
-
-
-def test_phase_angles_reconstruction():
-    rng = np.random.default_rng(52)
-    bound = rng.uniform(0.1, 3.0, 100)
-    coeff = bound * rng.uniform(0, 1, 100) * np.exp(1j * rng.uniform(-np.pi, np.pi, 100))
-    phi, theta = dyson.phase_angles(coeff, bound)
-    rebuilt = bound / 2 * (np.exp(1j * (phi + theta)) + np.exp(1j * (-phi + theta)))
-    assert (np.abs(rebuilt - coeff) < 1e-12 * np.maximum(1.0, bound)).all()
-
-
-def test_phase_angles_rejects_bound_violation():
-    # |c|/bound above 1 + 1e-9, nonzero coefficient on a zero bound, negative bound
-    for coeff, bound in ((1.1 + 0.0j, 1.0), (0.5 + 0.0j, 0.0), (0.0j, -1.0)):
-        with pytest.raises(dyson.TermBoundError):
-            dyson.phase_angles(np.array([0.5 + 0.0j, coeff]), np.array([1.0, bound]))
 
 
 # --- segment operators ----------------------------------------------------------
@@ -234,24 +204,27 @@ def test_frequency_independence_of_enumeration():
     for alpha in (0.0, 1.0, 1e3, 1e6):
         h = oscillating_hamiltonian(1.0, 1.0, alpha)
         s = sched.build_schedule(h, 1.0, eps=eps)
-        seg = dyson.build_segment(h, s, 0)
-        key = (len(seg.blocks), s.Q, s.r,
-               tuple(np.round(seg.blocks.gamma_term, 12)))
+        tab = dyson.build_segment(h, s, 0).blocks
+        # exact mode: bound = dt_tilde^q/q! * Gamma_term
+        scale = np.array([s.dt_tilde(0)**q / math.factorial(q) for q in tab.q])
+        key = (len(tab), s.Q, s.r, tuple(np.round(tab.bound / scale, 12)))
         if base is None:
             base = key
         assert key == base
 
 
 def test_segment_blocks_reconstruct_from_phases():
-    # coeff = bound/2 * (e^{i(phi+theta)} + e^{i(-phi+theta)}) entrywise
+    # coeff = bound/2 * (c+ + c-) entrywise, with unit-modulus branches
     rng = np.random.default_rng(49)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 1.5, eps=1e-3)
     tab = dyson.build_segment(h, s, 1 % s.r).blocks
     bound = tab.bound[:, None]
-    rebuilt = bound / 2 * (np.exp(1j * (tab.phi + tab.theta))
-                           + np.exp(1j * (-tab.phi + tab.theta)))
+    plus, minus = lcu.cosine_branches(tab.coeff, bound)
+    rebuilt = bound / 2 * (plus + minus)
     assert (np.abs(rebuilt - tab.coeff) < 1e-12 * np.maximum(1.0, bound)).all()
+    assert np.allclose(np.abs(plus), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(np.abs(minus), 1.0, rtol=0, atol=1e-15)
 
 
 def test_segment_term_views():
@@ -262,16 +235,16 @@ def test_segment_term_views():
     dt_tilde = s.dt_tilde(0)
     index = multi_indices(h, s.Q)
     assert len(index) == len(tab) == dyson.count_terms(h, s.Q) // h.dim
-    assert tab.coeff.shape == tab.phi.shape == tab.theta.shape == (len(tab), h.dim)
+    assert tab.coeff.shape == (len(tab), h.dim) and tab.bound.shape == (len(tab),)
     for t, (q, iq, kq) in enumerate(index[:10]):
         assert tab.q[t] == q
         for z in range(h.dim):
             _, z_path, _ = interaction_inputs(h, iq, kq, z)
             if q:
                 assert z ^ tab.cum_mask[t] == z_path[-1]
-            assert abs(tab.coeff[t, z]) <= (dt_tilde**q / math.factorial(q)
-                                           * tab.gamma_term[t]) * (1 + 1e-9)
-            assert 0.0 <= tab.phi[t, z] <= math.pi / 2
+            assert abs(tab.coeff[t, z]) <= tab.bound[t] * (1 + 1e-9)
+        # the oscillating model's Gamma_term is 1 (unit amplitudes, imaginary rates)
+        assert tab.bound[t] == pytest.approx(dt_tilde**q / math.factorial(q), rel=1e-14)
 
 
 def test_schedule_reports_clamped_replacement_bound():
@@ -389,7 +362,7 @@ def test_uniform_mode_bounds_dominate():
 
 def _table_fields(seg):
     tab = seg.blocks
-    return (tab.q, tab.cum_mask, tab.coeff, tab.phi, tab.theta, tab.gamma_term, tab.bound)
+    return (tab.q, tab.cum_mask, tab.coeff, tab.bound)
 
 
 @pytest.mark.parametrize("mode", [sched.MODE_EXACT, sched.MODE_UNIFORM])
@@ -594,10 +567,10 @@ def assert_plan_matches_dense_build(h, s):
         seg = dyson.build_segment(h, s, w, plan=plan)
         tab = seg.blocks
         assert np.array_equal(tab.coeff, coeff)
-        phi, theta = dyson.phase_angles(coeff, tab.bound[:, None])
-        assert np.array_equal(tab.phi, phi) and np.array_equal(tab.theta, theta)
         full = replace(seg, blocks=replace(tab, coeff=coeff))
         assert np.array_equal(seg.matrix(), full.matrix())
+        assert np.array_equal(lcu.build_context(seg).phase_table,
+                              lcu.build_context(full).phase_table)
         got = dyson.build_segment(h, s, w, plan=evaluated).blocks.coeff
         assert (np.abs(got - coeff) <= 1e-12 * tab.bound[:, None]).all()
         assert np.array_equal(got == 0, coeff == 0)

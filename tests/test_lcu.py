@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from dyson_reference import frozen_model
@@ -71,8 +71,72 @@ def test_layout_counts():
 
 def test_layout_empty_interaction():
     h = pham.from_pauli_spec({"n": 1, "h0": [{"coupling": 1.0, "z_mask": "1"}]})
-    layout = lcu.layout_for(h, 4)
+    layout = lcu.RegisterLayout(Q=4, dim_i=len(h.vterms), dim_k=h.num_exp_terms, n=h.n)
     assert layout.n_terms == 2 and layout.ancilla_dim == 4
+    _, _, ctx = build_pipeline(h, 1.0, 1e-3)
+    assert ctx.layout.n_terms == 2 and ctx.layout.ancilla_dim == 4
+
+
+# --- cosine branches -----------------------------------------------------------
+
+def test_cosine_branches_cases():
+    plus, minus = lcu.cosine_branches(
+        np.array([1.0 + 0.0j, 0.0j, 0.5 * np.exp(1j * math.pi / 3), 0.0j, 1.0 + 1e-10]),
+        np.array([1.0, 1.0, 1.0, 0.0, 1.0]))
+    assert plus[0] == 1.0 and minus[0] == 1.0
+    assert plus[1] == 1j and minus[1] == -1j
+    # u = e^{i pi/3} cos(pi/3): branches e^{i(pi/3 +- pi/3)}
+    assert plus[2] == pytest.approx(np.exp(2j * math.pi / 3), abs=1e-15)
+    assert minus[2] == pytest.approx(1.0, abs=1e-15)
+    # zero-padded exponential term: zero coefficient on a zero bound
+    assert plus[3] == 1j and minus[3] == -1j
+    # |u| above 1 by roundoff is clamped to 1
+    assert plus[4] == 1.0 and minus[4] == 1.0
+
+
+def test_cosine_branches_reconstruction():
+    rng = np.random.default_rng(52)
+    bound = rng.uniform(0.1, 3.0, 100)
+    coeff = bound * rng.uniform(0, 1, 100) * np.exp(1j * rng.uniform(-np.pi, np.pi, 100))
+    plus, minus = lcu.cosine_branches(coeff, bound)
+    rebuilt = bound / 2 * (plus + minus)
+    assert (np.abs(rebuilt - coeff) < 1e-12 * np.maximum(1.0, bound)).all()
+    assert (np.abs(np.abs(plus) - 1.0) <= 1e-15).all()
+    assert (np.abs(np.abs(minus) - 1.0) <= 1e-15).all()
+
+
+def test_cosine_branches_rejects_bound_violation():
+    # |c|/bound above 1 + 1e-9, nonzero coefficient on a zero bound, negative bound
+    for coeff, bound, message in ((1.1 + 0.0j, 1.0, "exceeds 1 beyond roundoff"),
+                                  (0.5 + 0.0j, 0.0, "nonzero coefficient on a zero bound"),
+                                  (0.0j, -1.0, "negative bound")):
+        with pytest.raises(lcu.TermBoundError, match=message):
+            lcu.cosine_branches(np.array([0.5 + 0.0j, coeff]), np.array([1.0, bound]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e308),
+       st.floats(min_value=1.0, max_value=1e6))
+def test_cosine_branches_property(coeff, slack):
+    # any finite coefficient under its bound: unit-modulus branches that rebuild it
+    bound = abs(coeff) * slack
+    assume(math.isfinite(bound))
+    plus, minus = lcu.cosine_branches(np.array([coeff]), np.array([bound]))
+    assert abs(bound / 2 * (plus[0] + minus[0]) - coeff) <= 1e-15 * max(1.0, bound)
+    assert abs(abs(plus[0]) - 1.0) <= 1e-15 and abs(abs(minus[0]) - 1.0) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False, min_magnitude=1e-300,
+                          max_magnitude=1e300),
+       st.floats(min_value=1.0 + 2e-9, max_value=1e6))
+def test_cosine_branches_property_rejects_excess(coeff, excess):
+    # a coefficient above its bound by more than 2e-9 relative is a violation
+    # (the magnitude floor keeps |coeff|/excess a normal float, so that the
+    # bound is the one asked for)
+    bound = abs(coeff) / excess
+    with pytest.raises(lcu.TermBoundError):
+        lcu.cosine_branches(np.array([coeff]), np.array([bound]))
 
 
 # --- state preparation ------------------------------------------------------------
@@ -138,19 +202,31 @@ def test_vc_first_order_block_hand_trace():
     s, seg, ctx = build_pipeline(h, 1.0, 1e-3)
     tab = seg.blocks
     assert tab.q[1] == 1 and tab.cum_mask[1] == 1
-    a = 2 * 1  # ancilla row of (term 1, x=0)
+    a = 2 * 1  # ancilla row of (term 1, x=0): (-i) c+ with c+ = u + i sqrt(1 - |u|^2) u/|u|
+    # u = coeff/bound is 0 at z = 0, where c+ is i, and 1 at z = 1
+    assert tab.coeff[1, 0] == 0.0
+    u = tab.coeff[1, 1] / tab.bound[1]
+    assert u == pytest.approx(1.0, rel=1e-14)
     joint = np.zeros((ctx.layout.ancilla_dim, 2), dtype=complex)
     joint[a, 0] = 1.0
     out = lcu.apply_Vc(ctx, joint)
-    expect = -1j * np.exp(1j * (tab.phi[1, 0] + tab.theta[1, 0]))
-    assert out[a, 1] == pytest.approx(expect)
+    assert out[a, 1] == -1j * 1j
     assert out[a, 0] == 0.0
+    joint[a] = [0.0, 1.0]
+    out = lcu.apply_Vc(ctx, joint)
+    expect = -1j * (u + 1j * math.sqrt(max(0.0, 1.0 - abs(u) ** 2)) * u / abs(u))
+    assert out[a, 0] == pytest.approx(expect, abs=1e-7)
+    assert out[a, 1] == 0.0
 
 
 def test_context_tables_match_term_loop():
     # the sliced tables equal the per-term construction; one term per
-    # ancilla pair (2t, 2t + 1) with the cosine branches +-phi, and last the
-    # padding term: bound 2 - s, identity, branches +-i
+    # ancilla pair (2t, 2t + 1) with its two cosine branches, and last the
+    # padding term: bound 2 - s, identity, branches exactly +-i.  b_amps and
+    # gather are bitwise; the phases are compared with the trig form
+    # (-i)^q e^{i(+-phi + theta)}, phi = arccos|u|, theta = arg u, which
+    # differs from the algebraic branches by roundoff (2.3e-13 at worst on
+    # this model, where |u| is near 1 and sqrt(1 - |u|^2) is ill-conditioned)
     rng = np.random.default_rng(75)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     for mode in (sched.MODE_EXACT, sched.MODE_UNIFORM):
@@ -163,24 +239,35 @@ def test_context_tables_match_term_loop():
         for t in range(len(tab)):
             b[2 * t] = b[2 * t + 1] = math.sqrt(tab.bound[t] / 4.0)
             factor = (-1j) ** int(tab.q[t])
-            phases[2 * t] = factor * np.exp(1j * (tab.phi[t] + tab.theta[t]))
-            phases[2 * t + 1] = factor * np.exp(1j * (-tab.phi[t] + tab.theta[t]))
+            u = tab.coeff[t] / tab.bound[t] if tab.bound[t] > 0 else np.zeros(h.dim)
+            phi, theta = np.arccos(np.minimum(np.abs(u), 1.0)), np.angle(u)
+            phases[2 * t] = factor * np.exp(1j * (phi + theta))
+            phases[2 * t + 1] = factor * np.exp(1j * (-phi + theta))
         b[-2] = b[-1] = math.sqrt((2.0 - seg.s) / 4.0)
-        phases[-2] = np.exp(1j * math.pi / 2)
-        phases[-1] = np.exp(-1j * math.pi / 2)
+        phases[-2], phases[-1] = 1j, -1j
         for a in range(ctx.layout.ancilla_dim):  # row a reads z ^ mask of its term
             for z in range(h.dim):
                 gather[a * h.dim + z] = a * h.dim + (masks[a // 2] ^ z)
         assert np.array_equal(ctx.b_amps, b / np.linalg.norm(b))
-        assert np.array_equal(ctx.phase_table, phases)
+        np.testing.assert_allclose(ctx.phase_table, phases, rtol=0, atol=1e-12)
+        assert np.array_equal(ctx.phase_table[-2:], phases[-2:])
         assert np.array_equal(ctx.gather, gather)
+        # each branch pair rebuilds its coefficient and has unit modulus
+        unfactor = np.append(seg.plan.factors, 1.0).conj()[:, None]  # exact: +-1, +-i
+        plus, minus = unfactor * ctx.phase_table[0::2], unfactor * ctx.phase_table[1::2]
+        bound = np.append(tab.bound, 2.0 - seg.s)[:, None]
+        coeff = np.vstack([tab.coeff, np.zeros(h.dim)])
+        assert (np.abs(bound / 2 * (plus + minus) - coeff)
+                <= 1e-15 * np.maximum(1.0, bound)).all()
+        assert (np.abs(np.abs(plus) - 1.0) <= 1e-15).all()
+        assert (np.abs(np.abs(minus) - 1.0) <= 1e-15).all()
 
 
 def test_context_rejects_normalization_above_two():
     # the padding term's bound 2 - s must not be negative
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     _, seg, _ = build_pipeline(h, 1.0, 1e-3)
-    with pytest.raises(dyson.TermBoundError):
+    with pytest.raises(lcu.TermBoundError, match="negative bound"):
         lcu.build_context(replace(seg, s=2.0 + 1e-9))
 
 

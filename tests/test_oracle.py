@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import ode
 from scipy.linalg import expm
 
 from permlcu import dd, oracle, pham
@@ -232,30 +233,43 @@ def test_repeated_calls_hold_no_memory():
 
 
 def test_solver_cache_is_bounded():
-    # one solver per tolerance and thread, at most SOLVERS_PER_THREAD of them,
-    # the least recently used evicted first; a new thread starts with none
-    h = oscillating_hamiltonian(1.0, 1.0, 2.0)
-    tols = [1e-8 * (1 + k) for k in range(10)]
-    seen = []
+    # one solver per thread whatever the tolerance: cycling tolerances makes
+    # no solver per call (scipy's runner would pin each one it has run)
+    h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(44), n=2))
+    tols = [1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
+    for tol in tols:
+        oracle.propagate_ode(h, 0.0, 0.1, tol=tol)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(200):
+            oracle.propagate_ode(h, 0.0, 0.1, tol=tols[k % len(tols)])
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 200 * 256
 
-    def run():
-        solvers = oracle._SOLVERS.by_tol
-        oracle.propagate_ode(h, 0.0, 0.1, tol=tols[0])
-        first = solvers[tols[0]]
-        for tol in tols[1:]:
-            oracle.propagate_ode(h, 0.0, 0.1, tol=tols[0])  # keeps tols[0] in use
-            oracle.propagate_ode(h, 0.0, 0.1, tol=tol)
-            seen.append(len(solvers))
-        seen.append(list(solvers))
-        seen.append(solvers[tols[0]] is first)
 
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    cap = oracle.SOLVERS_PER_THREAD
-    assert max(seen[:-2]) == cap
-    assert seen[-2] == [*tols[-(cap - 1):-1], tols[0], tols[-1]] and seen[-1]
+def test_shared_solver_runs_at_each_calls_tolerance():
+    # the thread's one solver, cycled through tolerances, gives bitwise the
+    # result of a fresh DOP853 solver made at that tolerance
+    h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(45), n=2))
+    gen, dim = oracle.generator_table(h), h.dim
+
+    def rhs(t, y):
+        return (gen(t) @ y.view(complex).reshape(dim, dim)).view(float).reshape(-1)
+
+    got = {}
+    for tol in [1e-6, 1e-10, 1e-8, 1e-7, 1e-9, 1e-6]:
+        got[tol] = oracle.propagate_ode(h, 0.0, 0.7, tol=tol).U
+        fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
+                                        nsteps=oracle.MAX_STEPS)
+        fresh.set_initial_value(np.eye(dim, dtype=complex).view(float).reshape(-1), 0.0)
+        expect = fresh.integrate(0.7).view(complex).reshape(dim, dim)
+        assert np.array_equal(got[tol], expect)
+    assert not np.array_equal(got[1e-6], got[1e-10])
 
 
 def test_oracle_imports_nothing_from_the_engine():
