@@ -1,14 +1,15 @@
 """Acceptance suite: quantitative desk-scale checks of the whole engine.
 
-Each criterion function returns a result dict and is independently runnable;
-run_criteria drives them all (used by the `permlcu verify` subcommand and by
-tests/test_acceptance.py, which asserts every criterion at its stated
-tolerance).
+Each criterion function is a plain check that returns (failures, summary).
+CRITERIA gives every criterion its name and runtime budget, and
+run_criterion times one check against its budget and returns its result
+dict; run_criteria drives them all for the `permlcu verify` subcommand, and
+tests/test_acceptance.py asserts every criterion at its stated tolerance.
 """
 from __future__ import annotations
 
 import math
-import time
+from time import perf_counter
 
 import numpy as np
 from scipy.linalg import expm
@@ -19,11 +20,6 @@ from .models import (decay_spec, growth_spec, oscillating_hamiltonian,
 
 LN2 = math.log(2.0)
 EPS_DEFAULT = 1e-3
-
-
-def _result(num, name, passed, details, t0):
-    return {"criterion": num, "name": name, "passed": bool(passed),
-            "details": details, "seconds": round(time.time() - t0, 2)}
 
 
 def _spectral(a):
@@ -44,9 +40,8 @@ def _random_inputs(rng, q, scale=10.0):
     return xs
 
 
-def criterion_1(budget_s: float = 30.0):
+def criterion_1():
     """Divided-difference suite over 10^4 random input lists."""
-    t0 = time.time()
     rng = np.random.default_rng(101)
     total, failures = 0, []
     for q in range(1, 9):
@@ -88,16 +83,11 @@ def criterion_1(budget_s: float = 30.0):
         ref = dd.exp_dd(xs)
         if abs(quad - ref) / max(abs(ref), 1e-300) > 1e-6:
             failures.append(f"quadrature trial {trial}: mismatch")
-    elapsed = time.time() - t0
-    if elapsed >= budget_s:
-        failures.append(f"runtime {elapsed:.1f}s over budget {budget_s}s")
-    return _result(1, "divided-difference suite", not failures,
-                   failures or f"{total} lists checked", t0)
+    return failures, f"{total} lists checked"
 
 
-def criterion_2(budget_s: float = 5.0):
+def criterion_2():
     """Schedule regimes: constant steps, decay saturation, growth asymptote."""
-    t0 = time.time()
     failures = []
     h = oscillating_hamiltonian(1.0, 1.0, 4.0)
     s = sched.build_schedule(h, 5.0)
@@ -117,14 +107,10 @@ def criterion_2(budget_s: float = 5.0):
         failures.append("lambda>0: product reached ln2 from above")
     if not all(b > a for a, b in zip(prods, prods[1:])):
         failures.append("lambda>0: product not monotone increasing")
-    elapsed = time.time() - t0
-    if elapsed >= budget_s:
-        failures.append(f"runtime {elapsed:.1f}s over budget {budget_s}s")
-    return _result(2, "schedule regime checks", not failures,
-                   failures or f"decay saturates at r={rs[0]}", t0)
+    return failures, f"decay saturates at r={rs[0]}"
 
 
-def criterion_3(budget_s: float = 120.0):
+def criterion_3():
     """Frequency independence: identical schedule/cost and full fidelity per alpha.
 
     Ground truth is the adaptive ODE for alpha <= 1e3 and the exact
@@ -132,7 +118,6 @@ def criterion_3(budget_s: float = 120.0):
     oscillation periods within the runtime budget); the closed form is
     cross-validated against the ODE at the lower frequencies.
     """
-    t0 = time.time()
     failures = []
     eps, t_total, h_field, gamma = EPS_DEFAULT, 1.0, 1.0, 1.0
     rng = np.random.default_rng(103)
@@ -163,11 +148,7 @@ def criterion_3(budget_s: float = 120.0):
         fid = abs(np.vdot(ref @ psi0, out))
         if fid < 1 - eps:
             failures.append(f"alpha={alpha}: fidelity {fid:.6f} < 1 - eps")
-    elapsed = time.time() - t0
-    if elapsed >= budget_s:
-        failures.append(f"runtime {elapsed:.1f}s over budget {budget_s}s")
-    return _result(3, "frequency independence", not failures,
-                   failures or "schedule, costs, and fidelity stable over 6 decades", t0)
+    return failures, "schedule, costs, and fidelity stable over 6 decades"
 
 
 def _pick_time(h, eps, r_lo=3, r_hi=12, modes=(sched.MODE_EXACT,)):
@@ -199,9 +180,18 @@ def _criterion4_cases(eps=EPS_DEFAULT, modes=(sched.MODE_EXACT,)):
     return cases
 
 
-def criterion_4(budget_s: float = 600.0):
+def _end_to_end(h, t_total, eps, rng, mode):
+    """(state error against the ODE oracle, total deficit) of one pipeline
+    run from a random initial state."""
+    psi0 = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+    psi0 /= np.linalg.norm(psi0)
+    final, diag = lcu.run_full(h, t_total, eps, psi0, mode=mode)
+    ref = oracle.propagate_ode(h, 0.0, t_total, tol=1e-10).U @ psi0
+    return float(np.linalg.norm(final.system_block(0) - ref)), diag["total_deficit"]
+
+
+def criterion_4():
     """End-to-end fidelity on five random 2-qubit models."""
-    t0 = time.time()
     failures, details = [], []
     eps = EPS_DEFAULT
     rng = np.random.default_rng(104)
@@ -210,24 +200,15 @@ def criterion_4(budget_s: float = 600.0):
         if not 3 <= s.r <= 12:
             failures.append(f"model {idx}: r={s.r} outside [3, 12]")
             continue
-        psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi0 /= np.linalg.norm(psi0)
-        final, diag = lcu.run_full(h, t_total, eps, psi0)
-        ref = oracle.propagate_ode(h, 0.0, t_total, tol=1e-10).U @ psi0
-        err = float(np.linalg.norm(final.system_block(0) - ref))
-        deficit = diag["total_deficit"]
+        err, deficit = _end_to_end(h, t_total, eps, rng, sched.MODE_EXACT)
         details.append(f"model {idx}: r={s.r} err={err:.2e} deficit={deficit:.1e}")
         if not (err <= eps and abs(deficit) <= eps):
             failures.append(f"model {idx}: error {err:.2e} or deficit {deficit:.2e} above eps")
-    elapsed = time.time() - t0
-    if elapsed >= budget_s:
-        failures.append(f"runtime {elapsed:.1f}s over budget {budget_s}s")
-    return _result(4, "end-to-end fidelity", not failures, failures or details, t0)
+    return failures, details
 
 
-def criterion_5(budget_s: float = 60.0):
+def criterion_5():
     """OAA exactness on a synthetic unitary two-term fixture with s = 2."""
-    t0 = time.time()
     rng = np.random.default_rng(105)
     dim = 4
     herm = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -258,14 +239,13 @@ def criterion_5(budget_s: float = 60.0):
         joint[0] = psi
         out = lcu.oaa_sequence(apply_w, apply_w_dagger, joint)
         worst = max(worst, float(np.linalg.norm(out[0] - base @ psi)))
-    passed = worst <= 1e-12 and time.time() - t0 < budget_s
-    return _result(5, "OAA exactness fixture", passed, f"worst deviation {worst:.2e}", t0)
+    failures = [] if worst <= 1e-12 else [f"worst deviation {worst:.2e} above 1e-12"]
+    return failures, f"worst deviation {worst:.2e}"
 
 
-def criterion_6(budget_s: float = 120.0):
+def criterion_6():
     """Alternative-scheme product identity, its distance to the ODE
     propagator, and the time-independent reduction."""
-    t0 = time.time()
     failures = []
     eps = 1e-4
     for seed in range(3):
@@ -298,16 +278,11 @@ def criterion_6(budget_s: float = 120.0):
     gap = _spectral(prod - ref)
     if gap > 2 * eps_static:
         failures.append(f"time-independent reduction gap {gap:.2e}")
-    elapsed = time.time() - t0
-    if elapsed >= budget_s:
-        failures.append(f"runtime {elapsed:.1f}s over budget {budget_s}s")
-    return _result(6, "alternative-scheme identity", not failures,
-                   failures or "products agree", t0)
+    return failures, "products agree"
 
 
-def criterion_7(budget_s: float = 120.0):
+def criterion_7():
     """Per-segment truncation: near-unitarity and interaction-oracle distance."""
-    t0 = time.time()
     failures = []
     eps = EPS_DEFAULT
     for seed in range(2):
@@ -326,16 +301,11 @@ def criterion_7(budget_s: float = 120.0):
             gap = _spectral(u - ref)
             if gap > 2 * eps / s.r:
                 failures.append(f"model {seed} segment {w}: oracle gap {gap:.2e}")
-    elapsed = time.time() - t0
-    if elapsed >= budget_s:
-        failures.append(f"runtime {elapsed:.1f}s over budget {budget_s}s")
-    return _result(7, "segment-level truncation", not failures,
-                   failures or "all segments within budget", t0)
+    return failures, "all segments within budget"
 
 
-def criterion_8(budget_s: float = 120.0):
+def criterion_8():
     """Exponential-sum approximation: propagator gap bounded by sup error * T."""
-    t0 = time.time()
     failures, deltas = [], []
     t_total = 1.0
     h0 = 0.6
@@ -356,16 +326,11 @@ def criterion_8(budget_s: float = 120.0):
             failures.append(f"K={k}: gap {gap:.2e} > delta*T={delta * t_total:.2e}")
     if not deltas[0] > deltas[1] > deltas[2]:
         failures.append(f"sup error not decreasing: {deltas}")
-    elapsed = time.time() - t0
-    if elapsed >= budget_s:
-        failures.append(f"runtime {elapsed:.1f}s over budget {budget_s}s")
-    return _result(8, "exponential-sum propagator bound", not failures,
-                   failures or f"sup errors {['%.2e' % d for d in deltas]}", t0)
+    return failures, f"sup errors {['%.2e' % d for d in deltas]}"
 
 
-def criterion_9(budget_s: float = 600.0):
+def criterion_9():
     """Uniform-bound mode: same models as criterion 4 under the larger norm."""
-    t0 = time.time()
     failures, details = [], []
     eps = EPS_DEFAULT
     rng = np.random.default_rng(109)
@@ -383,25 +348,16 @@ def criterion_9(budget_s: float = 600.0):
             if abs(s_un.s(w) - expect) > 1e-12 * max(1.0, expect):
                 failures.append(f"model {idx} segment {w}: s mismatch")
                 break
-        psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi0 /= np.linalg.norm(psi0)
-        final, diag = lcu.run_full(h, t_total, eps, psi0, mode=sched.MODE_UNIFORM)
-        ref = oracle.propagate_ode(h, 0.0, t_total, tol=1e-10).U @ psi0
-        err = float(np.linalg.norm(final.system_block(0) - ref))
-        deficit = diag["total_deficit"]
+        err, deficit = _end_to_end(h, t_total, eps, rng, sched.MODE_UNIFORM)
         details.append(f"model {idx}: r {s_ex.r}->{s_un.r} err={err:.2e} deficit={deficit:.1e}")
         if not (err <= eps and abs(deficit) <= eps):
             failures.append(f"model {idx}: uniform-mode error {err:.2e} or deficit "
                             f"{deficit:.2e} above eps")
-    elapsed = time.time() - t0
-    if elapsed >= budget_s:
-        failures.append(f"runtime {elapsed:.1f}s over budget {budget_s}s")
-    return _result(9, "uniform-bound mode", not failures, failures or details, t0)
+    return failures, details
 
 
-def criterion_10(budget_s: float = 30.0):
+def criterion_10():
     """Truncation-order search versus the closed-form sufficient bound."""
-    t0 = time.time()
     failures = []
     grid = [(r, eps) for r in (1, 2, 5, 10, 10**2, 10**3, 10**4)
             for eps in (0.3, 1e-2, 1e-5)][:20]
@@ -413,23 +369,46 @@ def criterion_10(budget_s: float = 30.0):
             failures.append(f"r={r}, eps={eps}: search {q} > closed form {upper}")
         if sched.s_tail(q) > eps / r:
             failures.append(f"r={r}, eps={eps}: tail above budget")
-    return _result(10, "truncation-order selection", not failures,
-                   failures or "search within closed-form bound on 20-point grid", t0)
+    return failures, "search within closed-form bound on 20-point grid"
 
 
 CRITERIA = {
-    "1": criterion_1, "2": criterion_2, "3": criterion_3, "4": criterion_4,
-    "5": criterion_5, "6": criterion_6, "7": criterion_7, "8": criterion_8,
-    "9": criterion_9, "10": criterion_10,
+    "1": ("divided-difference suite", 30.0, criterion_1),
+    "2": ("schedule regime checks", 5.0, criterion_2),
+    "3": ("frequency independence", 120.0, criterion_3),
+    "4": ("end-to-end fidelity", 600.0, criterion_4),
+    "5": ("OAA exactness fixture", 60.0, criterion_5),
+    "6": ("alternative-scheme identity", 120.0, criterion_6),
+    "7": ("segment-level truncation", 120.0, criterion_7),
+    "8": ("exponential-sum propagator bound", 120.0, criterion_8),
+    "9": ("uniform-bound mode", 600.0, criterion_9),
+    "10": ("truncation-order selection", 30.0, criterion_10),
 }
+
+
+def run_criterion(number: str) -> dict:
+    """Run criterion `number` (a key of CRITERIA), fail it if it overran its
+    runtime budget, and return its result dict."""
+    name, budget_s, check = CRITERIA[number]
+    t0 = perf_counter()
+    failures, summary = check()
+    elapsed = perf_counter() - t0
+    if elapsed >= budget_s:
+        failures.append(f"runtime {elapsed:.1f}s over budget {budget_s}s")
+    return {"criterion": int(number), "name": name, "passed": not failures,
+            "details": failures or summary, "seconds": round(elapsed, 2)}
+
+
+def report_line(result: dict) -> str:
+    """One PASS/FAIL line for a criterion's result."""
+    tag = "PASS" if result["passed"] else "FAIL"
+    return f"{tag} criterion {result['criterion']}: {result['name']} ({result['seconds']:.1f}s)"
 
 
 def run_criteria(names=None):
     """Run the requested criteria (all by default) and collect results."""
     selected = list(CRITERIA) if names is None else [str(n).strip() for n in names]
-    results = []
     for name in selected:
         if name not in CRITERIA:
             raise ValueError(f"unknown criterion {name!r}; valid: {sorted(CRITERIA)}")
-        results.append(CRITERIA[name]())
-    return results
+    return [run_criterion(name) for name in selected]

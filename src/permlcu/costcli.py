@@ -249,9 +249,7 @@ def _cmd_verify(args) -> int:
     names = args.criteria.split(",") if args.criteria else None
     results = acceptance.run_criteria(names)
     for res in results:
-        tag = "PASS" if res["passed"] else "FAIL"
-        print(f"{tag} criterion {res['criterion']}: {res['name']} "
-              f"({res['seconds']:.1f}s)")
+        print(acceptance.report_line(res))
     payload = {"criteria": results, "passed": all(r["passed"] for r in results)}
     _emit(payload, _resolve(args.output, "OUTPUT", str, None))
     return 0 if payload["passed"] else 1

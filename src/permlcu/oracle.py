@@ -95,16 +95,16 @@ class _Dop853:
     it, so an `ode` made per run would stay in memory with its work arrays
     and everything its right-hand side holds.  Each thread therefore keeps
     one solver, with a fixed right-hand side that reads the current problem
-    from the solver; each run sets the integrator's tolerances before
-    `set_initial_value`, whose reset reads them into the runner's arguments.
-    Not re-entrant: a callable H(t) must not call the oracle itself.
+    from the solver.  Each run sets the integrator's tolerances before
+    `set_initial_value`, whose reset reads them into the runner's arguments,
+    then puts back the solver's first step callback in place of the new one
+    the reset made.  Not re-entrant: a callable H(t) must not call the oracle.
     """
 
     def __init__(self):
         self.gen_of_t = self.out = self.out_real = self.error = None
-        self.accepted = 0
         self.ode = ode(self._rhs).set_integrator("dop853", nsteps=MAX_STEPS)
-        self.ode.set_solout(self._count)
+        self.solout = self.ode._integrator._solout
 
     def _rhs(self, t, y):
         try:
@@ -116,17 +116,15 @@ class _Dop853:
             self.out.fill(np.nan)
         return self.out_real
 
-    def _count(self, t, y):
-        self.accepted += 1  # once at t0, then after every accepted step
-
     def run(self, gen_of_t, dim: int, t0: float, t1: float, tol: float):
         """(U(t1), return code, accepted steps) for dU/dt = G(t) U, U(t0) = 1,
         at rtol = atol = tol/100."""
         self.gen_of_t, self.out = gen_of_t, np.empty((dim, dim), dtype=complex)
         self.out_real = self.out.view(float).reshape(-1)
-        self.accepted = -1
-        self.ode._integrator.rtol = self.ode._integrator.atol = tol / 100.0
+        integrator = self.ode._integrator
+        integrator.rtol = integrator.atol = tol / 100.0
         self.ode.set_initial_value(np.eye(dim, dtype=complex).view(float).reshape(-1), t0)
+        integrator.call_args[2] = self.solout
         try:
             with warnings.catch_warnings():
                 # a failure is raised by the caller; scipy would also warn about it
@@ -137,7 +135,8 @@ class _Dop853:
             self.gen_of_t = self.out = self.out_real = None
         if error is not None:
             raise error
-        return y.view(complex).reshape(dim, dim).copy(), self.ode.get_return_code(), self.accepted
+        accepted = int(integrator.iwork[18])  # NACCPT, DOP853's accepted-step count
+        return y.view(complex).reshape(dim, dim).copy(), self.ode.get_return_code(), accepted
 
 
 class _ThreadSolvers(threading.local):

@@ -27,10 +27,6 @@ MODE_UNIFORM = "uniform"
 MAX_STEPS = 100_000
 
 
-class InteractionVanished(Exception):
-    """Gamma(t_w) <= 0: no interaction left, the caller must clamp the final step."""
-
-
 class ScheduleTooLongError(ValueError):
     """The step rule needs more than MAX_STEPS steps to reach T."""
 
@@ -44,10 +40,8 @@ class Schedule:
     lam: float
     final_step_clamped: bool
     l1_like: float                           # sum_w Gamma(t_w) dt_tilde_w, ln 2 per unclamped step
-    total_time: float
     mode: str = MODE_EXACT
     Q: int | None = None
-    eps: float | None = None
 
     def dt_tilde(self, w: int) -> float:
         """Effective step weight (e^{lam*dt_w} - 1)/lam (dt_w in the lam->0 limit)."""
@@ -80,12 +74,12 @@ def _dt_tilde(dt: float, lam: float) -> float:
 def next_step(gamma_tw: float, lam: float) -> float:
     """Step length solving Gamma(t_w)*(e^{lam*dt}-1)/lam = ln 2.
 
-    Returns math.inf when the logarithm argument 1 + lam*ln2/Gamma is
-    non-positive (decaying interaction that can never accumulate ln 2);
-    raises InteractionVanished when Gamma <= 0.
+    Returns math.inf when no finite step exists: the interaction vanished
+    (Gamma <= 0), or the logarithm argument 1 + lam*ln2/Gamma is non-positive
+    (decaying interaction that can never accumulate ln 2).
     """
     if gamma_tw <= 0.0:
-        raise InteractionVanished(f"gamma(t_w) = {gamma_tw} <= 0")
+        return math.inf
     u = lam * LN2 / gamma_tw
     if abs(u) < 1e-9:
         return LN2 / gamma_tw * (1.0 - u / 2.0)
@@ -98,9 +92,9 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
                    eps: float | None = None, mode: str = MODE_EXACT) -> Schedule:
     """Partition [0, T] by iterating the step rule from t=0.
 
-    The final step is clamped to T - t_w whenever the rule overshoots T,
-    returns the negative-argument signal, or the interaction vanished.  When
-    eps is given, the truncation order Q for |s - 2| <= eps/r is attached.
+    The final step is clamped to T - t_w whenever the rule overshoots T or
+    finds no finite step.  When eps is given, the truncation order Q for
+    |s - 2| <= eps/r is attached.
     """
     if not (t_total > 0.0 and math.isfinite(t_total)):
         raise ValueError("total time must be positive and finite")
@@ -121,10 +115,7 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
                 f"the schedule to T = {t_total!r} took {len(steps)} steps and reached only "
                 f"t = {t!r}; the interaction grows too fast to partition")
         g = gamma(h, t)
-        try:
-            dt = next_step(g, lam)
-        except InteractionVanished:
-            dt = math.inf
+        dt = next_step(g, lam)
         if not math.isfinite(dt) or t + dt > t_total:
             steps.append((t, t_total - t))
             gammas.append(g)
@@ -137,9 +128,8 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
     r = len(steps)
     l1 = sum(g * _dt_tilde(dt, lam) for (_, dt), g in zip(steps, gammas))
     return Schedule(steps=tuple(steps), gammas=tuple(gammas), r=r, lam=lam,
-                    final_step_clamped=clamped, l1_like=l1, total_time=t_total,
-                    mode=mode, Q=truncation_order(r, eps) if eps is not None else None,
-                    eps=eps)
+                    final_step_clamped=clamped, l1_like=l1, mode=mode,
+                    Q=truncation_order(r, eps) if eps is not None else None)
 
 
 def s_tail(q_order: int) -> float:

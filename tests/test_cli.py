@@ -125,9 +125,8 @@ def test_verify_subset(capsys):
 
 def test_verify_reports_failure(capsys, monkeypatch):
     def failing():
-        return {"criterion": 99, "name": "synthetic failure", "passed": False,
-                "details": "forced", "seconds": 0.0}
-    monkeypatch.setitem(acceptance.CRITERIA, "99", failing)
+        return ["forced"], "unused"
+    monkeypatch.setitem(acceptance.CRITERIA, "99", ("synthetic failure", 1.0, failing))
     assert costcli.main(["verify", "--criteria", "99"]) == 1
     assert "FAIL criterion 99" in capsys.readouterr().out
 

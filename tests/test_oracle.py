@@ -216,7 +216,8 @@ def test_exception_in_hamiltonian_propagates(monkeypatch):
 def test_repeated_calls_hold_no_memory():
     # scipy's DOP853 runner never drops the right-hand side and the step
     # callback it is given; a solver made per call would stay in memory with
-    # its work arrays (over 2 KB here) and the generator table
+    # its work arrays (over 2 KB here) and the generator table, and a new
+    # step callback per call would stay too (about 70 B each)
     h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(44), n=2))
     oracle.propagate_ode(h, 0.0, 0.1)
     gc.collect()
@@ -229,7 +230,7 @@ def test_repeated_calls_hold_no_memory():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert grown < 200 * 256
+    assert grown < 200 * 40
 
 
 def test_solver_cache_is_bounded():
@@ -249,7 +250,7 @@ def test_solver_cache_is_bounded():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert grown < 200 * 256
+    assert grown < 200 * 40
 
 
 def test_shared_solver_runs_at_each_calls_tolerance():
@@ -270,6 +271,25 @@ def test_shared_solver_runs_at_each_calls_tolerance():
         expect = fresh.integrate(0.7).view(complex).reshape(dim, dim)
         assert np.array_equal(got[tol], expect)
     assert not np.array_equal(got[1e-6], got[1e-10])
+
+
+def test_steps_taken_counts_accepted_steps():
+    # a fresh DOP853 solver at the same tolerance, its accepted steps counted
+    # by a step callback (called once at t0, then after every accepted step)
+    h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(46), n=2))
+    gen, dim = oracle.generator_table(h), h.dim
+
+    def rhs(t, y):
+        return (gen(t) @ y.view(complex).reshape(dim, dim)).view(float).reshape(-1)
+
+    for tol in (1e-6, 1e-10):
+        calls = []
+        fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
+                                        nsteps=oracle.MAX_STEPS)
+        fresh.set_solout(lambda t, y: calls.append(t))
+        fresh.set_initial_value(np.eye(dim, dtype=complex).view(float).reshape(-1), 0.0)
+        fresh.integrate(0.7)
+        assert oracle.propagate_ode(h, 0.0, 0.7, tol=tol).steps_taken == len(calls) - 1 > 0
 
 
 def test_oracle_imports_nothing_from_the_engine():
