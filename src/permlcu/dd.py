@@ -5,6 +5,12 @@ exact repeats (confluent case), together with the real-part upper bound.
 Its oracles (the bidiagonal matrix exponential and the simplex quadrature)
 live in `oracle`, which shares no code with this module.
 
+A batch holds rows of any orders up to its width: row r is read up to its
+order q_r, and the code treats it as padded with its own mean, so its mean,
+spread and value are those of the row alone (bitwise for the wide rows;
+the series' Vandermonde product rounds by batch).  One call therefore takes
+the rows of every order of a Dyson segment plan.
+
 Method: a row's spread is the largest distance of an input from the row
 mean mu.  Rows whose spread is at most ``SERIES_SPREAD_CUTOFF`` are shifted
 by their mean (any constant can be factored out of the divided difference
@@ -12,50 +18,41 @@ of exp), and summed as the Taylor series
 
     e^{[y_0,...,y_q]} = sum_{m>=0} h_m(y_0,...,y_q) / (m+q)!
 
-where h_m is the complete homogeneous symmetric polynomial of degree m.
-Termination uses the worst-case envelope R^m/(m! q!) with R = max|y_j|
-rather than the actual term magnitude, because mean-shifted inputs make
-low-order h_m vanish identically.
-
-Since h_m is homogeneous, the series is a polynomial in the step: for a
-real step dt,
+where h_m is the complete homogeneous symmetric polynomial of degree m (a
+zero input leaves it unchanged).  Termination uses the worst-case envelope
+R^m/(m! q!) with R = max|y_j|, because mean-shifted inputs make low-order
+h_m vanish identically.  Since h_m is homogeneous, for a real step dt
 
     e^{dt [x_0,...,x_q]} = dt^q e^{dt mu} sum_m dt^m h_m(y) / (m+q)!,
 
-and its coefficients h_m(y)/(m+q)! do not depend on dt (Gupta, Barash &
-Hen, CPC 254, 2020).  `exp_dd_steps` therefore runs the coefficient
-recurrence once per row and evaluates it at many steps at once, as a
-product with the Vandermonde matrix of the steps; `exp_dd_batch` is its
-case of the single step 1.
+whose coefficients do not depend on dt (Gupta, Barash & Hen, CPC 254,
+2020): `exp_dd_steps` runs the recurrence once per row and evaluates it at
+every step at once, as a product with the Vandermonde matrix of the steps;
+`exp_dd_batch` is its case of the single step 1.
 
 Wider rows would cancel catastrophically in the series.  For them the
-divided difference is the corner entry of exp(A), A the bidiagonal matrix
-with the inputs on the diagonal and ones above it, and one batched kernel
-evaluates it by scaling and squaring.  The inputs are shifted only by an
-integer real offset (a complex mean shift would round them), put in Leja
-order, and scaled by 2^-s so that their largest modulus is at most 1/4; a
-Taylor polynomial approximates the scaled exponential, and s squarings undo
-the scaling.  After every squaring the diagonal and the first superdiagonal
+divided difference is the corner entry (0, q) of exp(A), A the bidiagonal
+matrix with the inputs on the diagonal and ones above it, evaluated by
+batched scaling and squaring.  The inputs are shifted only by an integer
+real offset (a complex mean shift would round them), put in Leja order,
+and scaled by 2^-s so that their largest modulus is at most 1/4; a Taylor
+polynomial approximates the scaled exponential, and s squarings undo the
+scaling.  After every squaring the diagonal and the first superdiagonal
 are reset to their exact values (Al-Mohy & Higham, SIMAX 31, 2009, Code
 Fragment 2.1): e^{t x_k} and t e^{[t x_k, t x_{k+1}]}, the latter as the
 difference quotient when |t(x_{k+1} - x_k)| >= 1 and in the sinh form
-e^{(a+b)/2} sinh(d)/d, d = (b-a)/2, below that.  So a squaring only has to
-form the bands above the first superdiagonal, and the last one only the
-corner.  The kernel holds a chunk of rows batch-last as upper bands, one
-contiguous vector of rows per matrix entry, so that every step is
-elementwise over the rows; at q = 6 a squaring takes 120 complex products
-per row, against 343 for a dense matrix product.
+below that.  A chunk of rows is held batch-last as upper bands, so every
+step is elementwise over the rows; at q = 6 a squaring forms 120 complex
+products per row, against 343 for a dense matrix product.
 
 Against a 50-digit reference the kernel's worst relative error was 2.5e-13
 on 152 wide rows sampled from the frozen benchmark workloads (scipy's expm:
-3.1e-10): 1.4e-14 on the rows of c4-n2 case m4 and 3.3e-15 on osc-long
-a1e3, while the worst a1e6 rows have values 1e-27 to 1e-33 of their
-real-part bound.  It was 2.4e-12 on 140 seeded near-confluent clusters at
-spread 1e5 and 2.9e-11 on 1,300 seeded rows with near-confluent pairs,
-exact repeats and imaginary spreads up to 1e6.  The floor is the problem's
-conditioning: a row whose value is far below its real-part bound, e.g. real
-parts of 50 against an imaginary spread of 2e3, loses digits in any
-double-precision evaluation.
+3.1e-10), 2.4e-12 on 140 seeded near-confluent clusters at spread 1e5 and
+2.9e-11 on 1,300 seeded rows with near-confluent pairs, exact repeats and
+imaginary spreads up to 1e6.  The floor is the problem's conditioning: a
+row whose value is far below its real-part bound, e.g. real parts of 50
+against an imaginary spread of 2e3, loses digits in any double-precision
+evaluation.
 """
 from __future__ import annotations
 
@@ -99,8 +96,9 @@ def _validate_inputs(xs) -> np.ndarray:
     return xs
 
 
-def _coefficients(zs: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Series coefficients h_m(z)/(m+q)! of the rows zs (n, q+1), shape (M, n).
+def _coefficients(zs: np.ndarray, q: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Series coefficients h_m(z)/(m+q)! of the rows zs (n, width) of orders
+    q (n,), zero-padded past their order; shape (M, n).
 
     A row's coefficients stop, and stay zero, once its sum at z has
     converged: the envelope radius^m/(m! q!) of the terms has fallen below
@@ -109,24 +107,25 @@ def _coefficients(zs: np.ndarray, radius: np.ndarray) -> np.ndarray:
     orders cost only the slow rows.
     """
     n, m = zs.shape
-    q = m - 1
+    inv_fact = np.array([1.0 / math.factorial(k) for k in range(m)])[q]
+    fact = np.array([float(math.factorial(k)) for k in range(m)])[q]
     coef = np.zeros((64, n), dtype=complex)
-    coef[0] = 1.0 / math.factorial(q)
+    coef[0] = inv_fact
     idx = np.arange(n)  # positions in coef of the rows in the working arrays
     live = np.ones(n, dtype=bool)  # rows not yet converged
     zs = zs.T.copy()  # (m, n): one contiguous vector per input position
     h = np.ones((m, n), dtype=complex)
-    acc = np.full(n, 1.0 / math.factorial(q), dtype=complex)
-    env = np.full(n, 1.0 / math.factorial(q))
+    acc = inv_fact.astype(complex)
+    env = inv_fact.copy()
     powers = np.ones(n, dtype=complex)  # zs[0]**order, updated incrementally
-    fact = float(math.factorial(q))
+    one_order = bool((q == q[0]).all())  # then h_q is a view, else a gather
     for order in range(1, SERIES_TERM_CAP + 1):
         powers = powers * zs[0]
         h[0] = powers
         for j in range(1, m):
             h[j] = h[j - 1] + zs[j] * h[j]
         fact *= order + q
-        term = h[q] / fact
+        term = (h[q[0]] if one_order else h[q, np.arange(len(q))]) / fact
         if order == len(coef):
             coef = np.concatenate([coef, np.zeros_like(coef)])
         coef[order, idx[live]] = term[live]
@@ -141,23 +140,24 @@ def _coefficients(zs: np.ndarray, radius: np.ndarray) -> np.ndarray:
                 break
             if n_live <= 0.75 * live.size:
                 zs, h = zs[:, live], h[:, live]
-                idx, radius, acc, env, powers = (
-                    a[live] for a in (idx, radius, acc, env, powers))
+                idx, q, radius, acc, env, fact, powers = (
+                    a[live] for a in (idx, q, radius, acc, env, fact, powers))
                 live = np.ones(n_live, dtype=bool)
     return coef[:order + 1]
 
 
-def _step_powers(dts: np.ndarray, q: int) -> np.ndarray:
-    """dt^q per step, by Python's float power as in exp_dd_scaled (numpy's
-    array power differs from it in the last bit for about 5% of inputs)."""
-    return np.array([dt**q for dt in dts.tolist()])
+def _step_powers(dts: np.ndarray, q_max: int) -> np.ndarray:
+    """dt^k for every step and k = 0..q_max, shape (S, q_max + 1), by Python's
+    float power as in exp_dd_scaled (numpy's array power differs from it in
+    the last bit for about 5% of inputs)."""
+    return np.array([[dt**k for k in range(q_max + 1)] for dt in dts.tolist()])
 
 
-def _series(xs: np.ndarray, mu: np.ndarray, spread: np.ndarray,
+def _series(xs: np.ndarray, q: np.ndarray, mu: np.ndarray, spread: np.ndarray,
             dts: np.ndarray) -> np.ndarray:
-    """e^{dt [x]} for every step dt in dts and every row x of xs, of mean mu
-    and y = x - mu, over the pairs with spread * |dt| <= SERIES_SPREAD_CUTOFF;
-    shape (S, B), the other pairs 0.
+    """e^{dt [x]} for every step dt in dts and every row x of xs, of order q,
+    mean mu and y = x - mu, over the pairs with spread * |dt| <=
+    SERIES_SPREAD_CUTOFF; shape (S, B), the other pairs 0.
 
     Let tau be a row's longest step in range.  Its coefficient pass runs on
     tau * y, where the terms are largest, and stops by the rule at tau (at
@@ -171,12 +171,13 @@ def _series(xs: np.ndarray, mu: np.ndarray, spread: np.ndarray,
     through in chunks of SERIES_CHUNK, sorted by tau; only one chunk's
     coefficients are held at a time.
     """
-    dtq = _step_powers(dts, xs.shape[1] - 1)
+    dtq = _step_powers(dts, int(q.max(initial=0)))
     mag = np.abs(dts)
     by_mag = np.argsort(mag, kind="stable")
     # a row's steps in range are a prefix of the steps sorted by |dt|
-    n_in = np.count_nonzero(
-        spread[None, :] * mag[by_mag, None] <= SERIES_SPREAD_CUTOFF, axis=0)
+    n_in = np.zeros(len(xs), dtype=np.intp)
+    for m in mag.tolist():
+        n_in += spread * m <= SERIES_SPREAD_CUTOFF
     rows = np.argsort(n_in, kind="stable")
     rows = rows[n_in[rows] > 0]
     out = np.zeros((len(dts), len(xs)), dtype=complex)
@@ -184,7 +185,11 @@ def _series(xs: np.ndarray, mu: np.ndarray, spread: np.ndarray,
         chunk = rows[lo:lo + SERIES_CHUNK]
         k = n_in[chunk]
         tau = mag[by_mag[k - 1]]
-        coef = _coefficients((xs[chunk] - mu[chunk, None]) * tau[:, None], spread[chunk] * tau)
+        width = int(q[chunk].max()) + 1
+        zs = xs[chunk, :width] - mu[chunk, None]
+        zs[np.arange(width) > q[chunk, None]] = 0.0
+        zs *= tau[:, None]
+        coef = _coefficients(zs, q[chunk], spread[chunk] * tau)
         powers = np.arange(len(coef))
         cuts = np.flatnonzero(np.diff(k)) + 1
         for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(chunk)]):
@@ -193,7 +198,7 @@ def _series(xs: np.ndarray, mu: np.ndarray, spread: np.ndarray,
             ratio = dt / tau[a] if tau[a] > 0.0 else np.zeros_like(dt)
             vals = (ratio[:, None] ** powers) @ coef[:, a:b]
             sel = chunk[a:b]
-            vals *= dtq[steps, None] * np.exp(np.multiply.outer(dt, mu[sel]))
+            vals *= dtq[steps[:, None], q[sel]] * np.exp(np.multiply.outer(dt, mu[sel]))
             out[steps[:, None], sel] = vals
     return out
 
@@ -227,9 +232,13 @@ def _exp_dd_pair(a: np.ndarray, b: np.ndarray, ea: np.ndarray,
     return out
 
 
-def _square_chunk(ys: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Corner of exp(A) for the bidiagonal matrices A with rows ys (n, m) on
-    the diagonal, given squaring counts s sorted in descending order.
+def _square_chunk(ys: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Corner (0, q_r) of exp(A) for the bidiagonal matrices A with rows ys
+    (n, m) of orders q on the diagonal, given squaring counts s sorted in
+    descending order.  The padding past q_r only reaches entries past the
+    corner's column (the leading blocks of upper-triangular matrices
+    multiply on their own), and a row holds the identity until the Horner
+    step of its own degree q_r + _TAYLOR_TAIL - 1.
 
     Every row ends at level S = s[0] with the unscaled matrix; row r starts
     at level S - s[r], where its matrix is scaled by 2^-s[r].  At level L
@@ -241,15 +250,17 @@ def _square_chunk(ys: np.ndarray, s: np.ndarray) -> np.ndarray:
     The upper-triangular matrices are stored batch-last as upper bands,
     x[d, i, r] = X_r[i, i+d], with the slots i + d >= m held at zero, so
     every operation is elementwise over rows: a row's value does not depend
-    on the other rows of the chunk.
+    on the other rows of the chunk, nor on the width of the chunk.
     """
     n, m = ys.shape
-    q = m - 1
     ys = ys.T  # (m, n)
-    if q == 1:  # the corner is the superdiagonal, which is exact
-        e = np.exp(ys)
+    one = q == 1  # the corner is the superdiagonal, which is exact
+    if one.all():
+        e = np.exp(ys[:2])
         return _exp_dd_pair(ys[0], ys[1], e[0], e[1])
     top = int(s[0])
+    cols = np.arange(n)
+    degree = q + _TAYLOR_TAIL - 1
     # Taylor polynomial of the scaled matrix in Horner form, x <- I + A x / k;
     # a product with the bidiagonal matrix is a scaled band plus the next
     # band shifted by one row.  After j steps only bands 0..j are nonzero.
@@ -258,55 +269,66 @@ def _square_chunk(ys: np.ndarray, s: np.ndarray) -> np.ndarray:
     x = np.zeros((m, m, n), dtype=complex)
     y = np.zeros_like(x)
     x[0] = 1.0
-    for j, k in enumerate(range(q + _TAYLOR_TAIL - 1, 0, -1), start=1):
+    for j, k in enumerate(range(int(degree.max()), 0, -1), start=1):
         nb = min(j + 1, m)
         np.multiply(ty0 * (1.0 / k), x[:nb], out=y[:nb])
         y[1:nb, :-1] += (t0 * (1.0 / k)) * x[:nb - 1, 1:]
         y[0] += 1.0
         x, y = y, x
+        later = degree < k  # rows whose polynomial starts at a lower degree
+        if later.any():
+            x[:, :, later] = 0.0
+            x[0, :, later] = 1.0
     if top == 0:
-        return x[q, 0]
-    # started[L]: rows started by level L = 0..S-1.  The exact bands of
-    # those rows at every such level lie side by side, level L in columns
-    # off[L]:off[L+1]; the squaring into level S forms only the corner and
-    # needs no bands.
-    started = np.searchsorted(-s, np.arange(-top, 0), side="right")
-    off = np.r_[0, np.cumsum(started)]
-    t = np.ldexp(1.0, np.repeat(np.arange(-top, 0), started))
-    ty = ys[:, np.concatenate([np.arange(k) for k in started])] * t
-    diag = np.exp(ty)
-    sup = _exp_dd_pair(ty[:-1], ty[1:], diag[:-1], diag[1:])
-    sup *= t
-    k = started[-1]
-    at_start = off[top - s[:k]] + np.arange(k)
-    x[0, :, :k] = diag[:, at_start]
-    x[1, :-1, :k] = sup[:, at_start]
-    # squarings into levels 1..S-1, bands d >= 2 only:
-    # Y[d, i] = sum_e X[e, i] X[d-e, i+e].  Rows not started yet are only
-    # read, and hold their Taylor values in both buffers.
-    y[...] = x
-    for lvl in range(1, top):
-        k = started[lvl - 1]
-        b, out = x[..., :k], y[..., :k]
-        np.multiply(b[0, None], b[2:], out=out[2:])
-        for e in range(1, m):
-            d0 = max(e, 2)
-            out[d0:, :m - e] += b[e, None, :m - e] * b[d0 - e:m - e, e:]
-        out[0] = diag[:, off[lvl]:off[lvl] + k]
-        out[1, :-1] = sup[:, off[lvl]:off[lvl] + k]
-        x, y = y, x
-    corner = x[q, 0].copy()
-    k = started[-1]
-    corner[:k] = x[0, 0, :k] * x[q, 0, :k]
-    for e in range(1, m):
-        corner[:k] += x[e, 0, :k] * x[q - e, e, :k]
+        corner = x[q, 0, cols]
+    else:
+        # started[L]: rows started by level L = 0..S-1.  The exact bands of
+        # those rows at every such level lie side by side, level L in columns
+        # off[L]:off[L+1]; the squaring into level S forms only the corner
+        # and needs no bands.
+        started = np.searchsorted(-s, np.arange(-top, 0), side="right")
+        off = np.r_[0, np.cumsum(started)]
+        t = np.ldexp(1.0, np.repeat(np.arange(-top, 0), started))
+        ty = ys[:, np.concatenate([np.arange(k) for k in started])] * t
+        diag = np.exp(ty)
+        sup = _exp_dd_pair(ty[:-1], ty[1:], diag[:-1], diag[1:])
+        sup *= t
+        k = started[-1]
+        at_start = off[top - s[:k]] + np.arange(k)
+        x[0, :, :k] = diag[:, at_start]
+        x[1, :-1, :k] = sup[:, at_start]
+        # squarings into levels 1..S-1, bands d >= 2 only:
+        # Y[d, i] = sum_e X[e, i] X[d-e, i+e].  Rows not started yet are only
+        # read, and hold their Taylor values in both buffers.
+        y[...] = x
+        for lvl in range(1, top):
+            k = started[lvl - 1]
+            b, out = x[..., :k], y[..., :k]
+            np.multiply(b[0, None], b[2:], out=out[2:])
+            for e in range(1, m):
+                d0 = max(e, 2)
+                out[d0:, :m - e] += b[e, None, :m - e] * b[d0 - e:m - e, e:]
+            out[0] = diag[:, off[lvl]:off[lvl] + k]
+            out[1, :-1] = sup[:, off[lvl]:off[lvl] + k]
+            x, y = y, x
+        corner = x[q, 0, cols]
+        k = started[-1]
+        qk, rk = q[:k], cols[:k]
+        last = x[0, 0, :k] * x[qk, 0, rk]
+        for e in range(1, m):  # band q - e < 0 only past a row's corner: skipped
+            last += np.where(qk >= e, x[e, 0, :k] * x[qk - e, e, rk], 0.0)
+        corner[:k] = last
+    if one.any():
+        e = np.exp(ys[:2, one])
+        corner[one] = _exp_dd_pair(ys[0, one], ys[1, one], e[0], e[1])
     return corner
 
 
-def _leja_order(zs: np.ndarray) -> np.ndarray:
-    """Rows of zs reordered in Leja order: first the entry farthest from
-    the row mean, then each time the entry with the largest product of
-    distances to those already taken.
+def _leja_order(zs: np.ndarray, q: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Rows of zs, of orders q and means mu, with their entries in Leja
+    order and the padding last: first the entry farthest from the row mean,
+    then each time the entry with the largest product of distances to those
+    already taken.
 
     The divided difference does not depend on the order, but the squaring
     does: its intermediate entries are divided differences over contiguous
@@ -317,104 +339,145 @@ def _leja_order(zs: np.ndarray) -> np.ndarray:
     order (scipy's expm: 1.4e-6).
     """
     n, m = zs.shape
-    ys = zs - zs.mean(axis=1, keepdims=True)
-    scale = np.abs(ys).max(axis=1, keepdims=True)
+    ys = zs - mu[:, None]
+    pad = np.arange(m) > q[:, None]
+    dist = np.abs(ys)  # 0 on the padding, which is the mean
+    scale = dist.max(axis=1, keepdims=True)
     rows = np.arange(n)
     order = np.empty((n, m), dtype=np.intp)
-    taken = np.zeros((n, m), dtype=bool)
+    taken = pad.copy()
     score = np.ones((n, m))
-    j = np.argmax(np.abs(ys), axis=1)
+    j = np.argmax(dist, axis=1)
     for k in range(m):
-        order[:, k] = j
+        order[:, k] = np.where(k <= q, j, k)
         taken[rows, j] = True
         score *= np.abs(ys - ys[rows, j][:, None]) / scale
         j = np.argmax(np.where(taken, -1.0, score), axis=1)
     return np.take_along_axis(zs, order, axis=1)
 
 
-def _wide_batch(xs: np.ndarray) -> np.ndarray:
-    """e^{[x_0,...,x_q]} for rows xs (B, m) as the corner of exp of the
-    bidiagonal matrix, by batched scaling and squaring.
+def _wide_batch(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """e^{[x_0,...,x_q]} for rows xs (B, m) of orders q as the corner of exp
+    of the bidiagonal matrix, by batched scaling and squaring.
 
     Rows are shifted by their real mean rounded to an integer, which keeps
     e^x in range, and not by their complex mean: fl(x - mean) moves each
     input by up to 1e-16 |x|, which on [810619.25j, -810619.25j,
     405309.625j] (value 1e-13 of its bound 1/2) cost 1.0e-9 relative
-    error, against 3.1e-15 unshifted.  Rows are put in Leja order, and row
-    r is scaled by 2^-s_r so that 2^-s_r max|x - shift| <= _THETA.  Rows
-    are sorted by s_r and evaluated in chunks of at most WIDE_CHUNK, which
-    bounds the working set of the band stacks and of the exact bands.
+    error, against 3.1e-15 unshifted.  Rows are padded with their mean and
+    put in Leja order, and row r is scaled by 2^-s_r so that 2^-s_r
+    max|x - shift| <= _THETA.  Rows are sorted by order and s_r, and
+    evaluated in chunks of at most WIDE_CHUNK, which bounds the working set
+    of the band stacks and of the exact bands.
     """
-    shift = np.rint(xs.real.mean(axis=1))[:, None]
-    radius = np.hypot(xs.real - shift, xs.imag).max(axis=1)
+    shift, radius = np.empty(len(xs)), np.empty(len(xs))
+    for sel, k in _by_order(q):
+        own = xs[sel, :k + 1]
+        shift[sel] = np.rint(own.real.mean(axis=1))
+        radius[sel] = np.hypot(own.real - shift[sel, None], own.imag).max(axis=1)
     s = np.maximum(np.ceil(np.log2(radius / _THETA)), 0.0).astype(np.int64)
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s, kind="stable")  # chunks of one order where they can be
+    order = order[np.argsort(q[order], kind="stable")]
     out = np.empty(len(xs), dtype=complex)
     lo = 0
     while lo < len(xs):
+        sel = order[lo:lo + WIDE_CHUNK]
         # the exact bands hold up to s levels per row: past _BAND_LEVELS, fewer rows
-        levels = int(s[order[lo]])
-        sel = order[lo:lo + max(1, WIDE_CHUNK * _BAND_LEVELS // max(levels, _BAND_LEVELS))]
-        out[sel] = _square_chunk(_leja_order(xs[sel] - shift[sel]), s[sel])
+        levels = int(s[sel].max())
+        if levels > _BAND_LEVELS:
+            sel = sel[:max(1, WIDE_CHUNK * _BAND_LEVELS // levels)]
+        sel = sel[np.argsort(-s[sel], kind="stable")]
+        qs = q[sel]
+        zs = xs[sel, :int(qs.max()) + 1] - shift[sel, None]
+        mu = _pad(zs, qs, _mean_spread(zs, qs)[0])
+        out[sel] = _square_chunk(_leja_order(zs, qs, mu), qs, s[sel])
         lo += len(sel)
-    return np.exp(shift[:, 0]) * out
+    return np.exp(shift) * out
 
 
-def _checked_rows(xs) -> np.ndarray:
+def _checked_rows(xs, q) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (B, m) and their orders (B,); q=None means m - 1 for all."""
     xs = np.asarray(xs, dtype=complex)
     if xs.ndim != 2 or xs.shape[1] == 0:
         raise ValueError("batch must have shape (B, q+1) with q >= 0")
     if not np.all(np.isfinite(xs)):
         raise ValueError("divided-difference inputs must be finite")
-    return xs
+    q = np.full(len(xs), xs.shape[1] - 1) if q is None else np.asarray(q)
+    if q.shape != (len(xs),) or q.dtype.kind not in "iu" or ((q < 0) | (q >= xs.shape[1])).any():
+        raise ValueError("orders must be one integer per row, below the row width")
+    return xs, q.astype(np.intp, copy=False)
 
 
-def _mean_spread(xs: np.ndarray):
-    """Row means, and the largest distance of a row's input from its mean."""
-    mu = xs.mean(axis=1)
-    return mu, np.abs(xs - mu[:, None]).max(axis=1)
+def _by_order(q: np.ndarray):
+    """(rows, k) per order k in q; the rows as a slice when contiguous (the plan's are)."""
+    for k in np.flatnonzero(np.bincount(q)).tolist():
+        sel = np.flatnonzero(q == k)
+        yield (slice(sel[0], sel[-1] + 1) if sel[-1] - sel[0] < len(sel) else sel), k
 
 
-def exp_dd_steps(xs: np.ndarray, dts) -> np.ndarray:
+def _mean_spread(xs: np.ndarray, q: np.ndarray):
+    """Row means, and the largest distance of a row's input from its mean,
+    over the entries up to its order; taken over the rows of one order at a
+    time, so that they are the row's own."""
+    mu, spread = np.empty(len(xs), dtype=complex), np.zeros(len(xs))
+    for sel, k in _by_order(q):
+        mu[sel] = xs[sel, :k + 1].mean(axis=1)
+        for j in range(k + 1):  # a column at a time: no (B, q+1) temporary
+            spread[sel] = np.maximum(spread[sel], np.abs(xs[sel, j] - mu[sel]))
+    return mu, spread
+
+
+def _pad(xs: np.ndarray, q: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Sets the entries of each row past its order to value (B,), in place."""
+    pad = np.arange(xs.shape[1]) > q[:, None]
+    xs[pad] = np.broadcast_to(value[:, None], xs.shape)[pad]
+    return value
+
+
+def exp_dd_steps(xs: np.ndarray, dts, q=None) -> np.ndarray:
     """e^{dt [x_0,...,x_q]} = dt^q e^{[dt x_0,...,dt x_q]} for every real
-    step dt in dts and every row of xs (B, q+1); returns shape (S, B).
+    step dt in dts and every row of xs (B, m); returns shape (S, B).
 
-    The pairs with (row spread) * |dt| within the series cutoff share one
-    coefficient pass per row; the other pairs are stacked into one
+    Row r is read up to its order q[r] (default m - 1); what lies past it
+    is padding, which its value does not depend on.  The pairs with (row
+    spread) * |dt| within the series cutoff share one coefficient pass per
+    row; the other pairs are stacked, padded with their row mean, into one
     exp_dd_batch call.  With the single step 1 this is exp_dd_batch.
     """
-    xs = _checked_rows(xs)
+    xs, q = _checked_rows(xs, q)
     dts = np.asarray(dts, dtype=float)
     if dts.ndim != 1 or not np.all(np.isfinite(dts)):
         raise ValueError("steps must be a 1-D sequence of finite reals")
-    q = xs.shape[1] - 1
-    if q == 0:
-        return np.exp(np.multiply.outer(dts, xs[:, 0]))
-    mu, spread = _mean_spread(xs)
-    out = _series(xs, mu, spread, dts)
-    # the products _series compares with the cutoff: each pair is taken once
-    wide_s, wide_b = np.nonzero(spread[None, :] * np.abs(dts)[:, None] > SERIES_SPREAD_CUTOFF)
-    if len(wide_s):
-        stacked = xs[wide_b]
+    mu, spread = _mean_spread(xs, q)
+    out = _series(xs, q, mu, spread, dts)
+    # the products _series compares with the cutoff, each pair once; by row
+    mag = np.abs(dts)
+    rows = np.flatnonzero(spread * mag.max(initial=0.0) > SERIES_SPREAD_CUTOFF)
+    wide_b, wide_s = np.nonzero(spread[rows, None] * mag[None, :] > SERIES_SPREAD_CUTOFF)
+    wide_b = rows[wide_b]
+    if len(wide_b):
+        qw = q[wide_b]
+        stacked = xs[wide_b, :int(qw.max()) + 1]
+        _pad(stacked, qw, mu[wide_b])
         stacked *= dts[wide_s, None]
-        out[wide_s, wide_b] = _step_powers(dts, q)[wide_s] * exp_dd_batch(stacked)
+        out[wide_s, wide_b] = _step_powers(dts, int(qw.max()))[wide_s, qw] * exp_dd_batch(stacked, qw)
     return out
 
 
-def exp_dd_batch(xs: np.ndarray) -> np.ndarray:
-    """Divided differences of exp for a batch of equal-length input rows.
-
-    xs has shape (B, q+1); returns shape (B,).  Rows whose mean-shifted
-    spread exceeds the series cutoff go to the scaling-and-squaring kernel.
+def exp_dd_batch(xs: np.ndarray, q=None) -> np.ndarray:
+    """Divided differences of exp for a batch of input rows (B, m) of
+    orders q, as in exp_dd_steps; returns shape (B,).  Rows whose
+    mean-shifted spread exceeds the series cutoff go to the
+    scaling-and-squaring kernel.
     """
-    xs = _checked_rows(xs)
-    if xs.shape[1] == 1:
-        return np.exp(xs[:, 0])
-    mu, spread = _mean_spread(xs)
-    out = _series(xs, mu, spread, np.ones(1))[0]
+    xs, q = _checked_rows(xs, q)
+    mu, spread = _mean_spread(xs, q)
+    out = _series(xs, q, mu, spread, np.ones(1))[0]
     wide = spread > SERIES_SPREAD_CUTOFF
+    if wide.all():  # as from exp_dd_steps: no copy
+        return _wide_batch(xs, q)
     if wide.any():
-        out[wide] = _wide_batch(xs[wide])
+        out[wide] = _wide_batch(xs[wide], q[wide])
     return out
 
 

@@ -15,17 +15,17 @@ bound into its cosine branches (`lcu.cosine_branches`).
 Everything but the phases at t_w and the divided differences at dt_w
 depends only on the model and the truncation order, and the step lengths
 are known before the first segment, so a `SegmentPlan` enumerates the
-permutation paths once per run and evaluates the divided differences of
-every distinct step length at once; each segment is an array table of its
-terms built from the plan.
+permutation paths once per run into flat arrays over the terms of all
+orders, and evaluates the divided differences of every distinct step
+length in one `dd.exp_dd_steps` call, the rows of every order together.
+A segment is then one array pass over the plan.
 
 A term whose d_coeff = prod_j D_{i_j,k_j}(z_j) is exactly 0 vanishes
 whatever its divided difference: a path through a zero-padded exponential
 slot (the parser pads every PermTerm to a common K) or through a zero entry
-of an amplitude diagonal.  The plan keeps the per-entry data and evaluates
-the divided differences on the amplitude support only, the entries with a
-nonzero d_coeff, with no threshold; the table keeps every term, with
-coefficient 0 off the support, so the LCU and its bounds are unchanged.
+of an amplitude diagonal.  The plan evaluates the divided differences on
+the amplitude support only, the entries with a nonzero d_coeff, with no
+threshold; the table keeps every term, with coefficient 0 off the support.
 
 The alternative (Schroedinger-frame) segment absorbs the static phases,
 U_alt = e^{-i H0 t_{w+1}} U_I e^{i H0 t_w}.  Its inputs are
@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,14 +78,17 @@ class SegmentOperator:
 
     def matrix(self) -> np.ndarray:
         """Dense sum_t (-i)^q_t P_{cum_mask_t} diag(coeff_t), added term by
-        term in table order (deterministic)."""
+        term in table order (deterministic): one bincount per part over the
+        flat index (cum_mask ^ z) * 2^n + z."""
         tab = self.blocks
-        nt, dim = tab.coeff.shape
+        dim = tab.coeff.shape[1]
         z = np.arange(dim)
-        out = np.zeros((dim, dim), dtype=complex)
-        np.add.at(out, (tab.cum_mask[:, None] ^ z, np.broadcast_to(z, (nt, dim))),
-                  self.plan.factors[:, None] * tab.coeff)
-        return out
+        flat = ((tab.cum_mask[:, None] ^ z) * dim + z).ravel()
+        vals = (self.plan.factors[:, None] * tab.coeff).ravel()
+        out = np.empty(dim * dim, dtype=complex)
+        out.real = np.bincount(flat, vals.real, dim * dim)
+        out.imag = np.bincount(flat, vals.imag, dim * dim)
+        return out.reshape(dim, dim)
 
 
 def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
@@ -95,43 +97,34 @@ def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
     return h.dim * sum(base**q for q in range(q_max + 1))
 
 
-class _Order(NamedTuple):
-    """The order-q terms' data that does not depend on t_w.  The per-entry
-    arrays hold the amplitude support only: the S entries (path, z) whose
-    d_coeff is nonzero, in flat (B, 2^n) order."""
-    q: int
-    rows: slice            # their rows in the term table
-    support: np.ndarray | slice  # (S,) flat indices into (B, 2^n); slice(None) if all
-    divided: np.ndarray    # (steps, S) e^{dt [x_1, ..., x_q, 0]} per distinct step
-    gap: np.ndarray        # (S,) E_z - E_{z_q}
-    rates_sum: np.ndarray  # (S,)
-    d_coeff: np.ndarray    # (S,)
-    lam: np.ndarray        # (B, q) growth exponent of each (i_j, k_j)
-    amp_prod: np.ndarray   # (B,) product of the amplitude scales
-
-
 class SegmentPlan:
     """The Dyson segments of h over one schedule, less their phases and
     bounds at t_w: the permutation paths to order Q, and the divided
     differences at every distinct step length of the entries on the
-    amplitude support, one `dd.exp_dd_steps` call per order.  Built once
-    per run; ``dd_rows`` counts the rows evaluated."""
+    amplitude support, all orders in one `dd.exp_dd_steps` call.  Built
+    once per run; ``dd_rows`` counts the rows evaluated.
+
+    Per term, row 0 the q = 0 term: q, cum_mask (of P_{i_q}), factors
+    (-i)^q, lam (T, Q) the growth exponent of each (i_j, k_j), 0 past q, and
+    amp_prod, the product of the amplitude scales.  Per entry (term, z) of
+    the amplitude support, order by order: index into the flat (T, 2^n)
+    table, gap E_z - E_{z_q}, rates_sum and d_coeff.
+    """
 
     def __init__(self, h: pham.PermExpHamiltonian, schedule: Schedule):
         self.h, self.schedule = h, schedule
-        rows = self._enumerate(h, schedule.Q)
+        xs, orders = self._enumerate(h, schedule.Q)
         # evaluated after the enumeration has returned and freed its temporaries
         steps = sorted({dt for _, dt in schedule.steps})
         self._step_index = {dt: i for i, dt in enumerate(steps)}
-        self.orders = [o._replace(divided=dd.exp_dd_steps(xs, steps))
-                       for o, xs in zip(self.orders, rows)]
-        self.dd_rows = sum(len(xs) for xs in rows)
+        self._divided = dd.exp_dd_steps(xs, steps, orders)  # (steps, S)
+        self.dd_rows = len(xs)
         self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
 
-    def _enumerate(self, h: pham.PermExpHamiltonian, q_max: int) -> list[np.ndarray]:
-        """Sets the orders' data but their divided differences, and every
-        term's order and mask; returns each order's divided-difference inputs
-        [x_1, ..., x_q, 0] on its support, shape (S, q + 1).
+    def _enumerate(self, h: pham.PermExpHamiltonian, q_max: int):
+        """Sets the per-term and per-entry arrays; returns the entries'
+        divided-difference inputs [x_1, ..., x_q, 0], zero-padded to width
+        q_max + 1, and their orders.
 
         The paths of order q are enumerated at once over all (i_q, k_q),
         i_q outer and k_q inner, both lexicographic; the rows of the
@@ -153,10 +146,22 @@ class SegmentPlan:
         lam_ik = rate.real.max(axis=2)           # per-(i,k) growth exponent
         self.gmax = amp_scale.max() if amp_scale.size else 0.0
         energies, z = h.h0_diag, np.arange(dim)
-        self.orders: list[_Order] = []
-        rows = []
-        masks, qs, start = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)], 1
-        for q in range(1, q_max + 1 if n_i and n_k else 1):
+        q_top = q_max if n_i and n_k else 0
+        n_terms = sum((n_i * n_k)**q for q in range(q_top + 1))
+        self.lam = np.zeros((n_terms, q_max))
+        self.amp_prod = np.ones(n_terms)
+        self.q = np.repeat(np.arange(q_top + 1), [(n_i * n_k)**q for q in range(q_top + 1)])
+        self.cum_mask = np.zeros(n_terms, dtype=np.int64)
+        # sized for every entry; each order's support is written after the
+        # last, and the unused tail is given back after the last order
+        n_entries = (n_terms - 1) * dim
+        xs = np.empty((n_entries, q_max + 1), dtype=complex)
+        orders = np.empty(n_entries, dtype=np.min_scalar_type(q_max))
+        index = np.empty(n_entries, dtype=np.min_scalar_type(n_terms * dim))
+        gap, rates_sum = np.empty(n_entries), np.empty(n_entries, dtype=complex)
+        d_coeff = np.empty(n_entries, dtype=complex)
+        start, at = 1, 0
+        for q in range(1, q_top + 1):
             big_i = np.repeat(np.array(list(product(range(n_i), repeat=q)), dtype=np.int64),
                               n_k**q, axis=0)                             # (B, q)
             big_k = np.tile(np.array(list(product(range(n_k), repeat=q)), dtype=np.int64),
@@ -165,40 +170,47 @@ class SegmentPlan:
             cum = np.bitwise_xor.accumulate(term_masks[big_i], axis=1)    # cumulative masks
             zp = cum[:, :, None] ^ z                                      # (B, q, dim) z_j
             rates = rate[big_i[:, :, None], big_k[:, :, None], zp]
-            d_coeff = amp[big_i[:, :, None], big_k[:, :, None], zp].prod(axis=1).ravel()
-            support = np.flatnonzero(d_coeff)
+            d_all = amp[big_i[:, :, None], big_k[:, :, None], zp].prod(axis=1).ravel()
+            support = np.flatnonzero(d_all)
             path, z0 = np.divmod(support, dim)
             zs, rs = zp[path, :, z0], rates[path, :, z0]                  # (S, q)
-            rates_sum = rates.sum(axis=1).ravel()
+            all_sums = rates.sum(axis=1).ravel()
             del zp, rates
+            part = slice(at, at + len(support))
+            np.take(all_sums, support, out=rates_sum[part])
+            del all_sums
             # x_j = i(E_{z_q} - E_{z_{j-1}}) + sum_{l >= j} rate_l; x_{q+1} = 0
-            xs = np.zeros((len(support), q + 1), dtype=complex)
-            np.cumsum(rs[:, ::-1], axis=1, out=xs[:, q - 1::-1])
+            xs[part, q:] = 0.0
+            np.cumsum(rs[:, ::-1], axis=1, out=xs[part, q - 1::-1])
             del rs
             e_final = energies[zs[:, -1]]
-            xs[:, :q] += 1j * (e_final[:, None] - np.concatenate(
-                [energies[z0, None], energies[zs[:, :-1]]], axis=1))
-            rows.append(xs)
-            if len(support) == len(d_coeff):
-                support = slice(None)
-            self.orders.append(_Order(
-                q, slice(start, start + nb), support, None, energies[z0] - e_final,
-                rates_sum[support], d_coeff[support],
-                lam_ik[big_i, big_k], amp_scale[big_i, big_k].prod(axis=1)))
-            masks.append(cum[:, -1])
-            qs.append(np.full(nb, q))
+            gaps = np.concatenate([energies[z0, None], energies[zs[:, :-1]]], axis=1)
+            np.subtract(e_final[:, None], gaps, out=gaps)
+            xs[part, :q].imag += gaps  # in place: no complex temporary
+            del gaps
+            orders[part] = q
+            index[part] = support + start * dim
+            gap[part] = energies[z0] - e_final
+            d_coeff[part] = d_all[support]
+            at += len(support)
+            self.lam[start:start + nb, :q] = lam_ik[big_i, big_k]
+            self.amp_prod[start:start + nb] = amp_scale[big_i, big_k].prod(axis=1)
+            self.cum_mask[start:start + nb] = cum[:, -1]
             start += nb
-        self.cum_mask, self.q = np.concatenate(masks), np.concatenate(qs)
-        return rows
+        for buf in (xs, orders, index, gap, rates_sum, d_coeff):  # no view of them is alive
+            buf.resize((at,) + buf.shape[1:], refcheck=False)
+        self.gap, self.rates_sum, self.d_coeff = gap, rates_sum, d_coeff
+        # the whole table but the q = 0 row: a slice assigns faster
+        self.index = slice(dim, None) if at == n_entries else index
+        return xs, orders
 
     def __len__(self) -> int:
         return len(self.q)
 
-    def divided(self, dt: float) -> list[np.ndarray]:
-        """e^{dt [x_1,...,x_q, 0]} of every order on its support, shape (S,)
-        each, for a step length dt of the schedule."""
-        i = self._step_index[dt]
-        return [o.divided[i] for o in self.orders]
+    def divided(self, dt: float) -> np.ndarray:
+        """e^{dt [x_1,...,x_q, 0]} of every entry on the support, shape
+        (S,), for a step length dt of the schedule."""
+        return self._divided[self._step_index[dt]]
 
 
 def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
@@ -221,23 +233,23 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     # row 0 is the q = 0 term: coefficient and bound 1
     coeff = np.zeros((len(plan), h.dim), dtype=complex)
     coeff[0] = 1.0
-    bounds = np.ones(len(plan))
-    for o, divided in zip(plan.orders, plan.divided(dt_w)):
-        # phase * e^{t_w sum rates} * divided * d_coeff in this operand order
-        # at every size (numpy computes a product of large arrays into its
-        # right-hand temporary, operands swapped, and a complex product
-        # with swapped operands can round differently)
-        vals = np.exp(-1j * t_w * o.gap)
-        vals *= np.exp(t_w * o.rates_sum)
-        vals *= divided
-        vals *= o.d_coeff
-        # an order's rows are contiguous, so the flattened slice is a view
-        coeff[o.rows].reshape(-1)[o.support] = vals
-        scale = dt_tilde**o.q / math.factorial(o.q)
-        if schedule.mode == MODE_UNIFORM:
-            bounds[o.rows] = scale * (plan.gmax * np.exp(t_w * schedule.lam))**o.q
-        else:
-            bounds[o.rows] = scale * (np.exp(t_w * o.lam).prod(axis=1) * o.amp_prod)
+    # phase * e^{t_w sum rates} * divided * d_coeff in this operand order at
+    # every size (numpy computes a product of large arrays into its
+    # right-hand temporary, operands swapped, and a complex product with
+    # swapped operands can round differently)
+    vals = np.exp(-1j * t_w * plan.gap)
+    vals *= np.exp(t_w * plan.rates_sum)
+    vals *= plan.divided(dt_w)
+    vals *= plan.d_coeff
+    coeff.reshape(-1)[plan.index] = vals
+    orders = range(schedule.Q + 1)
+    scale = np.array([dt_tilde**q / math.factorial(q) for q in orders])[plan.q]
+    if schedule.mode == MODE_UNIFORM:
+        growth = plan.gmax * np.exp(t_w * schedule.lam)
+        bounds = scale * np.array([growth**q for q in orders])[plan.q]
+    else:
+        # exp(0) = 1 past each term's order: the padding multiplies by 1.0
+        bounds = scale * (np.exp(t_w * plan.lam).prod(axis=1) * plan.amp_prod)
     table = TermTable(q=plan.q, cum_mask=plan.cum_mask, coeff=coeff, bound=bounds)
     return SegmentOperator(h=h, s=schedule.s(w), blocks=table, plan=plan)
 

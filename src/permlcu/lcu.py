@@ -136,13 +136,24 @@ def cosine_branches(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, n
     return unit * plus, unit * plus.conj()
 
 
-def build_context(seg: dyson.SegmentOperator) -> LCUContext:
-    h, terms = seg.h, seg.blocks
-    layout = RegisterLayout(Q=seg.plan.schedule.Q, dim_i=len(h.vterms),
+def run_tables(plan: dyson.SegmentPlan):
+    """(layout, factor column, gather index): the parts of a context that
+    are the same for every segment of the plan's run."""
+    h = plan.h
+    layout = RegisterLayout(Q=plan.schedule.Q, dim_i=len(h.vterms),
                             dim_k=h.num_exp_terms, n=h.n)
-    if len(terms) + 1 != layout.n_terms:
+    if len(plan) + 1 != layout.n_terms:
         raise RuntimeError("segment enumeration does not match the register layout")
-    adim = layout.ancilla_dim
+    # the mask is below 2^n, so XOR on the flat index a * 2^n + z flips only z
+    masks = np.repeat(np.append(plan.cum_mask, 0), 2)
+    gather = (np.arange(layout.ancilla_dim * h.dim).reshape(-1, h.dim) ^ masks[:, None]).ravel()
+    return layout, np.append(plan.factors, 1.0)[:, None], gather  # factor 1: padding term
+
+
+def build_context(seg: dyson.SegmentOperator, tables=None) -> LCUContext:
+    """The segment's context; ``tables`` is the run's `run_tables(seg.plan)`."""
+    layout, factors, gather = tables or run_tables(seg.plan)
+    h, terms = seg.h, seg.blocks
     # row 2t + x: term t, cosine branch x; bound = dt_tilde^q/q! * Gamma-part
     # in either mode, and the padding term (coefficient 0, mask 0, factor 1)
     # has bound 2 - s, which brings the total to 2, so the prepared weight
@@ -150,8 +161,7 @@ def build_context(seg: dyson.SegmentOperator) -> LCUContext:
     coeff = np.concatenate([terms.coeff, np.zeros((1, h.dim), dtype=complex)])
     bound = np.append(terms.bound, 2.0 - seg.s)
     plus, minus = cosine_branches(coeff, bound[:, None])
-    factors = np.append(seg.plan.factors, 1.0)[:, None]
-    phases = np.empty((adim, h.dim), dtype=complex)
+    phases = np.empty((layout.ancilla_dim, h.dim), dtype=complex)
     np.multiply(factors, plus, out=phases[0::2])
     np.multiply(factors, minus, out=phases[1::2])
     b = np.repeat(np.sqrt(bound / 4.0), 2)
@@ -159,9 +169,6 @@ def build_context(seg: dyson.SegmentOperator) -> LCUContext:
     if drift > 1e-8:
         raise RuntimeError(f"preparation amplitudes drifted from unit norm by {drift:.2e}")
     b /= np.linalg.norm(b)
-    # the mask is below 2^n, so XOR on the flat index a * 2^n + z flips only z
-    masks = np.repeat(np.append(terms.cum_mask, 0), 2)
-    gather = (np.arange(adim * h.dim).reshape(adim, h.dim) ^ masks[:, None]).ravel()
     return LCUContext(layout=layout, b_amps=b, phase_table=phases, gather=gather)
 
 
@@ -241,9 +248,10 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     budget = RESIDUAL_ABORT * eps / schedule.r
     residuals, deficits = [], []
     plan = dyson.SegmentPlan(h, schedule)
+    tables = run_tables(plan)
     for w in range(schedule.r):
         seg = dyson.build_segment(h, schedule, w, plan=plan)
-        ctx = build_context(seg)
+        ctx = build_context(seg, tables)
         block = apply_A(ctx, psi)
         block_norm = float(np.linalg.norm(block))
         new_psi = block / block_norm

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from dyson_reference import dense_coefficients, frozen_model
 from permlcu import dd, oracle
@@ -516,7 +516,7 @@ def test_steps_stack_wide_pairs_into_one_batch_call(monkeypatch):
     n_wide = np.count_nonzero(spread[None, :] * dts[:, None] > dd.SERIES_SPREAD_CUTOFF)
     calls = []
     real = dd.exp_dd_batch
-    monkeypatch.setattr(dd, "exp_dd_batch", lambda xs: calls.append(len(xs)) or real(xs))
+    monkeypatch.setattr(dd, "exp_dd_batch", lambda xs, q=None: calls.append(len(xs)) or real(xs, q))
     dd.exp_dd_steps(rows, dts)
     assert calls == [n_wide] and n_wide > 0
     dd.exp_dd_steps(rows, dts[:1] * 1e-3)
@@ -546,6 +546,62 @@ def test_steps_order_zero_and_input_checks():
         dd.exp_dd_steps(np.array([[1.0, np.nan]]), [1.0])
     with pytest.raises(ValueError):
         dd.exp_dd_steps(np.ones(3), [1.0])
+
+
+@st.composite
+def mixed_order_calls(draw):
+    """Rows of orders 0-8, one order drawn to have none, each order's rows
+    as from mixed_rows, and 1-8 steps of either sign up to 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    empty = draw(st.integers(0, 8))
+    by_order = {}
+    for q in range(9):
+        if q != empty:
+            n = draw(st.integers(1, 12))
+            by_order[q] = (mixed_rows(rng, n, q) if q else
+                           rng.uniform(-3, 3, (n, 1)) + 1j * rng.uniform(-40, 40, (n, 1)))
+    dts = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8)))
+    return by_order, dts
+
+
+@seed(20261019)
+@settings(max_examples=25, deadline=None)
+@given(mixed_order_calls(), st.data())
+def test_steps_mixed_orders_property(case, data):
+    # one call with the rows of every order, in a shuffled row order and
+    # padded with junk: the wide pairs are bitwise each order's own call,
+    # the series pairs within 1e-12 of the real-part bound; a wide pair's
+    # value does not move when rows are dropped from the call
+    by_order, dts = case
+    counts = [len(rows) for rows in by_order.values()]
+    order_of = np.repeat(list(by_order), counts)
+    place = np.random.default_rng(len(order_of)).permutation(len(order_of))  # row i at place[i]
+    xs = np.random.default_rng(1).uniform(-1e3, 1e3, (len(order_of), 9)) + 0j
+    q = np.empty_like(order_of)
+    q[place] = order_of
+    for at, row in zip(place, (row for rows in by_order.values() for row in rows)):
+        xs[at, :len(row)] = row
+    got = dd.exp_dd_steps(xs, dts, q)
+    assert got.shape == (len(dts), len(q))
+    wide_all = np.zeros(got.shape, dtype=bool)
+    for (k, rows), at in zip(by_order.items(), np.split(place, np.cumsum(counts)[:-1])):
+        own = dd.exp_dd_steps(rows, dts)
+        spread = np.abs(rows - rows.mean(axis=1, keepdims=True)).max(axis=1)
+        wide = spread[None, :] * np.abs(dts)[:, None] > dd.SERIES_SPREAD_CUTOFF
+        _, bound = steps_reference(rows, dts)
+        assert np.array_equal(got[:, at][wide], own[wide]), k
+        assert (np.abs(got[:, at] - own) <= 1e-12 * bound).all(), k
+        wide_all[:, at] = wide
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(q), max_size=len(q))))
+    fewer = dd.exp_dd_steps(xs[keep], dts, q[keep])
+    assert np.array_equal(fewer[wide_all[:, keep]], got[:, keep][wide_all[:, keep]])
+
+
+def test_steps_rejects_bad_orders():
+    xs = np.ones((3, 4), dtype=complex)
+    for q in ([0, 1], [0, 1, 4], [0, -1, 2], [0.0, 1.0, 2.0], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="orders"):
+            dd.exp_dd_steps(xs, [1.0], np.array(q))
 
 
 @st.composite

@@ -416,31 +416,32 @@ def test_build_segment_rejects_mismatched_plan():
 
 def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
     # lambda = 0: every step but the clamped last one has the same length;
-    # the plan evaluates each order once, at both lengths, and the segments
-    # only look the values up
+    # the plan evaluates the rows of all orders in one call, at both
+    # lengths, and the segments only look the values up
     h = oscillating_hamiltonian(1.0, 1.0, 0.0)
     s = sched.build_schedule(h, 10.0, eps=1e-3)
     steps = sorted(set(dt for _, dt in s.steps))
     assert len(steps) == 2
     calls, rows = [], []
     real_steps, real_coefficients = dd.exp_dd_steps, dd._coefficients
-    monkeypatch.setattr(dd, "exp_dd_steps",
-                        lambda xs, dts: calls.append((len(xs), list(dts))) or real_steps(xs, dts))
-    monkeypatch.setattr(dd, "_coefficients",
-                        lambda zs, radius: rows.append(len(zs)) or real_coefficients(zs, radius))
+    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts, q=None:
+                        calls.append((len(xs), list(dts), q)) or real_steps(xs, dts, q))
+    monkeypatch.setattr(dd, "_coefficients", lambda zs, q, radius:
+                        rows.append(len(zs)) or real_coefficients(zs, q, radius))
     plan = dyson.SegmentPlan(h, s)
-    n_rows = sum(n for n, _ in calls)
-    assert len(calls) == s.Q and all(dts == steps for _, dts in calls)
+    ((n_rows, dts, orders),) = calls  # one call per plan
+    assert dts == steps
     # only the amplitude support is evaluated: each single-entry amplitude
     # diagonal fixes k_j along a path, so 2 of the 2^(q+1) entries per order
     assert (len(plan) - 1) * h.dim == 252 and n_rows == plan.dd_rows == 2 * s.Q == 12
+    assert np.array_equal(orders, np.repeat(np.arange(1, s.Q + 1), 2))
     assert sum(rows) == n_rows  # one pass per row
     for w in range(s.r):
         dyson.build_segment(h, s, w, plan=plan)
-    assert len(calls) == s.Q
+    assert len(calls) == 1
     # a new plan shares nothing with the old one
     dyson.build_segment(h, s, s.r - 1, plan=dyson.SegmentPlan(h, s))
-    assert len(calls) == 2 * s.Q and sum(rows) == 2 * n_rows
+    assert len(calls) == 2 and sum(rows) == 2 * n_rows
 
 
 # A decaying model (rates -0.37) whose steps grow, with static energies large
@@ -458,40 +459,44 @@ DECAYING_WIDE_SPEC = {
 
 @pytest.mark.parametrize("mode", [sched.MODE_EXACT, sched.MODE_UNIFORM])
 def test_plan_values_match_per_step_batches(mode, monkeypatch):
-    # every order at every distinct step, against dd.exp_dd_batch at that
-    # step alone: within 1e-12 of each value's real-part bound (per
-    # entry, both carry the series' error of up to ~1e-10 at shifted spreads
-    # 9-12), and equal where the pair is beyond the series cutoff
+    # every order at every distinct step, against dd.exp_dd_batch on that
+    # order's rows at that step alone: within 1e-12 of each value's
+    # real-part bound (per entry, both carry the series' error of up to
+    # ~1e-10 at shifted spreads 9-12), and equal where the pair is beyond
+    # the series cutoff
     h = pham.from_pauli_spec(DECAYING_WIDE_SPEC)
     s = sched.build_schedule(h, 3.0, eps=1e-3, mode=mode)
-    rows = []
+    calls = []
     real = dd.exp_dd_steps
-    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts: rows.append(xs) or real(xs, dts))
+    monkeypatch.setattr(dd, "exp_dd_steps",
+                        lambda xs, dts, q=None: calls.append((xs, q)) or real(xs, dts, q))
     plan = dyson.SegmentPlan(h, s)
     steps = sorted(set(dt for _, dt in s.steps))
-    assert len(steps) > 1 and len(rows) == len(plan.orders) == s.Q
-    assert sum(map(len, rows)) < (len(plan) - 1) * h.dim  # the YY term is padded
+    ((rows, orders),) = calls  # one call per plan
+    assert len(steps) > 1 and set(orders.tolist()) == set(range(1, s.Q + 1))
+    # the rows handed over are the support rows, and only they
+    assert len(rows) == np.count_nonzero(plan.d_coeff) == len(plan.gap)
+    assert len(rows) < (len(plan) - 1) * h.dim  # the YY term is padded
     crossing = 0
-    for o, xs in zip(plan.orders, rows):
-        # the rows handed over are the support rows, and only they
-        assert len(xs) == np.count_nonzero(o.d_coeff) == len(o.gap)
+    for q in range(1, s.Q + 1):
+        of_q = orders == q
+        xs = rows[of_q, :q + 1]
         spread = np.abs(xs - xs.mean(axis=1, keepdims=True)).max(axis=1)
         wide = spread[None, :] * np.array(steps)[:, None] > dd.SERIES_SPREAD_CUTOFF
         crossing += np.count_nonzero(wide.any(axis=0) & ~wide.all(axis=0))
         for dt, wide_at_dt in zip(steps, wide):
-            got = plan.divided(dt)[o.q - 1].ravel()
-            ref = dt**o.q * dd.exp_dd_batch(dt * xs)
-            bound = dt**o.q * dd.exp_dd_bound_batch(dt * xs)
-            assert (np.abs(got - ref) <= 1e-12 * bound).all(), (o.q, dt)
+            got = plan.divided(dt)[of_q]
+            ref = dt**q * dd.exp_dd_batch(dt * xs)
+            bound = dt**q * dd.exp_dd_bound_batch(dt * xs)
+            assert (np.abs(got - ref) <= 1e-12 * bound).all(), (q, dt)
             assert np.array_equal(got[wide_at_dt], ref[wide_at_dt])
     assert crossing > 0
     # off the support every coefficient is exactly 0, and on it none is
     for w in range(s.r):
-        coeff = dyson.build_segment(h, s, w, plan=plan).blocks.coeff
-        for o in plan.orders:
-            on = np.zeros(coeff[o.rows].size, dtype=bool)
-            on[o.support] = True
-            assert not coeff[o.rows].ravel()[~on].any() and coeff[o.rows].ravel()[on].all()
+        coeff = dyson.build_segment(h, s, w, plan=plan).blocks.coeff.ravel()
+        on = np.zeros(coeff.size, dtype=bool)
+        on[plan.index] = True
+        assert not coeff[h.dim:][~on[h.dim:]].any() and coeff[on].all()
 
 
 def test_padded_slot_paths_have_zero_coefficients():
@@ -550,10 +555,14 @@ def assert_plan_matches_dense_build(h, s):
         dense_vals.append(real(xs, dts))
         return dense_vals[-1]
 
-    def served(xs, dts):
-        q = xs.shape[1] - 1
-        assert np.array_equal(xs, dense_rows[q - 1][supports[q - 1]])
-        return dense_vals[q - 1][:, supports[q - 1]]
+    def served(xs, dts, q):
+        # one call: the support rows of every order, ascending, zero-padded
+        assert np.array_equal(q, np.repeat(np.arange(1, s.Q + 1), list(map(len, supports))))
+        for k, support in enumerate(supports, start=1):
+            assert np.array_equal(xs[q == k, :k + 1], dense_rows[k - 1][support])
+            assert not xs[q == k, k + 1:].any()
+        return np.concatenate([vals[:, support] for vals, support in zip(dense_vals, supports)],
+                              axis=1)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dd, "exp_dd_steps", record)
@@ -610,12 +619,13 @@ def test_plan_support_row_counts_on_frozen_cases(workload, case_id, rows, suppor
     h, s, _ = frozen_model(workload, case_id)
     handed, passed = [], []
     real_steps, real_coefficients = dd.exp_dd_steps, dd._coefficients
-    monkeypatch.setattr(dd, "exp_dd_steps",
-                        lambda xs, dts: handed.append(len(xs)) or real_steps(xs, dts))
-    monkeypatch.setattr(dd, "_coefficients", lambda zs, radius:
-                        passed.append(len(zs)) or real_coefficients(zs, radius))
+    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts, q=None:
+                        handed.append(len(xs)) or real_steps(xs, dts, q))
+    monkeypatch.setattr(dd, "_coefficients", lambda zs, q, radius:
+                        passed.append(len(zs)) or real_coefficients(zs, q, radius))
     plan = dyson.SegmentPlan(h, s)
     assert (len(plan) - 1) * h.dim == rows
+    assert len(handed) == 1  # one call per plan
     assert sum(handed) == plan.dd_rows == support and sum(passed) == series_rows
 
 

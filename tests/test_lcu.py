@@ -567,18 +567,21 @@ def test_run_full_aborts_on_non_finite_state(monkeypatch):
 
 
 def test_run_full_divided_difference_work_per_run(monkeypatch):
-    # each run makes one coefficient pass per order, at every distinct step
-    # length of its schedule (two for the oscillating model at alpha = 0
-    # over T = 10), and a second run repeats all of it
+    # each run makes one divided-difference call for the rows of all
+    # orders, at every distinct step length of its schedule (two for the
+    # oscillating model at alpha = 0 over T = 10), and a second run repeats
+    # all of it
     h = oscillating_hamiltonian(1.0, 1.0, 0.0)
     psi = np.full(2, 1 / math.sqrt(2), dtype=complex)
-    steps = []
+    steps, orders = [], []
     real = dd.exp_dd_steps
-    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts: steps.append(len(dts)) or real(xs, dts))
+    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts, q=None:
+                        steps.append(len(dts)) or orders.append(set(q)) or real(xs, dts, q))
     first_final, diag = lcu.run_full(h, 10.0, 1e-3, psi)
     first = len(steps)
     second_final, _ = lcu.run_full(h, 10.0, 1e-3, psi)
-    assert diag["r"] == 29 and first == diag["Q"] and steps == [2] * (2 * first)
+    assert diag["r"] == 29 and first == 1 and steps == [2, 2]
+    assert orders == [set(range(1, diag["Q"] + 1))] * 2 and diag["dd_rows"] == 12
     assert np.array_equal(first_final.system_block(0), second_final.system_block(0))
 
 
@@ -590,10 +593,11 @@ def test_run_full_reports_the_rows_it_evaluates(monkeypatch):
     handed = []
     real = dd.exp_dd_steps
     monkeypatch.setattr(dd, "exp_dd_steps",
-                        lambda xs, dts: handed.append(len(xs)) or real(xs, dts))
+                        lambda xs, dts, q=None: handed.append(len(xs)) or real(xs, dts, q))
     _, diag = lcu.run_full(h, case["t_total"], case["eps"], np.full(h.dim, 0.5, dtype=complex),
                            mode=case["mode"])
     assert (diag["r"], diag["Q"]) == (case["expect"]["r"], case["expect"]["Q"]) == (s.r, s.Q)
+    assert len(handed) == 1  # one call per run
     assert diag["dd_rows"] == sum(handed) == 4368
 
 
