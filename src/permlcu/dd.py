@@ -315,7 +315,7 @@ def _square_chunk(ys: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
         k = started[-1]
         qk, rk = q[:k], cols[:k]
         last = x[0, 0, :k] * x[qk, 0, rk]
-        for e in range(1, m):  # band q - e < 0 only past a row's corner: skipped
+        for e in range(1, m):  # rows with q_r < e have no such term (qk - e wraps)
             last += np.where(qk >= e, x[e, 0, :k] * x[qk - e, e, rk], 0.0)
         corner[:k] = last
     if one.any():
@@ -389,7 +389,8 @@ def _wide_batch(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
         sel = sel[np.argsort(-s[sel], kind="stable")]
         qs = q[sel]
         zs = xs[sel, :int(qs.max()) + 1] - shift[sel, None]
-        mu = _pad(zs, qs, _mean_spread(zs, qs)[0])
+        mu = _mean_spread(zs, qs)[0]
+        _pad(zs, qs, mu)
         out[sel] = _square_chunk(_leja_order(zs, qs, mu), qs, s[sel])
         lo += len(sel)
     return np.exp(shift) * out
@@ -427,11 +428,10 @@ def _mean_spread(xs: np.ndarray, q: np.ndarray):
     return mu, spread
 
 
-def _pad(xs: np.ndarray, q: np.ndarray, value: np.ndarray) -> np.ndarray:
+def _pad(xs: np.ndarray, q: np.ndarray, value: np.ndarray) -> None:
     """Sets the entries of each row past its order to value (B,), in place."""
     pad = np.arange(xs.shape[1]) > q[:, None]
     xs[pad] = np.broadcast_to(value[:, None], xs.shape)[pad]
-    return value
 
 
 def exp_dd_steps(xs: np.ndarray, dts, q=None) -> np.ndarray:
