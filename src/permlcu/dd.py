@@ -69,7 +69,7 @@ import numpy as np
 SERIES_SPREAD_CUTOFF = 12.0
 SERIES_TERM_CAP = 500
 # Rows per coefficient pass: the (terms, rows) coefficient block of a chunk
-# is 2 MB at 64 terms.
+# is 2.1 MB at 65 terms, which rows at the cutoff radius take.
 SERIES_CHUNK = 2048
 # Wide rows: scale so that 2^-s max|x| <= _THETA, then a Taylor polynomial
 # of degree q + _TAYLOR_TAIL - 1 leaves a relative truncation error of at
@@ -109,7 +109,11 @@ def _coefficients(zs: np.ndarray, q: np.ndarray, radius: np.ndarray) -> np.ndarr
     n, m = zs.shape
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(m)])[q]
     fact = np.array([float(math.factorial(k)) for k in range(m)])[q]
-    coef = np.zeros((64, n), dtype=complex)
+    # orders until the widest row's envelope is below 1e-20 (more are added
+    # if that is short): the block is as large as the chunk needs
+    r = float(radius.max())
+    terms = next(k for k in range(1, SERIES_TERM_CAP) if k > r and r**k / math.factorial(k) < 1e-20)
+    coef = np.zeros((terms + 1, n), dtype=complex)
     coef[0] = inv_fact
     idx = np.arange(n)  # positions in coef of the rows in the working arrays
     live = np.ones(n, dtype=bool)  # rows not yet converged
@@ -118,14 +122,13 @@ def _coefficients(zs: np.ndarray, q: np.ndarray, radius: np.ndarray) -> np.ndarr
     acc = inv_fact.astype(complex)
     env = inv_fact.copy()
     powers = np.ones(n, dtype=complex)  # zs[0]**order, updated incrementally
-    one_order = bool((q == q[0]).all())  # then h_q is a view, else a gather
     for order in range(1, SERIES_TERM_CAP + 1):
         powers = powers * zs[0]
         h[0] = powers
         for j in range(1, m):
             h[j] = h[j - 1] + zs[j] * h[j]
         fact *= order + q
-        term = (h[q[0]] if one_order else h[q, np.arange(len(q))]) / fact
+        term = h[q, np.arange(len(q))] / fact
         if order == len(coef):
             coef = np.concatenate([coef, np.zeros_like(coef)])
         coef[order, idx[live]] = term[live]
@@ -200,6 +203,7 @@ def _series(xs: np.ndarray, q: np.ndarray, mu: np.ndarray, spread: np.ndarray,
             sel = chunk[a:b]
             vals *= dtq[steps[:, None], q[sel]] * np.exp(np.multiply.outer(dt, mu[sel]))
             out[steps[:, None], sel] = vals
+        del coef  # the next chunk's pass runs without this one's coefficients
     return out
 
 
@@ -356,9 +360,11 @@ def _leja_order(zs: np.ndarray, q: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.take_along_axis(zs, order, axis=1)
 
 
-def _wide_batch(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """e^{[x_0,...,x_q]} for rows xs (B, m) of orders q as the corner of exp
-    of the bidiagonal matrix, by batched scaling and squaring.
+def _wide_batch(xs: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """e^{[x_0,...,x_q]} for the rows ``rows`` of xs (B, m), of orders q
+    (B,), as the corner of exp of the bidiagonal matrix, by batched scaling
+    and squaring.  The rows are read by index, a chunk at a time, so the
+    wide rows are never copied out as a whole.
 
     Rows are shifted by their real mean rounded to an integer, which keeps
     e^x in range, and not by their complex mean: fl(x - mean) moves each
@@ -370,17 +376,19 @@ def _wide_batch(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
     evaluated in chunks of at most WIDE_CHUNK, which bounds the working set
     of the band stacks and of the exact bands.
     """
-    shift, radius = np.empty(len(xs)), np.empty(len(xs))
+    q = q[rows]
+    shift, radius = np.empty(len(rows)), np.empty(len(rows))
     for sel, k in _by_order(q):
-        own = xs[sel, :k + 1]
+        own = xs[rows[sel], :k + 1]
         shift[sel] = np.rint(own.real.mean(axis=1))
         radius[sel] = np.hypot(own.real - shift[sel, None], own.imag).max(axis=1)
+    del own  # an order's rows: not held through the chunks
     s = np.maximum(np.ceil(np.log2(radius / _THETA)), 0.0).astype(np.int64)
     order = np.argsort(-s, kind="stable")  # chunks of one order where they can be
     order = order[np.argsort(q[order], kind="stable")]
-    out = np.empty(len(xs), dtype=complex)
+    out = np.empty(len(rows), dtype=complex)
     lo = 0
-    while lo < len(xs):
+    while lo < len(rows):
         sel = order[lo:lo + WIDE_CHUNK]
         # the exact bands hold up to s levels per row: past _BAND_LEVELS, fewer rows
         levels = int(s[sel].max())
@@ -388,7 +396,7 @@ def _wide_batch(xs: np.ndarray, q: np.ndarray) -> np.ndarray:
             sel = sel[:max(1, WIDE_CHUNK * _BAND_LEVELS // levels)]
         sel = sel[np.argsort(-s[sel], kind="stable")]
         qs = q[sel]
-        zs = xs[sel, :int(qs.max()) + 1] - shift[sel, None]
+        zs = xs[rows[sel], :int(qs.max()) + 1] - shift[sel, None]
         mu = _mean_spread(zs, qs)[0]
         _pad(zs, qs, mu)
         out[sel] = _square_chunk(_leja_order(zs, qs, mu), qs, s[sel])
@@ -410,21 +418,24 @@ def _checked_rows(xs, q) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _by_order(q: np.ndarray):
-    """(rows, k) per order k in q; the rows as a slice when contiguous (the plan's are)."""
+    """(rows, k) per order k in q."""
     for k in np.flatnonzero(np.bincount(q)).tolist():
-        sel = np.flatnonzero(q == k)
-        yield (slice(sel[0], sel[-1] + 1) if sel[-1] - sel[0] < len(sel) else sel), k
+        yield np.flatnonzero(q == k), k
 
 
 def _mean_spread(xs: np.ndarray, q: np.ndarray):
     """Row means, and the largest distance of a row's input from its mean,
     over the entries up to its order; taken over the rows of one order at a
-    time, so that they are the row's own."""
+    time, so that they are the row's own.  An order's rows are read through
+    a view of the run of rows from its first to its last (the plan's orders
+    are contiguous), not copied out; other rows in the run are dropped."""
     mu, spread = np.empty(len(xs), dtype=complex), np.zeros(len(xs))
-    for sel, k in _by_order(q):
-        mu[sel] = xs[sel, :k + 1].mean(axis=1)
+    for rows, k in _by_order(q):
+        run = xs[rows[0]:rows[-1] + 1, :k + 1]
+        mean, dist = run.mean(axis=1), np.zeros(len(run))
         for j in range(k + 1):  # a column at a time: no (B, q+1) temporary
-            spread[sel] = np.maximum(spread[sel], np.abs(xs[sel, j] - mu[sel]))
+            np.maximum(dist, np.abs(run[:, j] - mean), out=dist)
+        mu[rows], spread[rows] = mean[rows - rows[0]], dist[rows - rows[0]]
     return mu, spread
 
 
@@ -474,10 +485,8 @@ def exp_dd_batch(xs: np.ndarray, q=None) -> np.ndarray:
     mu, spread = _mean_spread(xs, q)
     out = _series(xs, q, mu, spread, np.ones(1))[0]
     wide = spread > SERIES_SPREAD_CUTOFF
-    if wide.all():  # as from exp_dd_steps: no copy
-        return _wide_batch(xs, q)
     if wide.any():
-        out[wide] = _wide_batch(xs[wide], q[wide])
+        out[wide] = _wide_batch(xs, q, np.flatnonzero(wide))
     return out
 
 

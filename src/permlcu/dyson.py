@@ -106,9 +106,9 @@ class SegmentPlan:
 
     Per term, row 0 the q = 0 term: q, cum_mask (of P_{i_q}), factors
     (-i)^q, lam (T, Q) the growth exponent of each (i_j, k_j), 0 past q, and
-    amp_prod, the product of the amplitude scales.  Per entry (term, z) of
-    the amplitude support, order by order: index into the flat (T, 2^n)
-    table, gap E_z - E_{z_q}, rates_sum and d_coeff.
+    amp_prod, the product of the amplitude scales.  on_support, a mask of
+    the flat (T, 2^n) table; per entry (term, z) on it, in table order: gap
+    E_z - E_{z_q}, rates_sum and d_coeff.
     """
 
     def __init__(self, h: pham.PermExpHamiltonian, schedule: Schedule):
@@ -152,12 +152,17 @@ class SegmentPlan:
         self.amp_prod = np.ones(n_terms)
         self.q = np.repeat(np.arange(q_top + 1), [(n_i * n_k)**q for q in range(q_top + 1)])
         self.cum_mask = np.zeros(n_terms, dtype=np.int64)
-        # sized for every entry; each order's support is written after the
-        # last, and the unused tail is given back after the last order
-        n_entries = (n_terms - 1) * dim
+        # sized for the entries whose amplitude factors are all nonzero:
+        # paths[y] counts the partial paths of order q that end in state y
+        # with such factors.  Each order's support is written after the last;
+        # a product that underflows to 0 leaves an unused tail.
+        nz, paths, n_entries = (amp != 0).sum(axis=1), np.ones(dim, dtype=np.int64), 0
+        for q in range(q_top):
+            paths = sum(nz[i] * paths[z ^ mask] for i, mask in enumerate(term_masks))
+            n_entries += int(paths.sum())
         xs = np.empty((n_entries, q_max + 1), dtype=complex)
         orders = np.empty(n_entries, dtype=np.min_scalar_type(q_max))
-        index = np.empty(n_entries, dtype=np.min_scalar_type(n_terms * dim))
+        self.on_support = np.zeros(n_terms * dim, dtype=bool)
         gap, rates_sum = np.empty(n_entries), np.empty(n_entries, dtype=complex)
         d_coeff = np.empty(n_entries, dtype=complex)
         start, at = 1, 0
@@ -189,7 +194,7 @@ class SegmentPlan:
             xs[part, :q].imag += gaps  # in place: no complex temporary
             del gaps
             orders[part] = q
-            index[part] = support + start * dim
+            self.on_support[support + start * dim] = True
             gap[part] = energies[z0] - e_final
             d_coeff[part] = d_all[support]
             at += len(support)
@@ -197,12 +202,8 @@ class SegmentPlan:
             self.amp_prod[start:start + nb] = amp_scale[big_i, big_k].prod(axis=1)
             self.cum_mask[start:start + nb] = cum[:, -1]
             start += nb
-        for buf in (xs, orders, index, gap, rates_sum, d_coeff):  # no view of them is alive
-            buf.resize((at,) + buf.shape[1:], refcheck=False)
-        self.gap, self.rates_sum, self.d_coeff = gap, rates_sum, d_coeff
-        # the whole table but the q = 0 row: a slice assigns faster
-        self.index = slice(dim, None) if at == n_entries else index
-        return xs, orders
+        self.gap, self.rates_sum, self.d_coeff = (a[:at] for a in (gap, rates_sum, d_coeff))
+        return xs[:at], orders[:at]
 
     def __len__(self) -> int:
         return len(self.q)
@@ -241,7 +242,7 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     vals *= np.exp(t_w * plan.rates_sum)
     vals *= plan.divided(dt_w)
     vals *= plan.d_coeff
-    coeff.reshape(-1)[plan.index] = vals
+    coeff.reshape(-1)[plan.on_support] = vals
     orders = range(schedule.Q + 1)
     scale = np.array([dt_tilde**q / math.factorial(q) for q in orders])[plan.q]
     if schedule.mode == MODE_UNIFORM:

@@ -150,9 +150,9 @@ def run_tables(plan: dyson.SegmentPlan):
     return layout, np.append(plan.factors, 1.0)[:, None], gather  # factor 1: padding term
 
 
-def build_context(seg: dyson.SegmentOperator, tables=None) -> LCUContext:
+def build_context(seg: dyson.SegmentOperator, tables) -> LCUContext:
     """The segment's context; ``tables`` is the run's `run_tables(seg.plan)`."""
-    layout, factors, gather = tables or run_tables(seg.plan)
+    layout, factors, gather = tables
     h, terms = seg.h, seg.blocks
     # row 2t + x: term t, cosine branch x; bound = dt_tilde^q/q! * Gamma-part
     # in either mode, and the padding term (coefficient 0, mask 0, factor 1)

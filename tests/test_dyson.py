@@ -494,8 +494,7 @@ def test_plan_values_match_per_step_batches(mode, monkeypatch):
     # off the support every coefficient is exactly 0, and on it none is
     for w in range(s.r):
         coeff = dyson.build_segment(h, s, w, plan=plan).blocks.coeff.ravel()
-        on = np.zeros(coeff.size, dtype=bool)
-        on[plan.index] = True
+        on = plan.on_support
         assert not coeff[h.dim:][~on[h.dim:]].any() and coeff[on].all()
 
 
@@ -578,8 +577,9 @@ def assert_plan_matches_dense_build(h, s):
         assert np.array_equal(tab.coeff, coeff)
         full = replace(seg, blocks=replace(tab, coeff=coeff))
         assert np.array_equal(seg.matrix(), full.matrix())
-        assert np.array_equal(lcu.build_context(seg).phase_table,
-                              lcu.build_context(full).phase_table)
+        tables = lcu.run_tables(plan)
+        assert np.array_equal(lcu.build_context(seg, tables).phase_table,
+                              lcu.build_context(full, tables).phase_table)
         got = dyson.build_segment(h, s, w, plan=evaluated).blocks.coeff
         assert (np.abs(got - coeff) <= 1e-12 * tab.bound[:, None]).all()
         assert np.array_equal(got == 0, coeff == 0)
@@ -627,6 +627,34 @@ def test_plan_support_row_counts_on_frozen_cases(workload, case_id, rows, suppor
     assert (len(plan) - 1) * h.dim == rows
     assert len(handed) == 1  # one call per plan
     assert sum(handed) == plan.dd_rows == support and sum(passed) == series_rows
+
+
+@pytest.mark.parametrize("workload, case_id", [("c4-n2", "m4"), ("osc-long", "a1e3")])
+def test_plan_entries_after_shrink_match_dense_build(workload, case_id, monkeypatch):
+    # the per-entry buffers are sized for every entry and shrunk to the
+    # support; after the shrink they hold the support entries, in order
+    h, s, _ = frozen_model(workload, case_id)
+    dense_vals, real = [], dd.exp_dd_steps
+    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts, q=None:
+                        dense_vals.append(real(xs, dts, q)) or dense_vals[-1])
+    dense, supports = dense_coefficients(h, s)
+    monkeypatch.undo()
+    plan = dyson.SegmentPlan(h, s)
+    starts = np.cumsum([1] + [len(v[0]) // h.dim for v in dense_vals])
+    index = np.concatenate([sup + start * h.dim for sup, start in zip(supports, starts)])
+    assert plan.dd_rows == len(index) < (len(plan) - 1) * h.dim
+    assert np.array_equal(np.flatnonzero(plan.on_support), index)
+    term, z = np.divmod(index, h.dim)
+    energies = h.h0_diag
+    assert plan.gap.shape == plan.rates_sum.shape == plan.d_coeff.shape == (len(index),)
+    assert np.array_equal(plan.gap, energies[z] - energies[z ^ plan.cum_mask[term]])
+    for i, dt in enumerate(sorted({dt for _, dt in s.steps})):
+        values = np.concatenate([v[i, sup] for v, sup in zip(dense_vals, supports)])
+        np.testing.assert_allclose(plan.divided(dt), values, rtol=1e-12, atol=0)
+    # at t_0 = 0 a coefficient is its divided difference times d_coeff
+    assert s.steps[0][0] == 0.0
+    np.testing.assert_allclose(plan.d_coeff * plan.divided(s.steps[0][1]),
+                               dense[0].reshape(-1)[index], rtol=1e-12, atol=0)
 
 
 def test_alt_matches_term_by_term_construction():

@@ -20,10 +20,14 @@ def haar_state(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def context(seg):
+    return lcu.build_context(seg, lcu.run_tables(seg.plan))
+
+
 def build_pipeline(h, t_total, eps, mode=sched.MODE_EXACT, w=0):
     s = sched.build_schedule(h, t_total, eps=eps, mode=mode)
     seg = dyson.build_segment(h, s, w)
-    return s, seg, lcu.build_context(seg)
+    return s, seg, context(seg)
 
 
 # --- full-statevector reference: B, W and the OAA gate by gate on the joint state
@@ -145,7 +149,7 @@ def test_prepare_b_order_zero():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s = sched.build_schedule(h, 1.0)
     seg = dyson.build_segment(h, replace(s, Q=0), 0)
-    ctx = lcu.build_context(seg)
+    ctx = context(seg)
     assert seg.s == 1.0
     # the q = 0 term and the padding term 2 - s = 1, a quarter per x branch
     np.testing.assert_allclose(ctx.b_amps, [0.5] * 4, rtol=1e-14)
@@ -156,7 +160,7 @@ def test_prepare_b_static_first_order():
     h = pham.from_pauli_spec(static_spec(0.0, 1.0))
     s = sched.build_schedule(h, 10.0)
     seg = dyson.build_segment(h, replace(s, Q=1), 0)
-    ctx = lcu.build_context(seg)
+    ctx = context(seg)
     assert seg.s == pytest.approx(1 + LN2, rel=1e-12)
     expect = np.sqrt(np.array([1.0, 1.0, LN2, LN2, 1 - LN2, 1 - LN2]) / 4)
     np.testing.assert_allclose(ctx.b_amps, expect, rtol=1e-12)
@@ -167,7 +171,7 @@ def test_prepare_b_uniform_mode_equal_amplitudes():
     h = pham.from_pauli_spec(random_model_spec(rng, n=2, m_max=2, k_max=1))
     s = sched.build_schedule(h, 2.0, mode=sched.MODE_UNIFORM)
     seg = dyson.build_segment(h, replace(s, Q=1), 0)
-    ctx = lcu.build_context(seg)
+    ctx = context(seg)
     order1 = ctx.b_amps[2:-2]
     assert np.ptp(order1) < 1e-14  # every (i, k, x) weight identical at fixed q
 
@@ -268,7 +272,7 @@ def test_context_rejects_normalization_above_two():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     _, seg, _ = build_pipeline(h, 1.0, 1e-3)
     with pytest.raises(lcu.TermBoundError, match="negative bound"):
-        lcu.build_context(replace(seg, s=2.0 + 1e-9))
+        context(replace(seg, s=2.0 + 1e-9))
 
 
 def test_vc_preserves_norm():
@@ -344,7 +348,7 @@ def test_apply_a_identity_on_empty_interaction():
     h = pham.from_pauli_spec({"n": 1, "h0": [{"coupling": 0.9, "z_mask": "1"}]})
     s = sched.build_schedule(h, 1.0, eps=1e-3)
     seg = dyson.build_segment(h, s, 0)
-    ctx = lcu.build_context(seg)
+    ctx = context(seg)
     psi = np.array([0.6, 0.8])
     out = lcu.apply_A(ctx, psi)
     assert out.shape == (2,)
@@ -387,7 +391,7 @@ def _random_contexts():
             assert s.final_step_clamped
             plan = dyson.SegmentPlan(h, s)
             for w in sorted({0, s.r - 1}):
-                yield h, lcu.build_context(dyson.build_segment(h, s, w, plan=plan))
+                yield h, context(dyson.build_segment(h, s, w, plan=plan))
     h = pham.from_pauli_spec({"n": 2, "h0": [{"coupling": 0.9, "z_mask": "01"}]})
     yield h, build_pipeline(h, 1.0, 1e-3)[2]  # empty interaction
 
