@@ -109,8 +109,7 @@ def _coefficients(zs: np.ndarray, q: np.ndarray, radius: np.ndarray) -> np.ndarr
     n, m = zs.shape
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(m)])[q]
     fact = np.array([float(math.factorial(k)) for k in range(m)])[q]
-    # orders until the widest row's envelope is below 1e-20 (more are added
-    # if that is short): the block is as large as the chunk needs
+    # orders until the widest row's envelope is below 1e-20 (doubled if short)
     r = float(radius.max())
     terms = next(k for k in range(1, SERIES_TERM_CAP) if k > r and r**k / math.factorial(k) < 1e-20)
     coef = np.zeros((terms + 1, n), dtype=complex)

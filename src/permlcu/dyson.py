@@ -152,10 +152,9 @@ class SegmentPlan:
         self.amp_prod = np.ones(n_terms)
         self.q = np.repeat(np.arange(q_top + 1), [(n_i * n_k)**q for q in range(q_top + 1)])
         self.cum_mask = np.zeros(n_terms, dtype=np.int64)
-        # sized for the entries whose amplitude factors are all nonzero:
-        # paths[y] counts the partial paths of order q that end in state y
-        # with such factors.  Each order's support is written after the last;
-        # a product that underflows to 0 leaves an unused tail.
+        # sized for the entries with all amplitude factors nonzero (paths[y]
+        # counts such partial paths ending in state y); each order's support
+        # follows the last's, and a product that underflows to 0 leaves a tail
         nz, paths, n_entries = (amp != 0).sum(axis=1), np.ones(dim, dtype=np.int64), 0
         for q in range(q_top):
             paths = sum(nz[i] * paths[z ^ mask] for i, mask in enumerate(term_masks))
