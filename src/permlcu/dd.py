@@ -362,8 +362,9 @@ def _leja_order(zs: np.ndarray, q: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _wide_batch(xs: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """e^{[x_0,...,x_q]} for the rows ``rows`` of xs (B, m), of orders q
     (B,), as the corner of exp of the bidiagonal matrix, by batched scaling
-    and squaring.  The rows are read by index, a chunk at a time, so the
-    wide rows are never copied out as a whole.
+    and squaring.  The rows are read by index (an order at a time for the
+    shifts, a chunk at a time for the kernel), so no copy of all of them is
+    made.
 
     Rows are shifted by their real mean rounded to an integer, which keeps
     e^x in range, and not by their complex mean: fl(x - mean) moves each
