@@ -90,18 +90,18 @@ def criterion_2():
     """Schedule regimes: constant steps, decay saturation, growth asymptote."""
     failures = []
     h = oscillating_hamiltonian(1.0, 1.0, 4.0)
-    s = sched.build_schedule(h, 5.0)
+    s = sched.build_schedule(h, 5.0, eps=EPS_DEFAULT)
     gamma0 = pham.gamma_bound(h, 0.0)
     if any(dt != LN2 / gamma0 for _, dt in s.steps[:-1]):
         failures.append("lambda=0: non-final steps differ from ln2/Gamma")
     rs = []
     for t_total in (10.0, 100.0, 1000.0):
         hd = pham.from_pauli_spec(decay_spec(1.0, 1.0, 1.0))
-        rs.append(sched.build_schedule(hd, t_total).r)
+        rs.append(sched.build_schedule(hd, t_total, eps=EPS_DEFAULT).r)
     if not rs[0] == rs[1] == rs[2]:
         failures.append(f"decay saturation violated: r = {rs}")
     hg = pham.from_pauli_spec(growth_spec(1.0, 1.0, 1.0))
-    sg = sched.build_schedule(hg, 4.0)
+    sg = sched.build_schedule(hg, 4.0, eps=EPS_DEFAULT)
     prods = [g * dt for (_, dt), g in zip(sg.steps[:-1], sg.gammas[:-1])]
     if not all(p < LN2 for p in prods):
         failures.append("lambda>0: product reached ln2 from above")
@@ -127,7 +127,7 @@ def criterion_3():
     for alpha in (0.0, 1.0, 1e3, 1e6):
         h = oscillating_hamiltonian(h_field, gamma, alpha)
         s = sched.build_schedule(h, t_total, eps=eps)
-        seg = dyson.build_segment(h, s, 0)
+        seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
         params = costcli.params_from_model(h, s)
         report = costcli.gate_cost(params)
         key = (s.steps, s.gammas, s.r, s.Q, s.lam, len(seg.blocks),
@@ -257,8 +257,8 @@ def criterion_6():
         ui_prod = np.eye(h.dim, dtype=complex)
         plan = dyson.SegmentPlan(h, s)
         for w in range(s.r):
-            alt_prod = dyson.alt_segment_unitary(h, s, w, plan=plan) @ alt_prod
-            ui_prod = dyson.build_segment(h, s, w, plan=plan).matrix() @ ui_prod
+            alt_prod = dyson.alt_segment_unitary(plan, w) @ alt_prod
+            ui_prod = dyson.build_segment(plan, w).matrix() @ ui_prod
         gap = _spectral(alt_prod - np.diag(np.exp(-1j * h.h0_diag * t_total)) @ ui_prod)
         if gap > 1e-8:
             failures.append(f"model {seed}: product identity gap {gap:.2e}")
@@ -273,7 +273,7 @@ def criterion_6():
     plan = dyson.SegmentPlan(h, s)
     prod = np.eye(2, dtype=complex)
     for w in range(s.r):
-        prod = dyson.alt_segment_unitary(h, s, w, plan=plan) @ prod
+        prod = dyson.alt_segment_unitary(plan, w) @ prod
     ref = expm(-1j * pham.eval_H(h, 0.0) * t_total)
     gap = _spectral(prod - ref)
     if gap > 2 * eps_static:
@@ -292,7 +292,7 @@ def criterion_7():
         last = s.r - 1 if s.final_step_clamped else s.r
         plan = dyson.SegmentPlan(h, s)
         for w in range(last):
-            u = dyson.build_segment(h, s, w, plan=plan).matrix()
+            u = dyson.build_segment(plan, w).matrix()
             defect = _spectral(u.conj().T @ u - np.eye(h.dim))
             if defect > 3 * eps / s.r:
                 failures.append(f"model {seed} segment {w}: defect {defect:.2e}")

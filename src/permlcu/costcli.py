@@ -101,8 +101,6 @@ def h0_circuit_count(L: int, d: int, weights) -> int:
 def params_from_model(h: pham.PermExpHamiltonian, schedule: sched.Schedule,
                       c_d: int = 1, c_dh0: int = 1, c_lambda: int = 1) -> CostParams:
     """Extract the symbol values of a concrete model and its schedule."""
-    if schedule.Q is None:
-        raise ValueError("schedule carries no truncation order; build it with eps")
     k_od = max((t.locality for t in h.vterms), default=0)
     d = max((bin(zmask).count("1") for _, zmask in h.h0_zterms), default=0)
     return CostParams(M=h.num_masks, K=h.num_exp_terms, r=schedule.r, Q=schedule.Q,

@@ -18,7 +18,7 @@ are known before the first segment, so a `SegmentPlan` enumerates the
 permutation paths once per run into flat arrays over the terms of all
 orders, and evaluates the divided differences of every distinct step
 length in one `dd.exp_dd_steps` call, the rows of every order together.
-A segment is then one array pass over the plan.
+A segment, `build_segment(plan, w)`, is then one array pass over the plan.
 
 A term whose d_coeff = prod_j D_{i_j,k_j}(z_j) is exactly 0 vanishes
 whatever its divided difference: a path through a zero-padded exponential
@@ -56,16 +56,14 @@ class EnumerationLimitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TermTable:
-    """All ancilla terms (q, i_q, k_q) of a segment, one row per term in
-    ancilla order (ascending q, then i_q outer and k_q inner, both
-    lexicographic); columns are the z-components."""
-    q: np.ndarray           # (T,) order
-    cum_mask: np.ndarray    # (T,) XOR mask of P_{i_q}
+    """The per-segment values of all ancilla terms (q, i_q, k_q), one row
+    per term in the plan's order (its ``q`` and ``cum_mask`` name the
+    terms); columns are the z-components."""
     coeff: np.ndarray       # (T, 2^n)
     bound: np.ndarray       # (T,) dt_tilde^q/q! * Gamma bound on |coeff|
 
     def __len__(self) -> int:
-        return len(self.q)
+        return len(self.bound)
 
 
 @dataclass(frozen=True)
@@ -80,11 +78,11 @@ class SegmentOperator:
         """Dense sum_t (-i)^q_t P_{cum_mask_t} diag(coeff_t), added term by
         term in table order (deterministic): one bincount per part over the
         flat index (cum_mask ^ z) * 2^n + z."""
-        tab = self.blocks
-        dim = tab.coeff.shape[1]
+        coeff, plan = self.blocks.coeff, self.plan
+        dim = coeff.shape[1]
         z = np.arange(dim)
-        flat = ((tab.cum_mask[:, None] ^ z) * dim + z).ravel()
-        vals = (self.plan.factors[:, None] * tab.coeff).ravel()
+        flat = ((plan.cum_mask[:, None] ^ z) * dim + z).ravel()
+        vals = (plan.factors[:, None] * coeff).ravel()
         out = np.empty(dim * dim, dtype=complex)
         out.real = np.bincount(flat, vals.real, dim * dim)
         out.imag = np.bincount(flat, vals.imag, dim * dim)
@@ -129,12 +127,12 @@ class SegmentPlan:
         The paths of order q are enumerated at once over all (i_q, k_q),
         i_q outer and k_q inner, both lexicographic; the rows of the
         entries with d_coeff exactly 0 are never built."""
-        if q_max is None:
-            raise ValueError("truncation order missing: build the schedule with eps")
-        if count_terms(h, q_max) > ENUMERATION_GUARD:
+        total = count_terms(h, q_max)
+        if total > ENUMERATION_GUARD:
             raise EnumerationLimitError(
-                f"{count_terms(h, q_max)} terms exceed the enumeration guard {ENUMERATION_GUARD}")
+                f"{total} terms exceed the enumeration guard {ENUMERATION_GUARD}")
         n_i, n_k, dim = len(h.vterms), h.num_exp_terms, h.dim
+        n_terms = total // dim
         # stacked (i, k) -> per-z tables
         amp = np.zeros((n_i, n_k, dim), dtype=complex)
         rate = np.zeros((n_i, n_k, dim), dtype=complex)
@@ -147,7 +145,6 @@ class SegmentPlan:
         self.gmax = amp_scale.max() if amp_scale.size else 0.0
         energies, z = h.h0_diag, np.arange(dim)
         q_top = q_max if n_i and n_k else 0
-        n_terms = sum((n_i * n_k)**q for q in range(q_top + 1))
         self.lam = np.zeros((n_terms, q_max))
         self.amp_prod = np.ones(n_terms)
         self.q = np.repeat(np.arange(q_top + 1), [(n_i * n_k)**q for q in range(q_top + 1)])
@@ -213,20 +210,14 @@ class SegmentPlan:
         return self._divided[self._step_index[dt]]
 
 
-def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
-                  plan: SegmentPlan | None = None) -> SegmentOperator:
-    """All Dyson terms of segment w up to the schedule's truncation order Q.
+def build_segment(plan: SegmentPlan, w: int) -> SegmentOperator:
+    """All Dyson terms of segment w of the plan's schedule, to its order Q.
 
     The mode is inherited from the schedule: exact per-term Gamma bounds or
-    the uniform (larger, state-preparation-cheap) bound.  ``plan`` is the
-    run's SegmentPlan for (h, schedule); one is built, for every step of the
-    schedule, when it is omitted.  Coefficients off the amplitude support
-    are 0.
+    the uniform (larger, state-preparation-cheap) bound.  Coefficients off
+    the amplitude support are 0.
     """
-    if plan is None:
-        plan = SegmentPlan(h, schedule)
-    elif plan.h is not h or plan.schedule != schedule:
-        raise ValueError("the plan was built for another model or schedule")
+    h, schedule = plan.h, plan.schedule
     t_w, dt_w = schedule.steps[w]
     dt_tilde = schedule.dt_tilde(w)
 
@@ -250,24 +241,22 @@ def build_segment(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
     else:
         # exp(0) = 1 past each term's order: the padding multiplies by 1.0
         bounds = scale * (np.exp(t_w * plan.lam).prod(axis=1) * plan.amp_prod)
-    table = TermTable(q=plan.q, cum_mask=plan.cum_mask, coeff=coeff, bound=bounds)
+    table = TermTable(coeff=coeff, bound=bounds)
     return SegmentOperator(h=h, s=schedule.s(w), blocks=table, plan=plan)
 
 
-def alt_segment_unitary(h: pham.PermExpHamiltonian, schedule: Schedule, w: int,
-                        plan: SegmentPlan | None = None) -> np.ndarray:
-    """Dense Schroedinger-frame segment with the static phases absorbed,
+def alt_segment_unitary(plan: SegmentPlan, w: int) -> np.ndarray:
+    """Dense Schroedinger-frame segment w with the static phases absorbed,
 
         U_alt = e^{-i H0 t_{w+1}} U_I e^{i H0 t_w}:
 
-    the interaction-frame segment of `build_segment`, same ``plan``
-    contract, with its rows times e^{-i E t_{w+1}} and its columns times
-    e^{i E t_w}.  Term by term this is the expansion in the inputs
-    y_j = -i(E_{z_{j-1}} - E_z) - sum_{l<j} rate_l (y_1 = 0), which are the
-    interaction inputs shifted, y_j = x_j + y_{q+1}, with a trailing
-    diagonal e^{-i H0 dt_w}.
+    the interaction-frame segment of `build_segment` with its rows times
+    e^{-i E t_{w+1}} and its columns times e^{i E t_w}.  Term by term this
+    is the expansion in the inputs y_j = -i(E_{z_{j-1}} - E_z) -
+    sum_{l<j} rate_l (y_1 = 0), which are the interaction inputs shifted,
+    y_j = x_j + y_{q+1}, with a trailing diagonal e^{-i H0 dt_w}.
     """
-    t_w, dt_w = schedule.steps[w]
-    energies = h.h0_diag
-    u_i = build_segment(h, schedule, w, plan).matrix()
+    t_w, dt_w = plan.schedule.steps[w]
+    energies = plan.h.h0_diag
+    u_i = build_segment(plan, w).matrix()
     return np.exp(-1j * energies * (t_w + dt_w))[:, None] * u_i * np.exp(1j * energies * t_w)

@@ -1,6 +1,6 @@
 """Statevector simulation of the per-segment LCU routine.
 
-The ancilla indexes the enumerated Dyson terms: entry 2*t + x couples term t
+The ancilla indexes the plan's Dyson terms: entry 2*t + x couples term t
 (ordered by ascending order q, then lexicographic multi-indices) with the
 cosine-decomposition qubit x.  The preparation B is a real reflection
 sending the all-zero ancilla to the weight state |b>; the controlled unitary
@@ -55,17 +55,10 @@ class SimulationAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ancilla bookkeeping for Q order registers of dimensions dim_i, dim_k plus x."""
-    Q: int
-    dim_i: int
-    dim_k: int
+    """Ancilla bookkeeping: n_terms terms (the plan's Dyson terms plus the
+    padding term), each with its cosine qubit x, on n system qubits."""
+    n_terms: int
     n: int
-
-    @property
-    def n_terms(self) -> int:
-        """The Dyson terms up to order Q plus the padding term."""
-        base = self.dim_i * self.dim_k
-        return sum(base**q for q in range(self.Q + 1)) + 1
 
     @property
     def ancilla_dim(self) -> int:
@@ -140,10 +133,7 @@ def run_tables(plan: dyson.SegmentPlan):
     """(layout, factor column, gather index): the parts of a context that
     are the same for every segment of the plan's run."""
     h = plan.h
-    layout = RegisterLayout(Q=plan.schedule.Q, dim_i=len(h.vterms),
-                            dim_k=h.num_exp_terms, n=h.n)
-    if len(plan) + 1 != layout.n_terms:
-        raise RuntimeError("segment enumeration does not match the register layout")
+    layout = RegisterLayout(n_terms=len(plan) + 1, n=h.n)
     # the mask is below 2^n, so XOR on the flat index a * 2^n + z flips only z
     masks = np.repeat(np.append(plan.cum_mask, 0), 2)
     gather = (np.arange(layout.ancilla_dim * h.dim).reshape(-1, h.dim) ^ masks[:, None]).ravel()
@@ -250,7 +240,7 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     plan = dyson.SegmentPlan(h, schedule)
     tables = run_tables(plan)
     for w in range(schedule.r):
-        seg = dyson.build_segment(h, schedule, w, plan=plan)
+        seg = dyson.build_segment(plan, w)
         ctx = build_context(seg, tables)
         block = apply_A(ctx, psi)
         block_norm = float(np.linalg.norm(block))

@@ -5,7 +5,8 @@ keeps the normalization of each segment's Dyson terms near 2.  The closed form i
 dt = ln(1 + lam*ln2/Gamma(t_w))/lam; three regimes follow from the sign of
 lam (constant steps, saturating step count, shrinking steps).  When the
 proposed step overshoots T, vanishes, or the logarithm argument turns
-negative, the final step is clamped to T - t_w.
+negative, the final step is clamped to T - t_w.  Every schedule carries the
+truncation order Q, the smallest with |s - 2| <= eps/r for its eps.
 """
 from __future__ import annotations
 
@@ -40,8 +41,8 @@ class Schedule:
     lam: float
     final_step_clamped: bool
     l1_like: float                           # sum_w Gamma(t_w) dt_tilde_w, ln 2 per unclamped step
-    mode: str = MODE_EXACT
-    Q: int | None = None
+    mode: str
+    Q: int                                   # truncation order for |s - 2| <= eps/r
 
     def dt_tilde(self, w: int) -> float:
         """Effective step weight (e^{lam*dt_w} - 1)/lam (dt_w in the lam->0 limit)."""
@@ -89,12 +90,12 @@ def next_step(gamma_tw: float, lam: float) -> float:
 
 
 def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
-                   eps: float | None = None, mode: str = MODE_EXACT) -> Schedule:
-    """Partition [0, T] by iterating the step rule from t=0.
+                   eps: float, mode: str = MODE_EXACT) -> Schedule:
+    """Partition [0, T] by iterating the step rule from t=0, and attach the
+    truncation order Q for |s - 2| <= eps/r.
 
     The final step is clamped to T - t_w whenever the rule overshoots T or
-    finds no finite step.  When eps is given, the truncation order Q for
-    |s - 2| <= eps/r is attached.
+    finds no finite step.  The steps do not depend on eps.
     """
     if not (t_total > 0.0 and math.isfinite(t_total)):
         raise ValueError("total time must be positive and finite")
@@ -129,7 +130,7 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
     l1 = sum(g * _dt_tilde(dt, lam) for (_, dt), g in zip(steps, gammas))
     return Schedule(steps=tuple(steps), gammas=tuple(gammas), r=r, lam=lam,
                     final_step_clamped=clamped, l1_like=l1, mode=mode,
-                    Q=truncation_order(r, eps) if eps is not None else None)
+                    Q=truncation_order(r, eps))
 
 
 def s_tail(q_order: int) -> float:
@@ -158,8 +159,8 @@ def truncation_order(r: int, eps: float) -> int:
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("r must be a positive integer")
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, not {eps!r}")
     target = eps / r
     q_order = 0
     while s_tail(q_order) > target:

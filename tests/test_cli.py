@@ -90,6 +90,13 @@ def test_schedule_that_cannot_reach_the_time_exits_2(tmp_path, capsys):
     assert "error:" in captured.err and "steps" in captured.err
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1"])
+def test_bad_epsilon_exits_2(spec_path, capsys, eps):
+    assert costcli.main(["schedule", spec_path, "--time", "1.0", "--epsilon", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "eps must be positive and finite" in captured.err
+
+
 def test_env_fallback(spec_path, capsys, monkeypatch):
     monkeypatch.setenv("PERMLCU_TIME", "1.5")
     monkeypatch.setenv("PERMLCU_EPSILON", "1e-2")

@@ -107,19 +107,19 @@ def test_coefficient_bound_holds_per_term():
 def test_segment_v_zero_is_identity():
     h = pham.from_pauli_spec({"n": 2, "h0": [{"coupling": 0.7, "z_mask": "10"}]})
     s = sched.build_schedule(h, 1.0, eps=1e-3)
-    np.testing.assert_allclose(dyson.build_segment(h, s, 0).matrix(), np.eye(4),
-                               atol=1e-14)
+    np.testing.assert_allclose(dyson.build_segment(dyson.SegmentPlan(h, s), 0).matrix(),
+                               np.eye(4), atol=1e-14)
 
 
 def test_segment_blocks_match_scalar_reference():
     rng = np.random.default_rng(53)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 1.5, eps=1e-2)
-    seg = dyson.build_segment(h, s, 0)
+    seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
     t_w, dt_w = s.steps[0]
     tab = seg.blocks
     for t, (q, iq, kq) in zip(range(40), multi_indices(h, s.Q)):
-        assert tab.q[t] == q and len(iq) == len(kq) == q
+        assert seg.plan.q[t] == q and len(iq) == len(kq) == q
         for z in range(h.dim):
             ref = term_coefficient(h, t_w, dt_w, iq, kq, z)
             assert abs(tab.coeff[t, z] - ref) < 1e-12 * max(1.0, abs(ref))
@@ -130,7 +130,7 @@ def test_segment_oscillating_matches_interaction_oracle():
     eps = 1e-3
     s = sched.build_schedule(h, 1.0, eps=eps)
     t_w, dt_w = s.steps[0]
-    built = dyson.build_segment(h, s, 0).matrix()
+    built = dyson.build_segment(dyson.SegmentPlan(h, s), 0).matrix()
     ref = oracle.propagate_interaction(h, t_w, t_w + dt_w, tol=1e-11).U
     assert spectral(built - ref) <= eps
 
@@ -141,7 +141,7 @@ def test_segment_static_matches_matrix_exponential():
         {"amp": [gamma, 0.0], "rate": [0.0, 0.0]}]}]})
     s = sched.build_schedule(h, 2.0, eps=1e-4)
     dt = s.steps[0][1]
-    built = dyson.build_segment(h, s, 0).matrix()
+    built = dyson.build_segment(dyson.SegmentPlan(h, s), 0).matrix()
     ref = expm(-1j * gamma * np.array([[0, 1], [1, 0]]) * dt)
     assert spectral(built - ref) <= sched.s_tail(s.Q) * 1.5
 
@@ -153,7 +153,7 @@ def test_segment_near_unitarity_and_oracle_distance():
     s = sched.build_schedule(h, 2.0, eps=eps)
     plan = dyson.SegmentPlan(h, s)
     for w in range(s.r - (1 if s.final_step_clamped else 0)):
-        u = dyson.build_segment(h, s, w, plan=plan).matrix()
+        u = dyson.build_segment(plan, w).matrix()
         assert spectral(u.conj().T @ u - np.eye(h.dim)) <= 3 * eps / s.r
         t_w, dt_w = s.steps[w]
         ref = oracle.propagate_interaction(h, t_w, t_w + dt_w, tol=1e-11).U
@@ -169,7 +169,7 @@ def test_segment_chaining_matches_full_interaction_propagator():
     prod = np.eye(h.dim, dtype=complex)
     plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
-        prod = dyson.build_segment(h, s, w, plan=plan).matrix() @ prod
+        prod = dyson.build_segment(plan, w).matrix() @ prod
     ref = oracle.propagate_interaction(h, 0.0, t_total, tol=1e-11).U
     assert spectral(prod - ref) <= eps + 1e-6
 
@@ -184,13 +184,13 @@ def test_segment_s_is_the_schedule_s(mode):
     assert s.final_step_clamped and s.r > 1
     plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
-        assert dyson.build_segment(h, s, w, plan=plan).s == s.s(w)
+        assert dyson.build_segment(plan, w).s == s.s(w)
 
 
 def test_segment_s_value():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s = sched.build_schedule(h, 1.0, eps=1e-3)
-    seg = dyson.build_segment(h, s, 0)
+    seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
     u = s.gammas[0] * s.dt_tilde(0)
     assert u == pytest.approx(LN2, rel=1e-12)
     expect = sum(u**q / math.factorial(q) for q in range(s.Q + 1))
@@ -204,9 +204,10 @@ def test_frequency_independence_of_enumeration():
     for alpha in (0.0, 1.0, 1e3, 1e6):
         h = oscillating_hamiltonian(1.0, 1.0, alpha)
         s = sched.build_schedule(h, 1.0, eps=eps)
-        tab = dyson.build_segment(h, s, 0).blocks
+        plan = dyson.SegmentPlan(h, s)
+        tab = dyson.build_segment(plan, 0).blocks
         # exact mode: bound = dt_tilde^q/q! * Gamma_term
-        scale = np.array([s.dt_tilde(0)**q / math.factorial(q) for q in tab.q])
+        scale = np.array([s.dt_tilde(0)**q / math.factorial(q) for q in plan.q])
         key = (len(tab), s.Q, s.r, tuple(np.round(tab.bound / scale, 12)))
         if base is None:
             base = key
@@ -218,7 +219,7 @@ def test_segment_blocks_reconstruct_from_phases():
     rng = np.random.default_rng(49)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 1.5, eps=1e-3)
-    tab = dyson.build_segment(h, s, 1 % s.r).blocks
+    tab = dyson.build_segment(dyson.SegmentPlan(h, s), 1 % s.r).blocks
     bound = tab.bound[:, None]
     plus, minus = lcu.cosine_branches(tab.coeff, bound)
     rebuilt = bound / 2 * (plus + minus)
@@ -230,18 +231,18 @@ def test_segment_blocks_reconstruct_from_phases():
 def test_segment_term_views():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s = sched.build_schedule(h, 1.0, eps=1e-2)
-    seg = dyson.build_segment(h, s, 0)
-    tab = seg.blocks
+    seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
+    tab, plan = seg.blocks, seg.plan
     dt_tilde = s.dt_tilde(0)
     index = multi_indices(h, s.Q)
     assert len(index) == len(tab) == dyson.count_terms(h, s.Q) // h.dim
     assert tab.coeff.shape == (len(tab), h.dim) and tab.bound.shape == (len(tab),)
     for t, (q, iq, kq) in enumerate(index[:10]):
-        assert tab.q[t] == q
+        assert plan.q[t] == q
         for z in range(h.dim):
             _, z_path, _ = interaction_inputs(h, iq, kq, z)
             if q:
-                assert z ^ tab.cum_mask[t] == z_path[-1]
+                assert z ^ plan.cum_mask[t] == z_path[-1]
             assert abs(tab.coeff[t, z]) <= tab.bound[t] * (1 + 1e-9)
         # the oscillating model's Gamma_term is 1 (unit amplitudes, imaginary rates)
         assert tab.bound[t] == pytest.approx(dt_tilde**q / math.factorial(q), rel=1e-14)
@@ -249,12 +250,12 @@ def test_segment_term_views():
 
 def test_schedule_reports_clamped_replacement_bound():
     h = pham.from_pauli_spec(decay_spec(1.0, 1.0, 1.0))
-    s = sched.build_schedule(h, 10.0)
+    s = sched.build_schedule(h, 10.0, eps=1e-3)
     assert s.final_step_clamped
     # the implied bound satisfies gamma_tilde * dt_tilde = ln2 by construction
     assert s.gamma_tilde_final * s.dt_tilde(s.r - 1) == pytest.approx(LN2)
     unclamped = sched.build_schedule(oscillating_hamiltonian(1.0, 1.0, 0.0),
-                                     4 * sched.next_step(2.0, 0.0))
+                                     4 * sched.next_step(2.0, 0.0), eps=1e-3)
     assert unclamped.gamma_tilde_final is None
 
 
@@ -262,8 +263,8 @@ def test_segment_build_is_deterministic():
     rng = np.random.default_rng(56)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 2.0, eps=1e-3)
-    first = dyson.build_segment(h, s, 0).matrix()
-    second = dyson.build_segment(h, s, 0).matrix()
+    first = dyson.build_segment(dyson.SegmentPlan(h, s), 0).matrix()
+    second = dyson.build_segment(dyson.SegmentPlan(h, s), 0).matrix()
     assert np.array_equal(first, second)
 
 
@@ -273,7 +274,7 @@ def test_enumeration_guard():
     s = sched.build_schedule(h, 2.0, eps=1e-3)
     if len(h.vterms) * h.num_exp_terms >= 4:
         with pytest.raises(dyson.EnumerationLimitError):
-            dyson.build_segment(h, replace(s, Q=14), 0)
+            dyson.SegmentPlan(h, replace(s, Q=14))
     assert dyson.count_terms(h, 2) == h.dim * (
         1 + (len(h.vterms) * h.num_exp_terms) + (len(h.vterms) * h.num_exp_terms)**2)
 
@@ -286,8 +287,8 @@ def test_alt_equals_main_when_h0_vanishes():
     s = sched.build_schedule(h, 1.0, eps=1e-4)
     plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
-        a = dyson.alt_segment_unitary(h, s, w, plan=plan)
-        b = dyson.build_segment(h, s, w, plan=plan).matrix()
+        a = dyson.alt_segment_unitary(plan, w)
+        b = dyson.build_segment(plan, w).matrix()
         assert spectral(a - b) < 1e-11
 
 
@@ -299,8 +300,8 @@ def test_alt_intertwining_identity():
         plan = dyson.SegmentPlan(h, s)
         for w in range(min(s.r, 3)):
             t_w, dt_w = s.steps[w]
-            ui = dyson.build_segment(h, s, w, plan=plan).matrix()
-            alt = dyson.alt_segment_unitary(h, s, w, plan=plan)
+            ui = dyson.build_segment(plan, w).matrix()
+            alt = dyson.alt_segment_unitary(plan, w)
             left = np.diag(np.exp(-1j * h.h0_diag * (t_w + dt_w))) @ ui
             right = alt @ np.diag(np.exp(-1j * h.h0_diag * t_w))
             assert spectral(left - right) < 1e-10
@@ -315,8 +316,8 @@ def test_alt_product_vs_interaction_product():
     ui_prod = np.eye(h.dim, dtype=complex)
     plan = dyson.SegmentPlan(h, s)
     for w in range(s.r):
-        alt_prod = dyson.alt_segment_unitary(h, s, w, plan=plan) @ alt_prod
-        ui_prod = dyson.build_segment(h, s, w, plan=plan).matrix() @ ui_prod
+        alt_prod = dyson.alt_segment_unitary(plan, w) @ alt_prod
+        ui_prod = dyson.build_segment(plan, w).matrix() @ ui_prod
     lhs = alt_prod
     rhs = np.diag(np.exp(-1j * h.h0_diag * t_total)) @ ui_prod
     assert spectral(lhs - rhs) < 1e-8
@@ -328,15 +329,15 @@ def test_alt_time_independent_reduction():
     eps = 1e-3
     s = sched.build_schedule(h, 3.0, eps=eps)
     plan = dyson.SegmentPlan(h, s)
-    alt0 = dyson.alt_segment_unitary(h, s, 0, plan=plan)
-    alt1 = dyson.alt_segment_unitary(h, s, 1, plan=plan)
+    alt0 = dyson.alt_segment_unitary(plan, 0)
+    alt1 = dyson.alt_segment_unitary(plan, 1)
     assert spectral(alt0 - alt1) < 1e-12
     u_od = alt0 @ np.diag(np.exp(1j * h.h0_diag * s.steps[0][1]))
     np.testing.assert_allclose(
         alt0, u_od @ np.diag(np.exp(-1j * h.h0_diag * s.steps[0][1])), atol=1e-12)
     prod = np.eye(2, dtype=complex)
     for w in range(s.r):
-        prod = dyson.alt_segment_unitary(h, s, w, plan=plan) @ prod
+        prod = dyson.alt_segment_unitary(plan, w) @ prod
     ref = expm(-1j * pham.eval_H(h, 0.0) * 3.0)
     assert spectral(prod - ref) <= 2 * eps
 
@@ -347,9 +348,10 @@ def test_uniform_mode_bounds_dominate():
     s_ex = sched.build_schedule(h, 2.0, eps=1e-3, mode=sched.MODE_EXACT)
     s_un = sched.build_schedule(h, 2.0, eps=1e-3, mode=sched.MODE_UNIFORM)
     assert s_un.r >= s_ex.r
-    tab = dyson.build_segment(h, s_un, 0).blocks
+    plan = dyson.SegmentPlan(h, s_un)
+    tab = dyson.build_segment(plan, 0).blocks
     gmax = pham.gamma_max(h)
-    for q, bound, coeff in zip(tab.q, tab.bound, tab.coeff):
+    for q, bound, coeff in zip(plan.q, tab.bound, tab.coeff):
         if q == 0:
             continue
         expect = (s_un.dt_tilde(0)**q / math.factorial(q)
@@ -361,8 +363,7 @@ def test_uniform_mode_bounds_dominate():
 # --- segment plan -------------------------------------------------------------------
 
 def _table_fields(seg):
-    tab = seg.blocks
-    return (tab.q, tab.cum_mask, tab.coeff, tab.bound)
+    return (seg.plan.q, seg.plan.cum_mask, seg.blocks.coeff, seg.blocks.bound)
 
 
 @pytest.mark.parametrize("mode", [sched.MODE_EXACT, sched.MODE_UNIFORM])
@@ -373,8 +374,8 @@ def test_shared_plan_segments_bitwise_equal_fresh(mode):
     plan = dyson.SegmentPlan(h, s)
     assert len(plan) == dyson.count_terms(h, s.Q) // h.dim
     for w in list(range(s.r)) + [0]:  # revisit segment 0 after the last step
-        shared = dyson.build_segment(h, s, w, plan=plan)
-        fresh = dyson.build_segment(h, s, w)
+        shared = dyson.build_segment(plan, w)
+        fresh = dyson.build_segment(dyson.SegmentPlan(h, s), w)
         assert len(shared.blocks) == len(fresh.blocks) == len(plan)
         for a, b in zip(_table_fields(shared), _table_fields(fresh)):
             assert np.array_equal(a, b)
@@ -387,31 +388,13 @@ def test_matrix_matches_term_loop():
     rng = np.random.default_rng(74)
     h = pham.from_pauli_spec(random_model_spec(rng, n=3))
     s = sched.build_schedule(h, 1.0, eps=1e-3)
-    seg = dyson.build_segment(h, s, 0)
-    tab = seg.blocks
+    seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
+    tab, plan = seg.blocks, seg.plan
     z = np.arange(h.dim)
     loop = np.zeros((h.dim, h.dim), dtype=complex)
     for t in range(len(tab)):
-        loop[z ^ int(tab.cum_mask[t]), z] += (-1j) ** int(tab.q[t]) * tab.coeff[t]
+        loop[z ^ int(plan.cum_mask[t]), z] += (-1j) ** int(plan.q[t]) * tab.coeff[t]
     assert np.array_equal(seg.matrix(), loop)
-
-
-def test_build_segment_rejects_mismatched_plan():
-    h = oscillating_hamiltonian(1.0, 1.0, 2.0)
-    s = sched.build_schedule(h, 1.0, eps=1e-3)
-    plan = dyson.SegmentPlan(h, s)
-    with pytest.raises(ValueError):
-        dyson.build_segment(h, replace(s, Q=s.Q - 1), 0, plan=plan)
-    other = oscillating_hamiltonian(1.0, 1.0, 3.0)
-    with pytest.raises(ValueError):
-        dyson.build_segment(other, s, 0, plan=plan)
-    longer = sched.build_schedule(h, 1.3, eps=1e-3)
-    assert longer.Q == s.Q and longer.steps[0] == s.steps[0]
-    with pytest.raises(ValueError):
-        dyson.build_segment(h, longer, 0, plan=plan)
-    for model, schedule in ((other, s), (h, longer), (h, replace(s, Q=s.Q - 1))):
-        with pytest.raises(ValueError):
-            dyson.alt_segment_unitary(model, schedule, 0, plan=plan)
 
 
 def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
@@ -437,10 +420,10 @@ def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
     assert np.array_equal(orders, np.repeat(np.arange(1, s.Q + 1), 2))
     assert sum(rows) == n_rows  # one pass per row
     for w in range(s.r):
-        dyson.build_segment(h, s, w, plan=plan)
+        dyson.build_segment(plan, w)
     assert len(calls) == 1
     # a new plan shares nothing with the old one
-    dyson.build_segment(h, s, s.r - 1, plan=dyson.SegmentPlan(h, s))
+    dyson.build_segment(dyson.SegmentPlan(h, s), s.r - 1)
     assert len(calls) == 2 and sum(rows) == 2 * n_rows
 
 
@@ -493,7 +476,7 @@ def test_plan_values_match_per_step_batches(mode, monkeypatch):
     assert crossing > 0
     # off the support every coefficient is exactly 0, and on it none is
     for w in range(s.r):
-        coeff = dyson.build_segment(h, s, w, plan=plan).blocks.coeff.ravel()
+        coeff = dyson.build_segment(plan, w).blocks.coeff.ravel()
         on = plan.on_support
         assert not coeff[h.dim:][~on[h.dim:]].any() and coeff[on].all()
 
@@ -507,7 +490,7 @@ def test_padded_slot_paths_have_zero_coefficients():
               for k, et in enumerate(term.exp_terms) if not et.amp.any()}
     assert len(padded) == 1
     t_w, dt_w = s.steps[1]
-    tab = dyson.build_segment(h, s, 1).blocks
+    tab = dyson.build_segment(dyson.SegmentPlan(h, s), 1).blocks
     seen = 0
     for t, (q, iq, kq) in enumerate(multi_indices(h, 2)):
         if padded & set(zip(iq, kq)):
@@ -572,7 +555,7 @@ def assert_plan_matches_dense_build(h, s):
     assert plan.dd_rows == evaluated.dd_rows == sum(map(len, supports))
     assert plan.dd_rows < (len(plan) - 1) * h.dim
     for w, coeff in enumerate(dense):
-        seg = dyson.build_segment(h, s, w, plan=plan)
+        seg = dyson.build_segment(plan, w)
         tab = seg.blocks
         assert np.array_equal(tab.coeff, coeff)
         full = replace(seg, blocks=replace(tab, coeff=coeff))
@@ -580,7 +563,7 @@ def assert_plan_matches_dense_build(h, s):
         tables = lcu.run_tables(plan)
         assert np.array_equal(lcu.build_context(seg, tables).phase_table,
                               lcu.build_context(full, tables).phase_table)
-        got = dyson.build_segment(h, s, w, plan=evaluated).blocks.coeff
+        got = dyson.build_segment(evaluated, w).blocks.coeff
         assert (np.abs(got - coeff) <= 1e-12 * tab.bound[:, None]).all()
         assert np.array_equal(got == 0, coeff == 0)
     return supports
@@ -683,25 +666,23 @@ def test_alt_matches_term_by_term_construction():
                          * dd.exp_dd_scaled(dt_w, ys) * d_coeff)
                 ref[z_path[-1], z] += (-1j) ** q * coeff
     ref = ref * np.exp(-1j * energies * dt_w)[None, :]
-    alt = dyson.alt_segment_unitary(h, s, w, plan=dyson.SegmentPlan(h, s))
+    alt = dyson.alt_segment_unitary(dyson.SegmentPlan(h, s), w)
     np.testing.assert_allclose(alt, ref, rtol=0, atol=1e-14)
 
 
 def test_alt_reads_the_plan(monkeypatch):
     # given the run's plan, the alternative form evaluates no divided
-    # difference, and its values are those it has without a plan
+    # difference, and its values are those of a fresh plan
     rng = np.random.default_rng(75)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 1.5, eps=1e-3)
     plan = dyson.SegmentPlan(h, s)
-    fresh = {w: dyson.alt_segment_unitary(h, s, w) for w in (0, s.r - 1)}
+    fresh = {w: dyson.alt_segment_unitary(dyson.SegmentPlan(h, s), w) for w in (0, s.r - 1)}
     calls = []
     for name in ("exp_dd_steps", "exp_dd_batch"):
         real = getattr(dd, name)
         monkeypatch.setattr(dd, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
     for w, alt in fresh.items():
-        assert np.array_equal(dyson.alt_segment_unitary(h, s, w, plan=plan), alt)
+        assert np.array_equal(dyson.alt_segment_unitary(plan, w), alt)
     assert calls == []
-    dyson.alt_segment_unitary(h, s, 0)  # without a plan, one is built
-    assert "exp_dd_steps" in calls

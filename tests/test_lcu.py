@@ -26,7 +26,7 @@ def context(seg):
 
 def build_pipeline(h, t_total, eps, mode=sched.MODE_EXACT, w=0):
     s = sched.build_schedule(h, t_total, eps=eps, mode=mode)
-    seg = dyson.build_segment(h, s, w)
+    seg = dyson.build_segment(dyson.SegmentPlan(h, s), w)
     return s, seg, context(seg)
 
 
@@ -66,8 +66,15 @@ def full_statevector_oaa(ctx, psi):
 
 # --- register layout ------------------------------------------------------------
 
+def plan_layout(h, schedule):
+    return lcu.run_tables(dyson.SegmentPlan(h, schedule))[0]
+
+
 def test_layout_counts():
-    layout = lcu.RegisterLayout(Q=3, dim_i=2, dim_k=2, n=2)
+    # M = 2 masks with K = 2 terms each, Q = 3
+    h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(62), n=2, m_max=2, k_max=2))
+    assert (len(h.vterms), h.num_exp_terms) == (2, 2)
+    layout = plan_layout(h, replace(sched.build_schedule(h, 1.0, eps=1e-3), Q=3))
     assert layout.n_terms == 1 + 4 + 16 + 64 + 1  # Dyson terms plus the padding term
     assert layout.ancilla_dim == 2 * layout.n_terms
     assert layout.joint_dim == layout.ancilla_dim * 4
@@ -75,10 +82,27 @@ def test_layout_counts():
 
 def test_layout_empty_interaction():
     h = pham.from_pauli_spec({"n": 1, "h0": [{"coupling": 1.0, "z_mask": "1"}]})
-    layout = lcu.RegisterLayout(Q=4, dim_i=len(h.vterms), dim_k=h.num_exp_terms, n=h.n)
+    layout = plan_layout(h, replace(sched.build_schedule(h, 1.0, eps=1e-3), Q=4))
     assert layout.n_terms == 2 and layout.ancilla_dim == 4
     _, _, ctx = build_pipeline(h, 1.0, 1e-3)
     assert ctx.layout.n_terms == 2 and ctx.layout.ancilla_dim == 4
+
+
+@pytest.mark.parametrize("workload, joint_dim_max", [("c4-n2", 43696), ("osc-long", 512)])
+def test_layout_on_frozen_cases(workload, joint_dim_max):
+    # the layout counts the plan's terms plus the padding term; the largest
+    # joint dimension is the one a traced benchmark run reports
+    cases = {"c4-n2": ["m0", "m1", "m2", "m3", "m4"], "osc-long": ["a0", "a1e3", "a1e6"]}
+    joint = []
+    for case_id in cases[workload]:
+        h, s, _ = frozen_model(workload, case_id)
+        plan = dyson.SegmentPlan(h, s)
+        tables = lcu.run_tables(plan)
+        assert len(plan) == dyson.count_terms(h, s.Q) // h.dim
+        assert tables[0].n_terms == len(plan) + 1
+        joint += [lcu.build_context(dyson.build_segment(plan, w), tables).layout.joint_dim
+                  for w in range(s.r)]
+    assert max(joint) == joint_dim_max
 
 
 # --- cosine branches -----------------------------------------------------------
@@ -147,8 +171,8 @@ def test_cosine_branches_property_rejects_excess(coeff, excess):
 
 def test_prepare_b_order_zero():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
-    s = sched.build_schedule(h, 1.0)
-    seg = dyson.build_segment(h, replace(s, Q=0), 0)
+    s = sched.build_schedule(h, 1.0, eps=1e-3)
+    seg = dyson.build_segment(dyson.SegmentPlan(h, replace(s, Q=0)), 0)
     ctx = context(seg)
     assert seg.s == 1.0
     # the q = 0 term and the padding term 2 - s = 1, a quarter per x branch
@@ -158,8 +182,8 @@ def test_prepare_b_order_zero():
 def test_prepare_b_static_first_order():
     # M = K = 1, lambda = 0: weights {1, ln2, 2 - s}/4 with s = 1 + ln2
     h = pham.from_pauli_spec(static_spec(0.0, 1.0))
-    s = sched.build_schedule(h, 10.0)
-    seg = dyson.build_segment(h, replace(s, Q=1), 0)
+    s = sched.build_schedule(h, 10.0, eps=1e-3)
+    seg = dyson.build_segment(dyson.SegmentPlan(h, replace(s, Q=1)), 0)
     ctx = context(seg)
     assert seg.s == pytest.approx(1 + LN2, rel=1e-12)
     expect = np.sqrt(np.array([1.0, 1.0, LN2, LN2, 1 - LN2, 1 - LN2]) / 4)
@@ -169,8 +193,8 @@ def test_prepare_b_static_first_order():
 def test_prepare_b_uniform_mode_equal_amplitudes():
     rng = np.random.default_rng(60)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2, m_max=2, k_max=1))
-    s = sched.build_schedule(h, 2.0, mode=sched.MODE_UNIFORM)
-    seg = dyson.build_segment(h, replace(s, Q=1), 0)
+    s = sched.build_schedule(h, 2.0, eps=1e-3, mode=sched.MODE_UNIFORM)
+    seg = dyson.build_segment(dyson.SegmentPlan(h, replace(s, Q=1)), 0)
     ctx = context(seg)
     order1 = ctx.b_amps[2:-2]
     assert np.ptp(order1) < 1e-14  # every (i, k, x) weight identical at fixed q
@@ -205,7 +229,7 @@ def test_vc_first_order_block_hand_trace():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s, seg, ctx = build_pipeline(h, 1.0, 1e-3)
     tab = seg.blocks
-    assert tab.q[1] == 1 and tab.cum_mask[1] == 1
+    assert seg.plan.q[1] == 1 and seg.plan.cum_mask[1] == 1
     a = 2 * 1  # ancilla row of (term 1, x=0): (-i) c+ with c+ = u + i sqrt(1 - |u|^2) u/|u|
     # u = coeff/bound is 0 at z = 0, where c+ is i, and 1 at z = 1
     assert tab.coeff[1, 0] == 0.0
@@ -239,10 +263,10 @@ def test_context_tables_match_term_loop():
         b = np.zeros(ctx.layout.ancilla_dim)
         phases = np.zeros((ctx.layout.ancilla_dim, h.dim), dtype=complex)
         gather = np.zeros(ctx.layout.joint_dim, dtype=np.int64)
-        masks = [int(m) for m in tab.cum_mask] + [0]
+        masks = [int(m) for m in seg.plan.cum_mask] + [0]
         for t in range(len(tab)):
             b[2 * t] = b[2 * t + 1] = math.sqrt(tab.bound[t] / 4.0)
-            factor = (-1j) ** int(tab.q[t])
+            factor = (-1j) ** int(seg.plan.q[t])
             u = tab.coeff[t] / tab.bound[t] if tab.bound[t] > 0 else np.zeros(h.dim)
             phi, theta = np.arccos(np.minimum(np.abs(u), 1.0)), np.angle(u)
             phases[2 * t] = factor * np.exp(1j * (phi + theta))
@@ -347,7 +371,7 @@ def test_oaa_exact_on_synthetic_unitary_fixture():
 def test_apply_a_identity_on_empty_interaction():
     h = pham.from_pauli_spec({"n": 1, "h0": [{"coupling": 0.9, "z_mask": "1"}]})
     s = sched.build_schedule(h, 1.0, eps=1e-3)
-    seg = dyson.build_segment(h, s, 0)
+    seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
     ctx = context(seg)
     psi = np.array([0.6, 0.8])
     out = lcu.apply_A(ctx, psi)
@@ -391,7 +415,7 @@ def _random_contexts():
             assert s.final_step_clamped
             plan = dyson.SegmentPlan(h, s)
             for w in sorted({0, s.r - 1}):
-                yield h, context(dyson.build_segment(h, s, w, plan=plan))
+                yield h, context(dyson.build_segment(plan, w))
     h = pham.from_pauli_spec({"n": 2, "h0": [{"coupling": 0.9, "z_mask": "01"}]})
     yield h, build_pipeline(h, 1.0, 1e-3)[2]  # empty interaction
 
@@ -460,7 +484,7 @@ def test_run_full_decay_saturated_schedule():
     t_total = 50.0
     psi = np.array([1.0, 0.0], dtype=complex)
     final, diag = lcu.run_full(h, t_total, eps, psi)
-    assert diag["r"] == sched.build_schedule(h, t_total).r
+    assert diag["r"] == sched.build_schedule(h, t_total, eps=1e-3).r
     ref = oracle.propagate_ode(h, 0.0, t_total, tol=1e-11).U @ psi
     assert np.linalg.norm(final.system_block(0) - ref) <= eps
     assert abs(diag["total_deficit"]) <= eps
@@ -518,7 +542,7 @@ def test_run_full_uniform_s_matches_alternative_formula():
     rng = np.random.default_rng(71)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 1.5, eps=1e-3, mode=sched.MODE_UNIFORM)
-    seg = dyson.build_segment(h, s, 0)
+    seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
     n_ik = len(h.vterms) * h.num_exp_terms
     u = n_ik * pham.gamma_max(h) * np.exp(s.steps[0][0] * s.lam) * s.dt_tilde(0)
     expect = sum(u**q / math.factorial(q) for q in range(s.Q + 1))

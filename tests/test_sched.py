@@ -73,7 +73,7 @@ def test_next_step_vanished_interaction():
 def test_schedule_constant_gamma_step_count():
     h = oscillating_hamiltonian(1.0, 1.0, 5.0)   # Gamma(t) = 2
     t_total = 5.0
-    s = sched.build_schedule(h, t_total)
+    s = sched.build_schedule(h, t_total, eps=1e-3)
     assert s.r == math.ceil(2.0 * t_total / LN2)
     for (t, dt), g in zip(s.steps[:-1], s.gammas[:-1]):
         assert dt == LN2 / 2.0
@@ -88,7 +88,7 @@ def test_schedule_decay_saturates():
     rs = []
     for t_total in (10.0, 100.0, 1000.0):
         h = pham.from_pauli_spec(decay_spec(1.0, 1.0, 1.0))
-        s = sched.build_schedule(h, t_total)
+        s = sched.build_schedule(h, t_total, eps=1e-3)
         rs.append(s.r)
         assert s.final_step_clamped
     assert rs[0] == rs[1] == rs[2]
@@ -108,8 +108,8 @@ def test_schedule_decay_saturates():
 
 def test_schedule_decay_prefix_identical_across_horizons():
     h = pham.from_pauli_spec(decay_spec(1.0, 1.0, 1.0))
-    s1 = sched.build_schedule(h, 10.0)
-    s2 = sched.build_schedule(h, 100.0)
+    s1 = sched.build_schedule(h, 10.0, eps=1e-3)
+    s2 = sched.build_schedule(h, 100.0, eps=1e-3)
     assert s1.r == s2.r
     assert s1.steps[:-1] == s2.steps[:-1]
     assert s1.steps[-1][0] == s2.steps[-1][0]
@@ -118,7 +118,7 @@ def test_schedule_decay_prefix_identical_across_horizons():
 
 def test_schedule_single_clamped_step():
     h = oscillating_hamiltonian(1.0, 1.0, 0.0)   # first step would be ln2/2
-    s = sched.build_schedule(h, 0.05)
+    s = sched.build_schedule(h, 0.05, eps=1e-3)
     assert s.r == 1
     assert s.final_step_clamped
     assert s.steps[0] == (0.0, 0.05)
@@ -126,7 +126,7 @@ def test_schedule_single_clamped_step():
 
 def test_schedule_positive_lambda_approaches_ln2_from_below():
     h = pham.from_pauli_spec(growth_spec(1.0, 1.0, 1.0))
-    s = sched.build_schedule(h, 4.0)
+    s = sched.build_schedule(h, 4.0, eps=1e-3)
     prods = [g * dt for (t, dt), g in zip(s.steps[:-1], s.gammas[:-1])]
     assert all(p < LN2 for p in prods)
     assert all(b > a for a, b in zip(prods, prods[1:]))
@@ -136,14 +136,14 @@ def test_schedule_positive_lambda_approaches_ln2_from_below():
 def test_schedule_nonfinal_condition_exact():
     for spec in (decay_spec(1.0, 2.0, 0.5), growth_spec(0.5, 1.5, 0.8)):
         h = pham.from_pauli_spec(spec)
-        s = sched.build_schedule(h, 3.0)
+        s = sched.build_schedule(h, 3.0, eps=1e-3)
         for w in range(s.r - 1):
             assert s.gammas[w] * s.dt_tilde(w) == pytest.approx(LN2, rel=1e-12)
 
 
 def test_schedule_partition_is_contiguous():
     h = pham.from_pauli_spec(decay_spec(1.0, 2.0, 0.7))
-    s = sched.build_schedule(h, 6.0)
+    s = sched.build_schedule(h, 6.0, eps=1e-3)
     for w in range(s.r - 1):
         t, dt = s.steps[w]
         assert s.steps[w + 1][0] == t + dt
@@ -165,7 +165,7 @@ def test_schedule_frequency_independent():
 
 def test_schedule_vanished_interaction_single_step():
     h = pham.from_pauli_spec({"n": 1, "h0": [{"coupling": 1.0, "z_mask": "1"}]})
-    s = sched.build_schedule(h, 2.0)
+    s = sched.build_schedule(h, 2.0, eps=1e-3)
     assert s.r == 1 and s.final_step_clamped and s.steps[0] == (0.0, 2.0)
 
 
@@ -175,27 +175,27 @@ def test_l1_constant_gamma_unclamped():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     dt0 = sched.next_step(2.0, 0.0)
     t_total = ((dt0 + dt0) + dt0) + dt0   # exactly 4 representable steps
-    s = sched.build_schedule(h, t_total)
+    s = sched.build_schedule(h, t_total, eps=1e-3)
     assert s.r == 4 and not s.final_step_clamped
     assert s.l1_like == pytest.approx(4 * LN2, rel=1e-12)
 
 
 def test_l1_single_clamped_step_is_gamma_t():
     h = oscillating_hamiltonian(1.0, 1.0, 0.0)
-    s = sched.build_schedule(h, 0.1)
+    s = sched.build_schedule(h, 0.1, eps=1e-3)
     assert s.l1_like == pytest.approx(2.0 * 0.1, rel=1e-12)
 
 
 def test_l1_decay_approaches_integral():
     h = pham.from_pauli_spec(decay_spec(1.0, 1.0, 1.0))
-    s = sched.build_schedule(h, 1000.0)
+    s = sched.build_schedule(h, 1000.0, eps=1e-3)
     # closed form: integral of e^{-t} over [0, 1000] is 1 - e^{-1000}
     assert s.l1_like == pytest.approx(1.0, rel=0.25)
 
 
 def test_l1_bounds_step_count():
     h = pham.from_pauli_spec(growth_spec(1.0, 1.0, 0.6))
-    s = sched.build_schedule(h, 3.0)
+    s = sched.build_schedule(h, 3.0, eps=1e-3)
     assert s.r <= s.l1_like / LN2 + 1
 
 
@@ -231,15 +231,24 @@ def test_truncation_order_rejects_bad_inputs():
 def test_build_schedule_rejects_bad_time():
     h = pham.from_pauli_spec(static_spec())
     with pytest.raises(ValueError):
-        sched.build_schedule(h, 0.0)
+        sched.build_schedule(h, 0.0, eps=1e-3)
     with pytest.raises(ValueError):
-        sched.build_schedule(h, -1.0)
+        sched.build_schedule(h, -1.0, eps=1e-3)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+def test_build_schedule_rejects_bad_eps(eps):
+    # checked before the order search, whose Lambert-W cross-check would
+    # otherwise fail on log(0) at eps = inf
+    h = pham.from_pauli_spec(static_spec())
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        sched.build_schedule(h, 1.0, eps=eps)
 
 
 def test_build_schedule_rejects_unknown_mode():
     h = pham.from_pauli_spec(static_spec())
     with pytest.raises(ValueError, match="unknown mode"):
-        sched.build_schedule(h, 1.0, mode="bogus")
+        sched.build_schedule(h, 1.0, eps=1e-3, mode="bogus")
 
 
 def test_build_schedule_stops_at_the_step_cap():
