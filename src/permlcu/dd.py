@@ -87,15 +87,6 @@ _SINHC = tuple(1.0 / math.factorial(2 * k + 1) for k in range(8))
 _TINY = 1e-300
 
 
-def _validate_inputs(xs) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("input list must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("divided-difference inputs must be finite")
-    return xs
-
-
 def _coefficients(zs: np.ndarray, q: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Series coefficients h_m(z)/(m+q)! of the rows zs (n, width) of orders
     q (n,), zero-padded past their order; shape (M, n).
@@ -150,8 +141,8 @@ def _coefficients(zs: np.ndarray, q: np.ndarray, radius: np.ndarray) -> np.ndarr
 
 def _step_powers(dts: np.ndarray, q_max: int) -> np.ndarray:
     """dt^k for every step and k = 0..q_max, shape (S, q_max + 1), by Python's
-    float power as in exp_dd_scaled (numpy's array power differs from it in
-    the last bit for about 5% of inputs)."""
+    float power, t^q as a scalar computes it (numpy's array power differs
+    from it in the last bit for about 5% of inputs)."""
     return np.array([[dt**k for k in range(q_max + 1)] for dt in dts.tolist()])
 
 
@@ -495,27 +486,14 @@ def exp_dd(xs) -> complex:
 
     Exact for q=0; permutation symmetric; confluent-safe (repeats allowed).
     """
-    xs = _validate_inputs(xs)
+    xs = np.atleast_1d(np.asarray(xs, dtype=complex))
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("input list must be a nonempty 1-D sequence")
     return complex(exp_dd_batch(xs[None, :])[0])
 
 
-def exp_dd_scaled(t: float, xs) -> complex:
-    """e^{t[x_0,...,x_q]} = t^q * e^{[t x_0,...,t x_q]} for real t."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise ValueError("scale t must be a finite real number")
-    xs = _validate_inputs(xs)
-    q = len(xs) - 1
-    if t == 0.0:
-        return 1.0 + 0.0j if q == 0 else 0.0 + 0.0j
-    return complex(t**q * exp_dd(t * xs))
-
-
-def exp_dd_bound(xs) -> float:
-    """Real-input divided difference e^{[Re x_0,...,Re x_q]}, >= |exp_dd(xs)|."""
-    xs = _validate_inputs(xs)
-    return float(exp_dd(xs.real + 0.0j).real)
-
-
 def exp_dd_bound_batch(xs: np.ndarray) -> np.ndarray:
+    """Real-input divided differences e^{[Re x_0,...,Re x_q]} of a batch of
+    rows (B, q+1), each >= |exp_dd| of its row; returns shape (B,)."""
     xs = np.asarray(xs, dtype=complex)
     return exp_dd_batch(xs.real + 0.0j).real

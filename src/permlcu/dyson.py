@@ -18,7 +18,13 @@ are known before the first segment, so a `SegmentPlan` enumerates the
 permutation paths once per run into flat arrays over the terms of all
 orders, and evaluates the divided differences of every distinct step
 length in one `dd.exp_dd_steps` call, the rows of every order together.
-A segment, `build_segment(plan, w)`, is then one array pass over the plan.
+The segments' tables then depend only on t_w and dt_w, so the plan builds
+them a block of consecutive segments at a time, in one array pass over
+(block, T, 2^n): a block holds as many segments as fit in BLOCK_BYTES of
+coefficient table, at least one.  `build_segment(plan, w)` returns a view
+of the block that holds w; the plan keeps one block and builds the next
+on first need.  Every product keeps its operand order at every block
+size, so no value depends on how many segments share a block.
 
 A term whose d_coeff = prod_j D_{i_j,k_j}(z_j) is exactly 0 vanishes
 whatever its divided difference: a path through a zero-padded exponential
@@ -48,6 +54,10 @@ from . import dd, pham
 from .sched import MODE_UNIFORM, Schedule
 
 ENUMERATION_GUARD = 100_000_000
+# Coefficient-table bytes per block of segments (at least one segment): the
+# LCU's branches and phase table over a block take about six times as many,
+# which stay in a 2 MB L2 cache.
+BLOCK_BYTES = 1 << 18
 
 
 class EnumerationLimitError(ValueError):
@@ -66,13 +76,28 @@ class TermTable:
         return len(self.bound)
 
 
+@dataclass(frozen=True, eq=False)
+class SegmentBlock:
+    """The tables of the consecutive segments start, start + 1, ... of a
+    plan's schedule, stacked: coeff (B, T, 2^n), bound (B, T) and the
+    normalizations s (B,); tables[i], segment start + i's, holds views."""
+    start: int
+    coeff: np.ndarray
+    bound: np.ndarray
+    s: np.ndarray
+    tables: tuple[TermTable, ...]
+
+
 @dataclass(frozen=True)
 class SegmentOperator:
-    """Truncated Dyson expansion of U_I(t_w + dt_w, t_w) plus its LCU data."""
+    """Truncated Dyson expansion of U_I(t_w + dt_w, t_w) plus its LCU data:
+    segment w of the plan's schedule, read from ``block``."""
     h: pham.PermExpHamiltonian
     s: float
     blocks: TermTable
     plan: "SegmentPlan"
+    w: int
+    block: SegmentBlock
 
     def matrix(self) -> np.ndarray:
         """Dense sum_t (-i)^q_t P_{cum_mask_t} diag(coeff_t), added term by
@@ -118,6 +143,7 @@ class SegmentPlan:
         self._divided = dd.exp_dd_steps(xs, steps, orders)  # (steps, S)
         self.dd_rows = len(xs)
         self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
+        self._block: SegmentBlock | None = None
 
     def _enumerate(self, h: pham.PermExpHamiltonian, q_max: int):
         """Sets the per-term and per-entry arrays; returns the entries'
@@ -209,40 +235,54 @@ class SegmentPlan:
         (S,), for a step length dt of the schedule."""
         return self._divided[self._step_index[dt]]
 
+    def _build_block(self, ws: range) -> SegmentBlock:
+        """The tables of segments ws in one array pass over (B, T, 2^n).
+        Coefficients off the amplitude support are 0; the bounds are the
+        schedule mode's, exact per-term Gamma bounds or the uniform (larger,
+        state-preparation-cheap) bound."""
+        schedule = self.schedule
+        t_ws = [schedule.steps[w][0] for w in ws]
+        t = np.array(t_ws)
+        # row 0 is the q = 0 term: coefficient and bound 1
+        coeff = np.zeros((len(ws), len(self), self.h.dim), dtype=complex)
+        coeff[:, 0] = 1.0
+        # phase * e^{t_w sum rates} * divided * d_coeff in this operand order at
+        # every size (numpy computes a product of large arrays into its
+        # right-hand temporary, operands swapped, and a complex product with
+        # swapped operands can round differently)
+        vals = np.exp(np.multiply.outer([-1j * t_w for t_w in t_ws], self.gap))
+        vals *= np.exp(np.multiply.outer(t, self.rates_sum))
+        vals *= self._divided[[self._step_index[schedule.steps[w][1]] for w in ws]]
+        vals *= self.d_coeff
+        coeff.reshape(-1)[np.tile(self.on_support, len(ws))] = vals.ravel()
+        orders = range(schedule.Q + 1)
+        per_order = np.array([[schedule.dt_tilde(w)**q / math.factorial(q) for q in orders]
+                              for w in ws])
+        if schedule.mode == MODE_UNIFORM:
+            growth = [self.gmax * np.exp(t_w * schedule.lam) for t_w in t_ws]
+            bound = (per_order * np.array([[g**q for q in orders] for g in growth]))[:, self.q]
+        else:
+            # exp(0) = 1 past each term's order: the padding multiplies by 1.0
+            bound = per_order[:, self.q] * (np.exp(np.multiply.outer(t, self.lam)).prod(axis=2)
+                                            * self.amp_prod)
+        tables = tuple(TermTable(coeff=c, bound=b) for c, b in zip(coeff, bound))
+        return SegmentBlock(ws.start, coeff, bound, np.array([schedule.s(w) for w in ws]), tables)
+
 
 def build_segment(plan: SegmentPlan, w: int) -> SegmentOperator:
-    """All Dyson terms of segment w of the plan's schedule, to its order Q.
-
-    The mode is inherited from the schedule: exact per-term Gamma bounds or
-    the uniform (larger, state-preparation-cheap) bound.  Coefficients off
-    the amplitude support are 0.
-    """
-    h, schedule = plan.h, plan.schedule
-    t_w, dt_w = schedule.steps[w]
-    dt_tilde = schedule.dt_tilde(w)
-
-    # row 0 is the q = 0 term: coefficient and bound 1
-    coeff = np.zeros((len(plan), h.dim), dtype=complex)
-    coeff[0] = 1.0
-    # phase * e^{t_w sum rates} * divided * d_coeff in this operand order at
-    # every size (numpy computes a product of large arrays into its
-    # right-hand temporary, operands swapped, and a complex product with
-    # swapped operands can round differently)
-    vals = np.exp(-1j * t_w * plan.gap)
-    vals *= np.exp(t_w * plan.rates_sum)
-    vals *= plan.divided(dt_w)
-    vals *= plan.d_coeff
-    coeff.reshape(-1)[plan.on_support] = vals
-    orders = range(schedule.Q + 1)
-    scale = np.array([dt_tilde**q / math.factorial(q) for q in orders])[plan.q]
-    if schedule.mode == MODE_UNIFORM:
-        growth = plan.gmax * np.exp(t_w * schedule.lam)
-        bounds = scale * np.array([growth**q for q in orders])[plan.q]
-    else:
-        # exp(0) = 1 past each term's order: the padding multiplies by 1.0
-        bounds = scale * (np.exp(t_w * plan.lam).prod(axis=1) * plan.amp_prod)
-    table = TermTable(coeff=coeff, bound=bounds)
-    return SegmentOperator(h=h, s=schedule.s(w), blocks=table, plan=plan)
+    """All Dyson terms of segment w of the plan's schedule, to its order Q:
+    a view of the block that holds w.  The schedule is cut into runs of as
+    many segments as fit in BLOCK_BYTES of coefficient table (at least
+    one); the plan keeps one block, and builds the next on first need."""
+    w = range(plan.schedule.r)[w]
+    block = plan._block
+    if block is None or not 0 <= w - block.start < len(block.s):
+        per = max(1, BLOCK_BYTES // (len(plan) * plan.h.dim * 16))
+        start = w - w % per
+        block = plan._block = plan._build_block(range(start, min(start + per, plan.schedule.r)))
+    i = w - block.start
+    return SegmentOperator(h=plan.h, s=float(block.s[i]), blocks=block.tables[i], plan=plan,
+                           w=w, block=block)
 
 
 def alt_segment_unitary(plan: SegmentPlan, w: int) -> np.ndarray:

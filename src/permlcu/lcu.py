@@ -26,9 +26,16 @@ Kothari & Somma, PRL 114, 090502 (2015)): its two cosine branches, +i and
 -i, cancel, so the projected block <b|V_c|b> is U/2.  At s = 2 the
 amplification is exact: the projected result is U |psi>, and the deficits
 are at roundoff level.
+
+Only `apply_A` depends on the state, so `build_context` builds the
+contexts of all the segments of a `dyson.SegmentBlock` at once, in one
+array pass over (block, ancilla_dim, 2^n), and the run's `RunTables`
+keeps them until the next block; the drift check of the preparation
+weights stays per segment.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +46,12 @@ from .sched import MODE_EXACT
 MAX_PIPELINE_QUBITS = 8
 RESIDUAL_ABORT = 10.0
 BOUND_CLAMP_TOL = 1e-9
+_SWAP_BYTES = 1 << 18  # numpy's temporary-elision size, see cosine_branches
 
 
 class TermBoundError(RuntimeError):
-    """A coefficient exceeded its norm bound by more than roundoff: internal bug."""
+    """A coefficient exceeded its norm bound, or a segment's preparation
+    weights their unit norm, by more than roundoff: internal bug."""
 
 
 class SimulationAbort(RuntimeError):
@@ -126,40 +135,75 @@ def cosine_branches(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, n
     np.divide(coeff.real, mag, out=unit.real, where=normal)
     np.divide(coeff.imag, mag, out=unit.imag, where=normal)
     plus = ratio + 1j * np.sqrt((1.0 - ratio) * (1.0 + ratio))
-    return unit * plus, unit * plus.conj()
+    # unit * conj(c+) with the operand order fixed per table (the last two
+    # axes, terms x z), so that no value depends on how many tables share
+    # the call: a table of _SWAP_BYTES or more takes conj(c+) * unit, the
+    # order numpy's temporary elision gives `unit * plus.conj()` at that
+    # size, and a complex product with swapped operands can round differently
+    minus = plus.conj()
+    swap = math.prod(minus.shape[-2:]) * minus.itemsize >= _SWAP_BYTES
+    np.multiply(*((minus, unit) if swap else (unit, minus)), out=minus)
+    return np.multiply(unit, plus, out=plus), minus
 
 
-def run_tables(plan: dyson.SegmentPlan):
-    """(layout, factor column, gather index): the parts of a context that
-    are the same for every segment of the plan's run."""
-    h = plan.h
-    layout = RegisterLayout(n_terms=len(plan) + 1, n=h.n)
-    # the mask is below 2^n, so XOR on the flat index a * 2^n + z flips only z
-    masks = np.repeat(np.append(plan.cum_mask, 0), 2)
-    gather = (np.arange(layout.ancilla_dim * h.dim).reshape(-1, h.dim) ^ masks[:, None]).ravel()
-    return layout, np.append(plan.factors, 1.0)[:, None], gather  # factor 1: padding term
+class RunTables:
+    """The parts of a context that are the same for every segment of a
+    plan's run (the register layout, the factor column and the gather
+    index), and the contexts of the block last built."""
+
+    def __init__(self, plan: dyson.SegmentPlan):
+        h = plan.h
+        self.layout = RegisterLayout(n_terms=len(plan) + 1, n=h.n)
+        # the mask is below 2^n, so XOR on the flat index a * 2^n + z flips only z
+        masks = np.repeat(np.append(plan.cum_mask, 0), 2)
+        self.gather = (np.arange(self.layout.ancilla_dim * h.dim).reshape(-1, h.dim)
+                       ^ masks[:, None]).ravel()
+        self.factors = np.append(plan.factors, 1.0)[:, None]  # factor 1: padding term
+        self.block: dyson.SegmentBlock | None = None
+        self.contexts: tuple[LCUContext, ...] = ()
 
 
-def build_context(seg: dyson.SegmentOperator, tables) -> LCUContext:
-    """The segment's context; ``tables`` is the run's `run_tables(seg.plan)`."""
-    layout, factors, gather = tables
-    h, terms = seg.h, seg.blocks
+def build_context(seg: dyson.SegmentOperator, tables: RunTables) -> LCUContext:
+    """The segment's context, read from the contexts of its block, which
+    the first call for the block builds at once (``tables`` is the run's
+    `RunTables` and keeps them).  A segment whose table or s is not its
+    block's is a block of its own."""
+    block, i, table = seg.block, seg.w - seg.block.start, seg.blocks
+    if block.tables[i] is not table or block.s[i] != seg.s:
+        block, i = dyson.SegmentBlock(seg.w, table.coeff[None], table.bound[None],
+                                      np.array([seg.s]), (table,)), 0
+    if tables.block is not block:
+        tables.block, tables.contexts = None, ()  # the last block's tables go first
+        tables.contexts, tables.block = _block_contexts(block, tables), block
+    return tables.contexts[i]
+
+
+def _block_contexts(block: dyson.SegmentBlock, tables: RunTables) -> tuple[LCUContext, ...]:
+    """The contexts of a block's segments, in one array pass over
+    (B, ancilla_dim, 2^n); raises TermBoundError, naming the segment, when
+    a segment's preparation amplitudes drift from unit norm."""
+    layout = tables.layout
+    n_seg, dim = len(block.s), 1 << layout.n
     # row 2t + x: term t, cosine branch x; bound = dt_tilde^q/q! * Gamma-part
     # in either mode, and the padding term (coefficient 0, mask 0, factor 1)
     # has bound 2 - s, which brings the total to 2, so the prepared weight
     # is bound/4 per x branch
-    coeff = np.concatenate([terms.coeff, np.zeros((1, h.dim), dtype=complex)])
-    bound = np.append(terms.bound, 2.0 - seg.s)
-    plus, minus = cosine_branches(coeff, bound[:, None])
-    phases = np.empty((layout.ancilla_dim, h.dim), dtype=complex)
-    np.multiply(factors, plus, out=phases[0::2])
-    np.multiply(factors, minus, out=phases[1::2])
-    b = np.repeat(np.sqrt(bound / 4.0), 2)
-    drift = abs(float(b @ b) - 1.0)
-    if drift > 1e-8:
-        raise RuntimeError(f"preparation amplitudes drifted from unit norm by {drift:.2e}")
-    b /= np.linalg.norm(b)
-    return LCUContext(layout=layout, b_amps=b, phase_table=phases, gather=gather)
+    coeff = np.concatenate([block.coeff, np.zeros((n_seg, 1, dim), dtype=complex)], axis=1)
+    bound = np.concatenate([block.bound, (2.0 - block.s)[:, None]], axis=1)
+    plus, minus = cosine_branches(coeff, bound[:, :, None])
+    phases = np.empty((n_seg, layout.ancilla_dim, dim), dtype=complex)
+    np.multiply(tables.factors, plus, out=phases[:, 0::2])
+    np.multiply(tables.factors, minus, out=phases[:, 1::2])
+    b = np.repeat(np.sqrt(bound / 4.0), 2, axis=1)
+    norm2 = np.array([row @ row for row in b])  # one dot product per segment
+    drift = np.abs(norm2 - 1.0)
+    if (drift > 1e-8).any():
+        i = int(np.argmax(drift > 1e-8))
+        raise TermBoundError(f"segment {block.start + i}: preparation amplitudes drifted "
+                             f"from unit norm by {drift[i]:.2e}")
+    b /= np.sqrt(norm2)[:, None]
+    return tuple(LCUContext(layout=layout, b_amps=row, phase_table=table, gather=tables.gather)
+                 for row, table in zip(b, phases))
 
 
 def apply_Vc(ctx: LCUContext, joint: np.ndarray) -> np.ndarray:
@@ -238,7 +282,7 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     budget = RESIDUAL_ABORT * eps / schedule.r
     residuals, deficits = [], []
     plan = dyson.SegmentPlan(h, schedule)
-    tables = run_tables(plan)
+    tables = RunTables(plan)
     for w in range(schedule.r):
         seg = dyson.build_segment(plan, w)
         ctx = build_context(seg, tables)

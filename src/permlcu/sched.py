@@ -95,10 +95,12 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
     truncation order Q for |s - 2| <= eps/r.
 
     The final step is clamped to T - t_w whenever the rule overshoots T or
-    finds no finite step.  The steps do not depend on eps.
+    finds no finite step.  The steps do not depend on eps, which is checked
+    before the first step.
     """
     if not (t_total > 0.0 and math.isfinite(t_total)):
         raise ValueError("total time must be positive and finite")
+    _check_eps(eps)
     if mode == MODE_EXACT:
         gamma = pham.gamma_bound
     elif mode == MODE_UNIFORM:
@@ -133,6 +135,11 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
                     Q=truncation_order(r, eps))
 
 
+def _check_eps(eps: float) -> None:
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, not {eps!r}")
+
+
 def s_tail(q_order: int) -> float:
     """Residual 2 - sum_{q<=Q} (ln2)^q / q! of the truncated expansion of 2."""
     partial = 0.0
@@ -159,8 +166,7 @@ def truncation_order(r: int, eps: float) -> int:
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("r must be a positive integer")
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, not {eps!r}")
+    _check_eps(eps)
     target = eps / r
     q_order = 0
     while s_tail(q_order) > target:

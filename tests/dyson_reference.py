@@ -56,12 +56,12 @@ def term_coefficient(h: pham.PermExpHamiltonian, t_w: float, dt_w: float,
     xj, z_path, d_coeff = interaction_inputs(h, iq, kq, z)
     q = len(xj)
     if q == 0:
-        return complex(dd.exp_dd_scaled(dt_w, [0.0]))
+        return complex(dd.exp_dd_steps([[0.0]], [dt_w])[0, 0])
     rates_sum = sum(
         complex(h.vterms[iq[j]].exp_terms[kq[j]].rate[z_path[j]]) for j in range(q))
     energies = h.h0_diag
     phase = np.exp(-1j * t_w * (energies[z] - energies[z_path[-1]]))
-    divided = dd.exp_dd_scaled(dt_w, list(xj) + [0.0])
+    divided = dd.exp_dd_steps([list(xj) + [0.0]], [dt_w])[0, 0]
     return complex(phase * np.exp(t_w * rates_sum) * divided * d_coeff)
 
 

@@ -132,16 +132,16 @@ def test_exp_dd_rejects_nonfinite():
         dd.exp_dd([])
 
 
-# --- exp_dd_scaled ----------------------------------------------------------
+# --- a single step: e^{t[x]} = t^q e^{[t x]} ---------------------------------
 
 def test_exp_dd_scaled_t_one_identity():
     xs = [0.2 + 0.4j, -0.1j]
-    assert rel_err(dd.exp_dd_scaled(1.0, xs), dd.exp_dd(xs)) < 1e-15
+    assert rel_err(dd.exp_dd_steps([xs], [1.0])[0, 0], dd.exp_dd(xs)) < 1e-15
 
 
 def test_exp_dd_scaled_t_zero():
-    assert dd.exp_dd_scaled(0.0, [5.0, 7.0, -1.0]) == 0.0
-    assert dd.exp_dd_scaled(0.0, [5.0]) == 1.0
+    assert dd.exp_dd_steps([[5.0, 7.0, -1.0]], [0.0])[0, 0] == 0.0
+    assert dd.exp_dd_steps([[5.0]], [0.0])[0, 0] == 1.0
 
 
 def test_exp_dd_scaled_first_order_integral():
@@ -152,8 +152,8 @@ def test_exp_dd_scaled_first_order_integral():
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     quad = float(np.sum(w * np.exp(s)) * (t / 2000) / 3.0)
     assert abs(quad - (math.exp(0.7) - 1.0)) < 1e-12
-    assert rel_err(dd.exp_dd_scaled(t, [1.0, 0.0]), math.exp(0.7) - 1.0) < 1e-13
-    assert rel_err(dd.exp_dd_scaled(t, [1.0, 0.0]), 1.0137527074704766) < 1e-12
+    assert rel_err(dd.exp_dd_steps([[1.0, 0.0]], [t])[0, 0], math.exp(0.7) - 1.0) < 1e-13
+    assert rel_err(dd.exp_dd_steps([[1.0, 0.0]], [t])[0, 0], 1.0137527074704766) < 1e-12
 
 
 def test_exp_dd_scaled_matches_scaling_identity():
@@ -162,20 +162,20 @@ def test_exp_dd_scaled_matches_scaling_identity():
         q = int(rng.integers(1, 6))
         xs = random_inputs(rng, q, scale=3.0)
         t = float(rng.uniform(-2, 2))
-        lhs = dd.exp_dd_scaled(t, xs)
+        lhs = dd.exp_dd_steps([xs], [t])[0, 0]
         rhs = t**q * dd.exp_dd(t * xs)
         assert rel_err(lhs, rhs) < 1e-12
 
 
-# --- exp_dd_bound -----------------------------------------------------------
+# --- real-part bound ---------------------------------------------------------
 
 def test_bound_pure_imaginary_pair():
     for a in (0.3, 2.0, 17.0):
-        assert abs(dd.exp_dd_bound([1j * a, 0.0]) - 1.0) < 1e-12
+        assert abs(dd.exp_dd_bound_batch([[1j * a, 0.0]])[0] - 1.0) < 1e-12
 
 
 def test_bound_confluent_real_parts():
-    assert rel_err(dd.exp_dd_bound([1 + 1j, 1 - 1j]), math.e) < 1e-12
+    assert rel_err(dd.exp_dd_bound_batch([[1 + 1j, 1 - 1j]])[0], math.e) < 1e-12
 
 
 def test_bound_dominates_value():
@@ -183,7 +183,7 @@ def test_bound_dominates_value():
     for _ in range(1000):
         q = int(rng.integers(1, 9))
         xs = random_inputs(rng, q)
-        assert abs(dd.exp_dd(xs)) <= dd.exp_dd_bound(xs) * (1 + 1e-12)
+        assert abs(dd.exp_dd(xs)) <= dd.exp_dd_bound_batch([xs])[0] * (1 + 1e-12)
 
 
 def test_bound_mean_value_form():
@@ -191,7 +191,7 @@ def test_bound_mean_value_form():
     for _ in range(200):
         q = int(rng.integers(1, 9))
         xs = random_inputs(rng, q)
-        val = dd.exp_dd_bound(xs) * math.factorial(q)
+        val = dd.exp_dd_bound_batch([xs])[0] * math.factorial(q)
         lo, hi = np.exp(xs.real.min()), np.exp(xs.real.max())
         assert lo * (1 - 1e-10) <= val <= hi * (1 + 1e-10)
 
@@ -201,10 +201,10 @@ def test_bound_monotone_in_real_inputs():
     for _ in range(100):
         q = int(rng.integers(1, 7))
         xs = rng.uniform(-5, 5, q + 1)
-        base = dd.exp_dd_bound(xs)
+        base = dd.exp_dd_bound_batch([xs])[0]
         j = int(rng.integers(0, q + 1))
         xs[j] += float(rng.uniform(0.01, 2.0))
-        assert dd.exp_dd_bound(xs) >= base * (1 - 1e-12)
+        assert dd.exp_dd_bound_batch([xs])[0] >= base * (1 - 1e-12)
 
 
 # --- bidiagonal oracle ------------------------------------------------------
@@ -283,7 +283,7 @@ def test_corollary_time_integral():
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         vals = dd.exp_dd_steps(xs[None, :], t)[:, 0]
         lhs = np.sum(w * vals) * (tau / n) / 3.0
-        rhs = dd.exp_dd_scaled(tau, np.concatenate([[0.0], xs]))
+        rhs = dd.exp_dd_steps([np.concatenate([[0.0], xs])], [tau])[0, 0]
         assert rel_err(lhs, rhs) < 1e-6
 
 

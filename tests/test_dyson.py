@@ -98,7 +98,7 @@ def test_coefficient_bound_holds_per_term():
             kq = tuple(rng.integers(0, n_k, q))
             z = int(rng.integers(0, h.dim))
             xj, z_path, _ = interaction_inputs(h, iq, kq, z)
-            divided = dd.exp_dd_scaled(dt_w, list(xj) + [0.0])
+            divided = dd.exp_dd_steps([list(xj) + [0.0]], [dt_w])[0, 0]
             assert abs(divided) <= dt_tilde**q / math.factorial(q) * (1 + 1e-10)
 
 
@@ -383,6 +383,33 @@ def test_shared_plan_segments_bitwise_equal_fresh(mode):
         assert shared.s == fresh.s
 
 
+def _requested_tables(plan, ws):
+    """Per segment of ws, requested in that order: its table, s, phase
+    table and preparation weights."""
+    tables, out = lcu.RunTables(plan), {}
+    for w in ws:
+        seg = dyson.build_segment(plan, w)
+        ctx = lcu.build_context(seg, tables)
+        out[w] = (seg.blocks.coeff, seg.blocks.bound, seg.s, ctx.phase_table, ctx.b_amps)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from([("osc-long", "a1e3"), ("c4-n2", "m1")]), data=st.data())
+def test_block_tables_do_not_depend_on_request_order(case, data):
+    h, s, _ = frozen_model(*case)
+    order = data.draw(st.permutations(range(s.r)), label="order")
+    per_block = data.draw(st.integers(1, s.r), label="segments per block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyson, "BLOCK_BYTES", 0)  # one segment per block, in order
+        want = _requested_tables(dyson.SegmentPlan(h, s), range(s.r))
+        plan = dyson.SegmentPlan(h, s)
+        mp.setattr(dyson, "BLOCK_BYTES", per_block * len(plan) * h.dim * 16)
+        got = _requested_tables(plan, order)
+    for w in range(s.r):
+        assert all(np.array_equal(a, b) for a, b in zip(want[w], got[w]))
+
+
 def test_matrix_matches_term_loop():
     # one scatter-add over the table equals the term-by-term accumulation
     rng = np.random.default_rng(74)
@@ -560,7 +587,7 @@ def assert_plan_matches_dense_build(h, s):
         assert np.array_equal(tab.coeff, coeff)
         full = replace(seg, blocks=replace(tab, coeff=coeff))
         assert np.array_equal(seg.matrix(), full.matrix())
-        tables = lcu.run_tables(plan)
+        tables = lcu.RunTables(plan)
         assert np.array_equal(lcu.build_context(seg, tables).phase_table,
                               lcu.build_context(full, tables).phase_table)
         got = dyson.build_segment(evaluated, w).blocks.coeff
@@ -663,7 +690,7 @@ def test_alt_matches_term_by_term_construction():
                 ys = [-1j * (energies[prev[j]] - energies[z]) - sum(rates[:j])
                       for j in range(q + 1)]
                 coeff = (np.exp((t_w + dt_w) * sum(rates))
-                         * dd.exp_dd_scaled(dt_w, ys) * d_coeff)
+                         * dd.exp_dd_steps([ys], [dt_w])[0, 0] * d_coeff)
                 ref[z_path[-1], z] += (-1j) ** q * coeff
     ref = ref * np.exp(-1j * energies * dt_w)[None, :]
     alt = dyson.alt_segment_unitary(dyson.SegmentPlan(h, s), w)

@@ -21,7 +21,7 @@ def haar_state(rng, dim):
 
 
 def context(seg):
-    return lcu.build_context(seg, lcu.run_tables(seg.plan))
+    return lcu.build_context(seg, lcu.RunTables(seg.plan))
 
 
 def build_pipeline(h, t_total, eps, mode=sched.MODE_EXACT, w=0):
@@ -67,7 +67,7 @@ def full_statevector_oaa(ctx, psi):
 # --- register layout ------------------------------------------------------------
 
 def plan_layout(h, schedule):
-    return lcu.run_tables(dyson.SegmentPlan(h, schedule))[0]
+    return lcu.RunTables(dyson.SegmentPlan(h, schedule)).layout
 
 
 def test_layout_counts():
@@ -97,9 +97,9 @@ def test_layout_on_frozen_cases(workload, joint_dim_max):
     for case_id in cases[workload]:
         h, s, _ = frozen_model(workload, case_id)
         plan = dyson.SegmentPlan(h, s)
-        tables = lcu.run_tables(plan)
+        tables = lcu.RunTables(plan)
         assert len(plan) == dyson.count_terms(h, s.Q) // h.dim
-        assert tables[0].n_terms == len(plan) + 1
+        assert tables.layout.n_terms == len(plan) + 1
         joint += [lcu.build_context(dyson.build_segment(plan, w), tables).layout.joint_dim
                   for w in range(s.r)]
     assert max(joint) == joint_dim_max
@@ -299,6 +299,16 @@ def test_context_rejects_normalization_above_two():
         context(replace(seg, s=2.0 + 1e-9))
 
 
+def test_context_names_the_segment_whose_preparation_drifts():
+    # an s below the table's own normalization leaves the preparation
+    # weights 0.1/2 above unit norm
+    h = oscillating_hamiltonian(1.0, 1.0, 2.0)
+    _, seg, _ = build_pipeline(h, 2.0, 1e-3, w=1)
+    with pytest.raises(lcu.TermBoundError,
+                       match="segment 1: preparation amplitudes drifted from unit norm by 5.00e-02"):
+        context(replace(seg, s=seg.s - 0.1))
+
+
 def test_vc_preserves_norm():
     rng = np.random.default_rng(62)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
@@ -451,6 +461,25 @@ def test_apply_h0_phase():
 
 
 # --- full runs --------------------------------------------------------------------
+
+FROZEN_CASES = [("c4-n2", c) for c in ("m0", "m1", "m2", "m3", "m4")] + [
+    ("osc-long", c) for c in ("a0", "a1e3", "a1e6")]
+
+
+@pytest.mark.parametrize("workload, case_id", FROZEN_CASES)
+def test_run_full_does_not_depend_on_the_block_size(workload, case_id, monkeypatch):
+    # one segment per block, the default, and the whole run in one block
+    # (c4-n2 m0's whole-run LCU tables pass lcu._SWAP_BYTES)
+    h, _, case = frozen_model(workload, case_id)
+    psi = haar_state(np.random.default_rng(16), h.dim)
+    runs = []
+    for budget in (0, dyson.BLOCK_BYTES, 1 << 40):
+        monkeypatch.setattr(dyson, "BLOCK_BYTES", budget)
+        final, diag = lcu.run_full(h, case["t_total"], case["eps"], psi, mode=case["mode"])
+        runs.append((final.system_block(0), diag["residuals"], diag["deficits"]))
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
+
 
 def test_run_full_v_zero_is_diagonal_phase():
     h = pham.from_pauli_spec({"n": 2, "h0": [{"coupling": 0.4, "z_mask": "01"},

@@ -245,6 +245,21 @@ def test_build_schedule_rejects_bad_eps(eps):
         sched.build_schedule(h, 1.0, eps=eps)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0])
+def test_build_schedule_checks_eps_before_the_first_step(monkeypatch, eps):
+    # the rate-700 model of the step-cap test below: a bad eps is named at
+    # once, not after MAX_STEPS steps end in the step cap
+    h = pham.from_pauli_spec({"n": 1, "h0": [], "v": [
+        {"pauli": "X", "coeff": [{"amp": [0.5, 0.0], "rate": [700.0, 0.0]}]}]})
+
+    def no_step(*args):
+        raise AssertionError("the step loop was entered")
+
+    monkeypatch.setattr(sched, "next_step", no_step)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        sched.build_schedule(h, 2.0, eps=eps)
+
+
 def test_build_schedule_rejects_unknown_mode():
     h = pham.from_pauli_spec(static_spec())
     with pytest.raises(ValueError, match="unknown mode"):
