@@ -195,7 +195,7 @@ def _block_contexts(block: dyson.SegmentBlock, tables: RunTables) -> tuple[LCUCo
     np.multiply(tables.factors, plus, out=phases[:, 0::2])
     np.multiply(tables.factors, minus, out=phases[:, 1::2])
     b = np.repeat(np.sqrt(bound / 4.0), 2, axis=1)
-    norm2 = np.array([row @ row for row in b])  # one dot product per segment
+    norm2 = np.array([row @ row for row in b])  # per segment: a stacked sum rounds otherwise
     drift = np.abs(norm2 - 1.0)
     if (drift > 1e-8).any():
         i = int(np.argmax(drift > 1e-8))
