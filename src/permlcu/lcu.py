@@ -108,10 +108,11 @@ class LCUContext:
 def cosine_branches(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise unit-modulus branches c+- = e^{i theta}(|u| +- i sqrt(1 - |u|^2))
     of u = coeff/bound = |u| e^{i theta}, so that coeff = bound (c+ + c-)/2;
-    ``bound`` broadcasts against ``coeff``.  |u| is clamped to 1, and u = 0
-    gives exactly (i, -i).  A coefficient of subnormal magnitude takes
-    theta = 0: its phase is below the roundoff of any bound, and
-    coeff/|coeff| would lose its precision.
+    ``bound`` broadcasts against ``coeff``, whose last two axes are one
+    segment's table and whose leading axes stack segments.  |u| is clamped
+    to 1, and u = 0 gives exactly (i, -i).  A coefficient of subnormal
+    magnitude takes theta = 0: its phase is below the roundoff of any
+    bound, and coeff/|coeff| would lose its precision.
 
     A zero bound is only legal for a zero coefficient (zero-padded exponential
     terms); a negative bound, or a ratio above 1 + 1e-9, indicates a bound
