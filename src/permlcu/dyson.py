@@ -143,6 +143,13 @@ class SegmentPlan:
         self._divided = dd.exp_dd_steps(xs, steps, orders)  # (steps, S)
         self.dd_rows = len(xs)
         self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
+        # dt_tilde^q/q! once per distinct step, s once per distinct (Gamma(t_w), dt_w)
+        last = {dt: w for w, (_, dt) in enumerate(schedule.steps)}
+        self._per_order = np.array([[schedule.dt_tilde(last[dt])**q / math.factorial(q)
+                                     for q in range(schedule.Q + 1)] for dt in steps])
+        pairs = list(zip(schedule.gammas, (dt for _, dt in schedule.steps)))
+        s_of = {pair: schedule.s(w) for pair, w in {p: w for w, p in enumerate(pairs)}.items()}
+        self._s = np.array([s_of[pair] for pair in pairs])
         self._block: SegmentBlock | None = None
 
     def _enumerate(self, h: pham.PermExpHamiltonian, q_max: int):
@@ -243,6 +250,7 @@ class SegmentPlan:
         schedule = self.schedule
         t_ws = [schedule.steps[w][0] for w in ws]
         t = np.array(t_ws)
+        at = [self._step_index[schedule.steps[w][1]] for w in ws]
         # row 0 is the q = 0 term: coefficient and bound 1
         coeff = np.zeros((len(ws), len(self), self.h.dim), dtype=complex)
         coeff[:, 0] = 1.0
@@ -251,13 +259,12 @@ class SegmentPlan:
         # right-hand temporary, operands swapped, and a complex product with
         # swapped operands can round differently)
         vals = np.exp(np.multiply.outer([-1j * t_w for t_w in t_ws], self.gap))
-        vals *= np.exp(np.multiply.outer(t, self.rates_sum))
-        vals *= self._divided[[self._step_index[schedule.steps[w][1]] for w in ws]]
+        vals *= np.exp(np.multiply.outer(t.astype(complex), self.rates_sum))
+        vals *= self._divided[at]
         vals *= self.d_coeff
         coeff.reshape(-1)[np.tile(self.on_support, len(ws))] = vals.ravel()
         orders = range(schedule.Q + 1)
-        per_order = np.array([[schedule.dt_tilde(w)**q / math.factorial(q) for q in orders]
-                              for w in ws])
+        per_order = self._per_order[at]
         if schedule.mode == MODE_UNIFORM:
             growth = [self.gmax * np.exp(t_w * schedule.lam) for t_w in t_ws]
             bound = (per_order * np.array([[g**q for q in orders] for g in growth]))[:, self.q]
@@ -266,7 +273,7 @@ class SegmentPlan:
             bound = per_order[:, self.q] * (np.exp(np.multiply.outer(t, self.lam)).prod(axis=2)
                                             * self.amp_prod)
         tables = tuple(TermTable(coeff=c, bound=b) for c, b in zip(coeff, bound))
-        return SegmentBlock(ws.start, coeff, bound, np.array([schedule.s(w) for w in ws]), tables)
+        return SegmentBlock(ws.start, coeff, bound, self._s[ws.start:ws.stop], tables)
 
 
 def build_segment(plan: SegmentPlan, w: int) -> SegmentOperator:

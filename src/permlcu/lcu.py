@@ -28,10 +28,14 @@ amplification is exact: the projected result is U |psi>, and the deficits
 are at roundoff level.
 
 Only `apply_A` depends on the state, so `build_context` builds the
-contexts of all the segments of a `dyson.SegmentBlock` at once, in one
-array pass over (block, ancilla_dim, 2^n), and the run's `RunTables`
-keeps them until the next block; the drift check of the preparation
-weights stays per segment.
+contexts of all the segments of a `dyson.SegmentBlock` at once, and the
+run's `RunTables` keeps them until the next block.  Off the amplitude
+support a coefficient is exactly 0, with branches +i and -i, which
+`RunTables` turns into row constants once per run: the branches are built
+for the support and the q = 0 row only, and so is the matrix-free U psi
+against which `run_full` checks each segment.  The benchmark's tracer
+wraps `dyson.build_segment`, `build_context` and `apply_A`, which
+`run_full` calls once per segment through their modules.
 """
 from __future__ import annotations
 
@@ -105,14 +109,16 @@ class LCUContext:
     gather: np.ndarray       # (ancilla_dim * 2^n,) flat index: entry (a, z) reads (a, z ^ mask)
 
 
-def cosine_branches(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cosine_branches(coeff: np.ndarray, bound: np.ndarray,
+                    table_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise unit-modulus branches c+- = e^{i theta}(|u| +- i sqrt(1 - |u|^2))
     of u = coeff/bound = |u| e^{i theta}, so that coeff = bound (c+ + c-)/2;
     ``bound`` broadcasts against ``coeff``, whose last two axes are one
-    segment's table and whose leading axes stack segments.  |u| is clamped
-    to 1, and u = 0 gives exactly (i, -i).  A coefficient of subnormal
-    magnitude takes theta = 0: its phase is below the roundoff of any
-    bound, and coeff/|coeff| would lose its precision.
+    segment's table and whose leading axes stack segments (or, given
+    ``table_size``, whose last axis holds entries of a table that size).
+    |u| is clamped to 1, and u = 0 gives exactly (i, -i).  A coefficient of
+    subnormal magnitude takes theta = 0: its phase is below the roundoff of
+    any bound, and coeff/|coeff| would lose its precision.
 
     A zero bound is only legal for a zero coefficient (zero-padded exponential
     terms); a negative bound, or a ratio above 1 + 1e-9, indicates a bound
@@ -137,20 +143,26 @@ def cosine_branches(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, n
     np.divide(coeff.imag, mag, out=unit.imag, where=normal)
     plus = ratio + 1j * np.sqrt((1.0 - ratio) * (1.0 + ratio))
     # unit * conj(c+) with the operand order fixed per table (the last two
-    # axes, terms x z), so that no value depends on how many tables share
-    # the call: a table of _SWAP_BYTES or more takes conj(c+) * unit, the
-    # order numpy's temporary elision gives `unit * plus.conj()` at that
-    # size, and a complex product with swapped operands can round differently
+    # axes, terms x z, or table_size entries), so that no value depends on
+    # how many tables share the call, or on which of its entries are given:
+    # a table of _SWAP_BYTES or more takes conj(c+) * unit, the order numpy's
+    # temporary elision gives `unit * plus.conj()` at that size, and a
+    # complex product with swapped operands can round differently
     minus = plus.conj()
-    swap = math.prod(minus.shape[-2:]) * minus.itemsize >= _SWAP_BYTES
+    size = math.prod(minus.shape[-2:]) if table_size is None else table_size
+    swap = size * minus.itemsize >= _SWAP_BYTES
     np.multiply(*((minus, unit) if swap else (unit, minus)), out=minus)
     return np.multiply(unit, plus, out=plus), minus
 
 
 class RunTables:
-    """The parts of a context that are the same for every segment of a
-    plan's run (the register layout, the factor column and the gather
-    index), and the contexts of the block last built."""
+    """What the contexts of a plan's run share, and the contexts of the
+    block last built.  ``entries``: the flat (term, z) indices of the q = 0
+    row and the amplitude support, in table order; those of order q, whose
+    factor is order_factors[q], start at orders[q].  ``fill``: the phase of
+    each ancilla row off the entries, (-i)^q (+-i).  Per support entry:
+    ``target`` = z ^ cum_mask and ``rotated``, the place of (-i)^q psi[z]
+    in the four rotations of psi, stacked."""
 
     def __init__(self, plan: dyson.SegmentPlan):
         h = plan.h
@@ -159,7 +171,17 @@ class RunTables:
         masks = np.repeat(np.append(plan.cum_mask, 0), 2)
         self.gather = (np.arange(self.layout.ancilla_dim * h.dim).reshape(-1, h.dim)
                        ^ masks[:, None]).ravel()
-        self.factors = np.append(plan.factors, 1.0)[:, None]  # factor 1: padding term
+        zero = np.concatenate(cosine_branches(np.zeros(1, dtype=complex), np.ones(1)))
+        self.fill = (np.append(plan.factors, 1.0)[:, None] * zero).ravel()  # 1: padding term
+        on = plan.on_support.copy()
+        on[:h.dim] = True  # the q = 0 row: coefficient 1
+        self.entries = np.flatnonzero(on)
+        firsts = np.searchsorted(plan.q, np.arange(plan.q[-1] + 2))  # each order's first term
+        self.orders = np.searchsorted(self.entries, firsts * h.dim)
+        self.order_factors = plan.factors[firsts[:-1]]
+        term, z = np.divmod(self.entries[h.dim:], h.dim)
+        self.target = (z ^ plan.cum_mask[term]).astype(np.min_scalar_type(h.dim))
+        self.rotated = (plan.q[term] % 4 * h.dim + z).astype(np.min_scalar_type(4 * h.dim))
         self.block: dyson.SegmentBlock | None = None
         self.contexts: tuple[LCUContext, ...] = ()
 
@@ -168,7 +190,7 @@ def build_context(seg: dyson.SegmentOperator, tables: RunTables) -> LCUContext:
     """The segment's context, read from the contexts of its block, which
     the first call for the block builds at once (``tables`` is the run's
     `RunTables` and keeps them).  A segment whose table or s is not its
-    block's is a block of its own."""
+    block's is a block of its own (off the plan's support, taken to be 0)."""
     block, i, table = seg.block, seg.w - seg.block.start, seg.blocks
     if block.tables[i] is not table or block.s[i] != seg.s:
         block, i = dyson.SegmentBlock(seg.w, table.coeff[None], table.bound[None],
@@ -180,21 +202,29 @@ def build_context(seg: dyson.SegmentOperator, tables: RunTables) -> LCUContext:
 
 
 def _block_contexts(block: dyson.SegmentBlock, tables: RunTables) -> tuple[LCUContext, ...]:
-    """The contexts of a block's segments, in one array pass over
-    (B, ancilla_dim, 2^n); raises TermBoundError, naming the segment, when
-    a segment's preparation amplitudes drift from unit norm."""
+    """The contexts of a block's segments: the entries' branches in one
+    array pass over (B, entries), every other phase from its row's
+    constant; raises TermBoundError, naming the segment, when a segment's
+    preparation amplitudes drift from unit norm."""
     layout = tables.layout
     n_seg, dim = len(block.s), 1 << layout.n
     # row 2t + x: term t, cosine branch x; bound = dt_tilde^q/q! * Gamma-part
     # in either mode, and the padding term (coefficient 0, mask 0, factor 1)
     # has bound 2 - s, which brings the total to 2, so the prepared weight
     # is bound/4 per x branch
-    coeff = np.concatenate([block.coeff, np.zeros((n_seg, 1, dim), dtype=complex)], axis=1)
     bound = np.concatenate([block.bound, (2.0 - block.s)[:, None]], axis=1)
-    plus, minus = cosine_branches(coeff, bound[:, :, None])
-    phases = np.empty((n_seg, layout.ancilla_dim, dim), dtype=complex)
-    np.multiply(tables.factors, plus, out=phases[:, 0::2])
-    np.multiply(tables.factors, minus, out=phases[:, 1::2])
+    if (bound[:, -1] < 0.0).any():
+        raise TermBoundError("s above 2 gives the padding term a negative bound")
+    # the entries' branches, with the operand order of the whole table
+    entries = tables.entries
+    plus, minus = cosine_branches(block.coeff.reshape(n_seg, -1).take(entries, axis=1),
+                                  bound.take(entries // dim, axis=1), layout.n_terms * dim)
+    for factor, lo, hi in zip(tables.order_factors, tables.orders, tables.orders[1:]):
+        for branch in (plus, minus):
+            np.multiply(factor, branch[:, lo:hi], out=branch[:, lo:hi])
+    phases = np.broadcast_to(np.repeat(tables.fill, dim), (n_seg, layout.joint_dim)).copy()
+    at = entries + entries // dim * dim  # entry (t, z): c+ in row 2t, c- in row 2t + 1
+    phases[:, at], phases[:, at + dim] = plus, minus
     b = np.repeat(np.sqrt(bound / 4.0), 2, axis=1)
     norm2 = np.array([row @ row for row in b])  # per segment: a stacked sum rounds otherwise
     drift = np.abs(norm2 - 1.0)
@@ -204,18 +234,35 @@ def _block_contexts(block: dyson.SegmentBlock, tables: RunTables) -> tuple[LCUCo
                              f"from unit norm by {drift[i]:.2e}")
     b /= np.sqrt(norm2)[:, None]
     return tuple(LCUContext(layout=layout, b_amps=row, phase_table=table, gather=tables.gather)
-                 for row, table in zip(b, phases))
+                 for row, table in zip(b, phases.reshape(n_seg, layout.ancilla_dim, dim)))
+
+
+def reference_step(tables: RunTables, coeff: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Matrix-free U psi of the segment with table ``coeff``: psi (the q = 0
+    term) plus, in table order, each support entry's coeff (-i)^q psi[z] at
+    z ^ cum_mask."""
+    rotations = (np.array([1, -1j, -1, 1j])[:, None] * psi).ravel()
+    vals = coeff.ravel().take(tables.entries[len(psi):]) * rotations.take(tables.rotated)
+    out = np.zeros_like(psi)
+    np.add.at(out, tables.target, vals)
+    return psi + out
 
 
 def apply_Vc(ctx: LCUContext, joint: np.ndarray) -> np.ndarray:
     """Controlled segment unitary on an (ancilla, system) array: system block
     a gets (-i)^q P_{i_q} Phi_{a}, so amplitude z moves to z ^ mask."""
-    return (ctx.phase_table * joint).ravel().take(ctx.gather).reshape(joint.shape)
+    return _vc(ctx, np.array(joint, dtype=complex))
 
 
-def _reflect_about_b(ctx: LCUContext, joint: np.ndarray) -> None:
+def _vc(ctx: LCUContext, joint: np.ndarray) -> np.ndarray:
+    """apply_Vc, overwriting the complex array ``joint`` (phases first)."""
+    np.multiply(ctx.phase_table, joint, out=joint)
+    return joint.ravel().take(ctx.gather).reshape(joint.shape)
+
+
+def _reflect_about_b(b: np.ndarray, joint: np.ndarray) -> None:
     """(I - 2|b><b|) (x) I in place."""
-    joint -= np.outer(ctx.b_amps, 2.0 * (ctx.b_amps @ joint))
+    joint -= b[:, None] * (2.0 * (b @ joint))
 
 
 def oaa_sequence(apply_w, apply_w_dagger, joint: np.ndarray) -> np.ndarray:
@@ -239,11 +286,13 @@ def apply_A(ctx: LCUContext, psi: np.ndarray) -> np.ndarray:
     if np.shape(psi) != (dim,):
         raise ValueError(f"apply_A takes a system vector of shape ({dim},), "
                          f"not of shape {np.shape(psi)}")
-    cur = apply_Vc(ctx, np.outer(ctx.b_amps, psi))
-    _reflect_about_b(ctx, cur)
-    cur = ctx.phase_table.conj() * cur.ravel().take(ctx.gather).reshape(cur.shape)
-    _reflect_about_b(ctx, cur)
-    return -(ctx.b_amps @ apply_Vc(ctx, cur))
+    b = ctx.b_amps.astype(complex)  # cast once, not in each product with the joint array
+    cur = _vc(ctx, b[:, None] * psi)
+    _reflect_about_b(b, cur)
+    cur = cur.ravel().take(ctx.gather).reshape(cur.shape)
+    np.multiply(ctx.phase_table.conj(), cur, out=cur)
+    _reflect_about_b(b, cur)
+    return -(b @ _vc(ctx, cur))
 
 
 def apply_H0_phase(h: pham.PermExpHamiltonian, t: float, psi: np.ndarray) -> np.ndarray:
@@ -258,8 +307,8 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
 
     Returns (final Statevector, diagnostics).  Between segments the ancilla
     is projected back to |0...0> and the system renormalized; the projection
-    deficit and the direction residual against the dense segment operator
-    are recorded per segment.  A residual above RESIDUAL_ABORT * eps / r,
+    deficit and the direction residual against `reference_step` are
+    recorded per segment.  A residual above RESIDUAL_ABORT * eps / r,
     or a non-finite one, aborts with diagnostics attached.
 
     psi_system must be a finite, nonzero vector of length 2^n; it is
@@ -286,11 +335,11 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     tables = RunTables(plan)
     for w in range(schedule.r):
         seg = dyson.build_segment(plan, w)
-        ctx = build_context(seg, tables)
-        block = apply_A(ctx, psi)
+        # holding no context here, the next block's are built without the last one's
+        block = apply_A(build_context(seg, tables), psi)
         block_norm = float(np.linalg.norm(block))
         new_psi = block / block_norm
-        ref = seg.matrix() @ psi
+        ref = reference_step(tables, seg.blocks.coeff, psi)
         ref /= np.linalg.norm(ref)
         residual = float(np.linalg.norm(new_psi - ref))
         residuals.append(residual)
@@ -301,7 +350,7 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
                 {"residuals": residuals, "deficits": deficits})
         psi = new_psi
     psi = apply_H0_phase(h, t_total, psi)
-    final = Statevector.from_system(ctx.layout, psi)  # r >= 1 for every schedule
+    final = Statevector.from_system(tables.layout, psi)
     diagnostics = {
         "r": schedule.r, "Q": schedule.Q,
         "residuals": residuals, "deficits": deficits,

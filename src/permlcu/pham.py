@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -257,11 +258,13 @@ def gamma_max(h: PermExpHamiltonian) -> float:
 
 def gamma_bound(h: PermExpHamiltonian, t: float) -> float:
     """Gamma(t) = sum_{i,k} ||amp_{i,k}||_max e^{t lambda_{(i,k)}} >= ||V(t)||_max."""
-    total = 0.0
-    for term in h.vterms:
-        for et in term.exp_terms:
-            total += et.amp_max * np.exp(t * et.lambda_max)
-    return float(total)
+    return gamma_bound_fn(h)(t)
+
+
+def gamma_bound_fn(h: PermExpHamiltonian):
+    """`gamma_bound` as a function of t, its per-term constants computed once."""
+    terms = [(et.amp_max, et.lambda_max) for term in h.vterms for et in term.exp_terms]
+    return lambda t: float(reduce(lambda total, c: total + c[0] * np.exp(t * c[1]), terms, 0.0))
 
 
 def gamma_bound_uniform(h: PermExpHamiltonian, t: float) -> float:

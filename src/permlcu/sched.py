@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from scipy.special import lambertw
 
@@ -102,9 +103,9 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
         raise ValueError("total time must be positive and finite")
     _check_eps(eps)
     if mode == MODE_EXACT:
-        gamma = pham.gamma_bound
+        gamma = pham.gamma_bound_fn(h)
     elif mode == MODE_UNIFORM:
-        gamma = pham.gamma_bound_uniform
+        gamma = partial(pham.gamma_bound_uniform, h)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     lam = pham.lambda_max(h)
@@ -117,7 +118,7 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
             raise ScheduleTooLongError(
                 f"the schedule to T = {t_total!r} took {len(steps)} steps and reached only "
                 f"t = {t!r}; the interaction grows too fast to partition")
-        g = gamma(h, t)
+        g = gamma(t)
         dt = next_step(g, lam)
         if not math.isfinite(dt) or t + dt > t_total:
             steps.append((t, t_total - t))

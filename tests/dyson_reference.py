@@ -5,13 +5,16 @@ by scalar loops, independently of the segment plan.  `dense_coefficients`
 is the plan's vectorized enumeration over every (path, z) entry, the
 amplitude support or not, with `dd.exp_dd_steps` on every row: the
 coefficients a plan restricted to the support must reproduce bitwise.
-`frozen_model` loads a frozen benchmark case.
+`frozen_model` loads a frozen benchmark case; `partial_support_models`
+draws models whose amplitude support is partial, and
+`tiny_amplitude_model` is one with 1e-150 amplitudes.
 """
 import json
 from itertools import product
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from permlcu import dd, models, pham, sched
 
@@ -117,3 +120,36 @@ def frozen_model(workload: str, case_id: str):
          else models.oscillating_hamiltonian(**case["oscillating"]))
     schedule = sched.build_schedule(h, case["t_total"], eps=case["eps"], mode=case["mode"])
     return h, schedule, case
+
+
+@st.composite
+def partial_support_models(draw):
+    """A model with a partial amplitude support, a schedule over it, and the
+    schedule's mode: a random spec with one K = 1 and one K = 2 term (the
+    parser pads the first to K = 2), or the oscillating model (single-entry
+    amplitude diagonals)."""
+    mode = draw(st.sampled_from([sched.MODE_EXACT, sched.MODE_UNIFORM]))
+    t_total = draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        h = models.oscillating_hamiltonian(1.0, 1.0, draw(st.sampled_from([0.0, 1.0, 1e3])))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        spec = models.random_model_spec(rng, n=draw(st.integers(2, 3)), m_max=2, k_max=2)
+        amp = float(rng.uniform(0.2, 0.8))
+        rate = complex(rng.uniform(-0.4, 0.1), rng.uniform(0.3, 2.0))
+        spec["v"][0]["coeff"] = [{"amp": [amp, 0.0], "rate": [rate.real, 0.0]}]
+        spec["v"][1]["coeff"] = [{"amp": [amp, 0.1], "rate": [rate.real, rate.imag]},
+                                 {"amp": [amp, -0.1], "rate": [rate.real, -rate.imag]}]
+        h = pham.from_pauli_spec(spec)
+    return h, sched.build_schedule(h, t_total, eps=1e-3, mode=mode)
+
+
+def tiny_amplitude_model():
+    """Two masks, one with amplitudes 1e-150: built directly, since the spec
+    parser drops amplitudes below 1e-14 of the largest."""
+    return pham.PermExpHamiltonian(
+        n=2, h0_diag=np.array([0.7, -0.7, 0.7, -0.7]), h0_zterms=((0.7, 1),),
+        vterms=(pham.PermTerm(mask=2, exp_terms=(pham.ExpTerm(
+                    rate=np.full(4, -0.2 + 0j), amp=np.full(4, 0.8 + 0j)),)),
+                pham.PermTerm(mask=1, exp_terms=(pham.ExpTerm(
+                    rate=np.zeros(4, dtype=complex), amp=np.full(4, 1e-150 + 0j)),))))

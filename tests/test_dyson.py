@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from dyson_reference import (dense_coefficients, frozen_model, interaction_inputs,
-                             term_coefficient)
+                             partial_support_models, term_coefficient, tiny_amplitude_model)
 from permlcu import dd, dyson, lcu, oracle, pham, sched
 from permlcu.models import (decay_spec, oscillating_hamiltonian, random_model_spec,
                             static_spec)
@@ -527,28 +527,6 @@ def test_padded_slot_paths_have_zero_coefficients():
     assert seen == 1 + 7  # q = 1: the slot itself; q = 2: 16 paths less 3 x 3 without it
 
 
-@st.composite
-def partial_support_models(draw):
-    """A model with a partial amplitude support, a schedule over it, and the
-    schedule's mode: a random spec with one K = 1 and one K = 2 term (the
-    parser pads the first to K = 2), or the oscillating model (single-entry
-    amplitude diagonals)."""
-    mode = draw(st.sampled_from([sched.MODE_EXACT, sched.MODE_UNIFORM]))
-    t_total = draw(st.floats(0.1, 2.0))
-    if draw(st.booleans()):
-        h = oscillating_hamiltonian(1.0, 1.0, draw(st.sampled_from([0.0, 1.0, 1e3])))
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        spec = random_model_spec(rng, n=draw(st.integers(2, 3)), m_max=2, k_max=2)
-        amp = float(rng.uniform(0.2, 0.8))
-        rate = complex(rng.uniform(-0.4, 0.1), rng.uniform(0.3, 2.0))
-        spec["v"][0]["coeff"] = [{"amp": [amp, 0.0], "rate": [rate.real, 0.0]}]
-        spec["v"][1]["coeff"] = [{"amp": [amp, 0.1], "rate": [rate.real, rate.imag]},
-                                 {"amp": [amp, -0.1], "rate": [rate.real, -rate.imag]}]
-        h = pham.from_pauli_spec(spec)
-    return h, sched.build_schedule(h, t_total, eps=1e-3, mode=mode)
-
-
 def assert_plan_matches_dense_build(h, s):
     """The plan hands exp_dd_steps the dense rows of the entries with a
     nonzero d_coeff, and nothing else; given the dense build's divided
@@ -606,13 +584,7 @@ def test_support_keeps_tiny_amplitudes():
     # no threshold: a d_coeff of 1e-150 or 8e-301 keeps its entry on the
     # support; only an exact 0, here the underflow of three 1e-150 factors,
     # leaves it
-    # built directly: the spec parser drops amplitudes below 1e-14 of the largest
-    h = pham.PermExpHamiltonian(
-        n=2, h0_diag=np.array([0.7, -0.7, 0.7, -0.7]), h0_zterms=((0.7, 1),),
-        vterms=(pham.PermTerm(mask=2, exp_terms=(pham.ExpTerm(
-                    rate=np.full(4, -0.2 + 0j), amp=np.full(4, 0.8 + 0j)),)),
-                pham.PermTerm(mask=1, exp_terms=(pham.ExpTerm(
-                    rate=np.zeros(4, dtype=complex), amp=np.full(4, 1e-150 + 0j)),))))
+    h = tiny_amplitude_model()
     s = sched.build_schedule(h, 1.0, eps=1e-3)
     supports = assert_plan_matches_dense_build(h, s)
     for q, support in enumerate(supports, start=1):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
-from dyson_reference import frozen_model
+from dyson_reference import frozen_model, partial_support_models, tiny_amplitude_model
 from permlcu import dd, dyson, lcu, oracle, pham, sched
 from permlcu.models import (decay_spec, oscillating_hamiltonian, random_model_spec,
                             static_spec)
@@ -307,6 +307,59 @@ def test_context_names_the_segment_whose_preparation_drifts():
     with pytest.raises(lcu.TermBoundError,
                        match="segment 1: preparation amplitudes drifted from unit norm by 5.00e-02"):
         context(replace(seg, s=seg.s - 0.1))
+
+
+def full_table_contexts(seg):
+    """(phase tables, preparation weights) of seg's block built the direct
+    way: cosine_branches over every entry of each segment's whole table,
+    the padding row included, then the factors (-i)^q row by row."""
+    block, plan = seg.block, seg.plan
+    n_seg, dim = len(block.s), plan.h.dim
+    coeff = np.concatenate([block.coeff, np.zeros((n_seg, 1, dim), dtype=complex)], axis=1)
+    bound = np.concatenate([block.bound, (2.0 - block.s)[:, None]], axis=1)
+    plus, minus = lcu.cosine_branches(coeff, bound[:, :, None])
+    factors = np.append(plan.factors, 1.0)[:, None]
+    phases = np.empty((n_seg, 2 * len(factors), dim), dtype=complex)
+    np.multiply(factors, plus, out=phases[:, 0::2])
+    np.multiply(factors, minus, out=phases[:, 1::2])
+    b = np.repeat(np.sqrt(bound / 4.0), 2, axis=1)
+    b /= np.sqrt([row @ row for row in b])[:, None]
+    return phases, b
+
+
+def assert_contexts_equal_full_table(h, s):
+    # the support-only build is byte-equal to the direct one, signed zeros included
+    plan = dyson.SegmentPlan(h, s)
+    tables = lcu.RunTables(plan)
+    for w in range(s.r):
+        seg = dyson.build_segment(plan, w)
+        ctx = lcu.build_context(seg, tables)
+        if w == seg.block.start:
+            phases, b = full_table_contexts(seg)
+        assert ctx.phase_table.tobytes() == phases[w - seg.block.start].tobytes(), w
+        assert ctx.b_amps.tobytes() == b[w - seg.block.start].tobytes(), w
+
+
+@pytest.mark.parametrize("workload, case_id", [
+    ("c4-n2", c) for c in ("m0", "m1", "m2", "m3", "m4")] + [
+    ("osc-long", c) for c in ("a0", "a1e3", "a1e6")])
+def test_contexts_equal_full_table_branches_on_frozen_cases(workload, case_id):
+    # m0 is all support, m1-m4 and osc-long partly; m2-m4's tables pass lcu._SWAP_BYTES
+    h, s, _ = frozen_model(workload, case_id)
+    assert_contexts_equal_full_table(h, s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(partial_support_models())
+def test_contexts_equal_full_table_branches(case):
+    # zero-padded K and zero amplitude entries, in both modes
+    assert_contexts_equal_full_table(*case)
+
+
+@pytest.mark.parametrize("mode", [sched.MODE_EXACT, sched.MODE_UNIFORM])
+def test_contexts_equal_full_table_branches_at_tiny_amplitudes(mode):
+    h = tiny_amplitude_model()
+    assert_contexts_equal_full_table(h, sched.build_schedule(h, 1.3, eps=1e-3, mode=mode))
 
 
 def test_vc_preserves_norm():
@@ -610,6 +663,41 @@ def test_run_full_abort_on_tiny_budget(monkeypatch):
     with pytest.raises(lcu.SimulationAbort) as exc:
         lcu.run_full(h, 2.0, 1e-3, psi)
     assert set(exc.value.diagnostics) == {"residuals", "deficits"}
+
+
+@pytest.mark.parametrize("workload, case_id", FROZEN_CASES)
+def test_matrix_free_residuals_match_the_dense_operator(workload, case_id):
+    # run_full's residuals against the dense matrix() @ psi, segment by segment
+    h, s, case = frozen_model(workload, case_id)
+    psi = haar_state(np.random.default_rng(18), h.dim)
+    _, diag = lcu.run_full(h, case["t_total"], case["eps"], psi, mode=case["mode"])
+    psi = psi / np.linalg.norm(psi)  # as run_full normalizes it
+    plan = dyson.SegmentPlan(h, s)
+    tables = lcu.RunTables(plan)
+    for w, residual in enumerate(diag["residuals"]):
+        seg = dyson.build_segment(plan, w)
+        block = lcu.apply_A(lcu.build_context(seg, tables), psi)
+        dense = seg.matrix() @ psi
+        free = lcu.reference_step(tables, seg.blocks.coeff, psi)
+        assert np.linalg.norm(free - dense) <= 1e-14
+        new_psi = block / np.linalg.norm(block)
+        assert abs(residual - np.linalg.norm(new_psi - dense / np.linalg.norm(dense))) <= 1e-15
+        psi = new_psi
+
+
+def test_run_full_abort_names_the_first_failing_segment(monkeypatch):
+    # a budget between a later segment's residual and every earlier one's
+    h, s, case = frozen_model("osc-long", "a1e3")
+    psi = haar_state(np.random.default_rng(19), h.dim)
+    _, diag = lcu.run_full(h, case["t_total"], case["eps"], psi)
+    res = diag["residuals"]
+    first = next(w for w in range(1, s.r) if res[w] > max(res[:w]))
+    budget = (res[first] + max(res[:first])) / 2
+    monkeypatch.setattr(lcu, "RESIDUAL_ABORT", budget * s.r / case["eps"])
+    with pytest.raises(lcu.SimulationAbort, match=f"^segment {first} residual ") as exc:
+        lcu.run_full(h, case["t_total"], case["eps"], psi)
+    assert exc.value.diagnostics["residuals"] == res[:first + 1]
+    assert exc.value.diagnostics["deficits"] == diag["deficits"][:first + 1]
 
 
 def test_run_full_aborts_on_non_finite_state(monkeypatch):
