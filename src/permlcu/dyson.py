@@ -143,9 +143,10 @@ class SegmentPlan:
         self._divided = dd.exp_dd_steps(xs, steps, orders)  # (steps, S)
         self.dd_rows = len(xs)
         self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
-        # dt_tilde^q/q! once per distinct step, s once per distinct (Gamma(t_w), dt_w)
-        last = {dt: w for w, (_, dt) in enumerate(schedule.steps)}
-        self._per_order = np.array([[schedule.dt_tilde(last[dt])**q / math.factorial(q)
+        # dt_tilde^q/q! once per distinct step and s once per distinct
+        # (Gamma(t_w), dt_w): any segment w with those values gives them
+        w_of = {dt: w for w, (_, dt) in enumerate(schedule.steps)}
+        self._per_order = np.array([[schedule.dt_tilde(w_of[dt])**q / math.factorial(q)
                                      for q in range(schedule.Q + 1)] for dt in steps])
         pairs = list(zip(schedule.gammas, (dt for _, dt in schedule.steps)))
         s_of = {pair: schedule.s(w) for pair, w in {p: w for w, p in enumerate(pairs)}.items()}

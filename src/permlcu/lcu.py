@@ -173,9 +173,8 @@ class RunTables:
                        ^ masks[:, None]).ravel()
         zero = np.concatenate(cosine_branches(np.zeros(1, dtype=complex), np.ones(1)))
         self.fill = (np.append(plan.factors, 1.0)[:, None] * zero).ravel()  # 1: padding term
-        on = plan.on_support.copy()
-        on[:h.dim] = True  # the q = 0 row: coefficient 1
-        self.entries = np.flatnonzero(on)
+        # the q = 0 row (coefficient 1) is not on the support mask
+        self.entries = np.flatnonzero(np.r_[np.ones(h.dim, dtype=bool), plan.on_support[h.dim:]])
         firsts = np.searchsorted(plan.q, np.arange(plan.q[-1] + 2))  # each order's first term
         self.orders = np.searchsorted(self.entries, firsts * h.dim)
         self.order_factors = plan.factors[firsts[:-1]]
