@@ -158,11 +158,11 @@ def cosine_branches(coeff: np.ndarray, bound: np.ndarray,
 class RunTables:
     """What the contexts of a plan's run share, and the contexts of the
     block last built.  ``entries``: the flat (term, z) indices of the q = 0
-    row and the amplitude support, in table order; those of order q, whose
-    factor is order_factors[q], start at orders[q].  ``fill``: the phase of
-    each ancilla row off the entries, (-i)^q (+-i).  Per support entry:
-    ``target`` = z ^ cum_mask and ``rotated``, the place of (-i)^q psi[z]
-    in the four rotations of psi, stacked."""
+    row and the amplitude support, in table order; ``factors``: the plan's
+    (-i)^q per term.  ``fill``: the phase of each ancilla row off the
+    entries, (-i)^q (+-i).  Per support entry: ``target`` = z ^ cum_mask
+    and ``rotated``, the place of (-i)^q psi[z] in the four rotations of
+    psi, stacked."""
 
     def __init__(self, plan: dyson.SegmentPlan):
         h = plan.h
@@ -175,9 +175,7 @@ class RunTables:
         self.fill = (np.append(plan.factors, 1.0)[:, None] * zero).ravel()  # 1: padding term
         # the q = 0 row (coefficient 1) is not on the support mask
         self.entries = np.flatnonzero(np.r_[np.ones(h.dim, dtype=bool), plan.on_support[h.dim:]])
-        firsts = np.searchsorted(plan.q, np.arange(plan.q[-1] + 2))  # each order's first term
-        self.orders = np.searchsorted(self.entries, firsts * h.dim)
-        self.order_factors = plan.factors[firsts[:-1]]
+        self.factors = plan.factors
         term, z = np.divmod(self.entries[h.dim:], h.dim)
         self.target = (z ^ plan.cum_mask[term]).astype(np.min_scalar_type(h.dim))
         self.rotated = (plan.q[term] % 4 * h.dim + z).astype(np.min_scalar_type(4 * h.dim))
@@ -218,9 +216,8 @@ def _block_contexts(block: dyson.SegmentBlock, tables: RunTables) -> tuple[LCUCo
     entries = tables.entries
     plus, minus = cosine_branches(block.coeff.reshape(n_seg, -1).take(entries, axis=1),
                                   bound.take(entries // dim, axis=1), layout.n_terms * dim)
-    for factor, lo, hi in zip(tables.order_factors, tables.orders, tables.orders[1:]):
-        for branch in (plus, minus):
-            np.multiply(factor, branch[:, lo:hi], out=branch[:, lo:hi])
+    for branch in (plus, minus):
+        np.multiply(tables.factors.take(entries // dim), branch, out=branch)
     phases = np.broadcast_to(np.repeat(tables.fill, dim), (n_seg, layout.joint_dim)).copy()
     at = entries + entries // dim * dim  # entry (t, z): c+ in row 2t, c- in row 2t + 1
     phases[:, at], phases[:, at + dim] = plus, minus
