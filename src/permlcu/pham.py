@@ -262,7 +262,8 @@ def gamma_bound(h: PermExpHamiltonian, t: float) -> float:
 
 
 def gamma_bound_fn(h: PermExpHamiltonian):
-    """`gamma_bound` as a function of t, its per-term constants computed once."""
+    """`gamma_bound` as a function of t: the per-term constants computed once,
+    the terms summed in order (a vectorized sum would round differently)."""
     terms = [(et.amp_max, et.lambda_max) for term in h.vterms for et in term.exp_terms]
     return lambda t: float(reduce(lambda total, c: total + c[0] * np.exp(t * c[1]), terms, 0.0))
 
