@@ -18,20 +18,22 @@ are known before the first segment, so a `SegmentPlan` enumerates the
 permutation paths once per run into flat arrays over the terms of all
 orders, and evaluates the divided differences of every distinct step
 length in one `dd.exp_dd_steps` call, the rows of every order together.
-The segments' tables then depend only on t_w and dt_w, so the plan builds
-them a block of consecutive segments at a time, in one array pass over
-(block, T, 2^n): a block holds as many segments as fit in BLOCK_BYTES of
-coefficient table, at least one.  `build_segment(plan, w)` returns a view
-of the block that holds w; the plan keeps one block and builds the next
-on first need.  Every product keeps its operand order at every block
-size, so no value depends on how many segments share a block.
 
 A term whose d_coeff = prod_j D_{i_j,k_j}(z_j) is exactly 0 vanishes
 whatever its divided difference: a path through a zero-padded exponential
 slot (the parser pads every PermTerm to a common K) or through a zero entry
 of an amplitude diagonal.  The plan evaluates the divided differences on
 the amplitude support only, the entries with a nonzero d_coeff, with no
-threshold; the table keeps every term, with coefficient 0 off the support.
+threshold.  A segment's table is its values at the plan's ``entries``, the
+q = 0 row and then the support; every other coefficient is exactly 0.
+
+The values depend only on t_w and dt_w, so the plan builds them a block of
+consecutive segments at a time, in one array pass over (block, entries):
+as many segments as fit in BLOCK_BYTES of dense table, at least one.
+`build_segment(plan, w)` returns a view of the block that holds w; the
+plan keeps one block and builds the next on first need.  Every product
+keeps its operand order at every block size, so no value depends on how
+many segments share a block; `SegmentOperator.apply` is U psi from them.
 
 The alternative (Schroedinger-frame) segment absorbs the static phases,
 U_alt = e^{-i H0 t_{w+1}} U_I e^{i H0 t_w}.  Its inputs are
@@ -54,9 +56,8 @@ from . import dd, pham
 from .sched import MODE_UNIFORM, Schedule
 
 ENUMERATION_GUARD = 100_000_000
-# Coefficient-table bytes per block of segments (at least one segment): the
-# LCU's branches and phase table over a block take about six times as many,
-# which stay in a 2 MB L2 cache.
+# Dense coefficient-table bytes per block of segments (at least one): the LCU's
+# branches and phase table over a block take about six times as many, within 2 MB L2.
 BLOCK_BYTES = 1 << 18
 
 
@@ -66,10 +67,9 @@ class EnumerationLimitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TermTable:
-    """The per-segment values of all ancilla terms (q, i_q, k_q), one row
-    per term in the plan's order (its ``q`` and ``cum_mask`` name the
-    terms); columns are the z-components."""
-    coeff: np.ndarray       # (T, 2^n)
+    """One segment's coefficients at the plan's entries, and one bound per
+    term (q, i_q, k_q) in the plan's order (its ``q`` and ``cum_mask``)."""
+    values: np.ndarray      # (E,) coefficient of each entry, see SegmentPlan.entries
     bound: np.ndarray       # (T,) dt_tilde^q/q! * Gamma bound on |coeff|
 
     def __len__(self) -> int:
@@ -79,39 +79,43 @@ class TermTable:
 @dataclass(frozen=True, eq=False)
 class SegmentBlock:
     """The tables of the consecutive segments start, start + 1, ... of a
-    plan's schedule, stacked: coeff (B, T, 2^n), bound (B, T) and the
-    normalizations s (B,); tables[i], segment start + i's, holds views."""
+    plan's schedule, stacked: entry values (B, E), bound (B, T) and the
+    normalizations s (B,)."""
     start: int
-    coeff: np.ndarray
+    values: np.ndarray
     bound: np.ndarray
     s: np.ndarray
-    tables: tuple[TermTable, ...]
 
 
 @dataclass(frozen=True)
 class SegmentOperator:
     """Truncated Dyson expansion of U_I(t_w + dt_w, t_w) plus its LCU data:
-    segment w of the plan's schedule, read from ``block``."""
-    h: pham.PermExpHamiltonian
-    s: float
-    blocks: TermTable
+    segment w of the plan's schedule, a view of ``block``, from which its
+    normalization ``s`` and its table ``blocks`` are read."""
     plan: "SegmentPlan"
-    w: int
     block: SegmentBlock
+    w: int
+    h = property(lambda self: self.plan.h)
+    s = property(lambda self: float(self.block.s[self.w - self.block.start]))
+
+    @property
+    def blocks(self) -> TermTable:
+        i = self.w - self.block.start
+        return TermTable(self.block.values[i], self.block.bound[i])
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """Matrix-free U psi: psi (the q = 0 term) plus, in table order,
+        each support entry's coeff (-i)^q psi[z] at z ^ cum_mask."""
+        rotations = (np.array([1, -1j, -1, 1j])[:, None] * psi).ravel()
+        # explicit: `values * rotations.take(...)` may swap its operands, see _build_block
+        vals = np.multiply(self.blocks.values[len(psi):], rotations.take(self.plan.rotated))
+        out = np.zeros(len(psi), dtype=complex)
+        np.add.at(out, self.plan.target, vals)
+        return psi + out
 
     def matrix(self) -> np.ndarray:
-        """Dense sum_t (-i)^q_t P_{cum_mask_t} diag(coeff_t), added term by
-        term in table order (deterministic): one bincount per part over the
-        flat index (cum_mask ^ z) * 2^n + z."""
-        coeff, plan = self.blocks.coeff, self.plan
-        dim = coeff.shape[1]
-        z = np.arange(dim)
-        flat = ((plan.cum_mask[:, None] ^ z) * dim + z).ravel()
-        vals = (plan.factors[:, None] * coeff).ravel()
-        out = np.empty(dim * dim, dtype=complex)
-        out.real = np.bincount(flat, vals.real, dim * dim)
-        out.imag = np.bincount(flat, vals.imag, dim * dim)
-        return out.reshape(dim, dim)
+        """Dense U: `apply` over the identity columns."""
+        return np.column_stack([self.apply(col) for col in np.eye(self.h.dim)])
 
 
 def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
@@ -129,10 +133,11 @@ class SegmentPlan:
 
     Per term, row 0 the q = 0 term: q, cum_mask (of P_{i_q}), factors
     (-i)^q, lam (T, Q) the growth exponent of each (i_j, k_j), 0 past q, and
-    amp_prod, the product of the amplitude scales.  on_support, a mask of
-    the flat (T, 2^n) table; per entry (term, z) on it, in table order: gap
-    E_z - E_{z_q}, rates_sum and d_coeff.
-    """
+    amp_prod, the product of the amplitude scales.  entries, the flat
+    (term, z) indices of the q = 0 row and the support, in table order; per
+    support entry: gap E_z - E_{z_q}, rates_sum, d_coeff, target = z ^
+    cum_mask and rotated, the place of (-i)^q psi[z] in the four rotations
+    of psi, stacked."""
 
     def __init__(self, h: pham.PermExpHamiltonian, schedule: Schedule):
         self.h, self.schedule = h, schedule
@@ -142,6 +147,10 @@ class SegmentPlan:
         self._step_index = {dt: i for i, dt in enumerate(steps)}
         self._divided = dd.exp_dd_steps(xs, steps, orders)  # (steps, S)
         self.dd_rows = len(xs)
+        del xs, orders
+        term, z = np.divmod(self.entries[h.dim:], h.dim)
+        self.target = (z ^ self.cum_mask[term]).astype(np.min_scalar_type(h.dim))
+        self.rotated = (self.q[term] % 4 * h.dim + z).astype(np.min_scalar_type(4 * h.dim))
         self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
         # dt_tilde^q/q! once per distinct step and s once per distinct
         # (Gamma(t_w), dt_w): any segment w with those values gives them
@@ -192,7 +201,8 @@ class SegmentPlan:
             n_entries += int(paths.sum())
         xs = np.empty((n_entries, q_max + 1), dtype=complex)
         orders = np.empty(n_entries, dtype=np.min_scalar_type(q_max))
-        self.on_support = np.zeros(n_terms * dim, dtype=bool)
+        entries = np.empty(dim + n_entries, dtype=np.intp)
+        entries[:dim] = z
         gap, rates_sum = np.empty(n_entries), np.empty(n_entries, dtype=complex)
         d_coeff = np.empty(n_entries, dtype=complex)
         start, at = 1, 0
@@ -205,7 +215,9 @@ class SegmentPlan:
             cum = np.bitwise_xor.accumulate(term_masks[big_i], axis=1)    # cumulative masks
             zp = cum[:, :, None] ^ z                                      # (B, q, dim) z_j
             rates = rate[big_i[:, :, None], big_k[:, :, None], zp]
-            d_all = amp[big_i[:, :, None], big_k[:, :, None], zp].prod(axis=1).ravel()
+            d_all = amp[big_i[:, 0, None], big_k[:, 0, None], zp[:, 0]]  # (B, dim)
+            for j in range(1, q):  # a factor at a time: no (B, q, dim) amplitude gather
+                d_all *= amp[big_i[:, j, None], big_k[:, j, None], zp[:, j]]
             support = np.flatnonzero(d_all)
             path, z0 = np.divmod(support, dim)
             zs, rs = zp[path, :, z0], rates[path, :, z0]                  # (S, q)
@@ -224,15 +236,16 @@ class SegmentPlan:
             xs[part, :q].imag += gaps  # in place: no complex temporary
             del gaps
             orders[part] = q
-            self.on_support[support + start * dim] = True
+            entries[dim:][part] = support + start * dim
             gap[part] = energies[z0] - e_final
-            d_coeff[part] = d_all[support]
+            d_coeff[part] = d_all.take(support)
             at += len(support)
             self.lam[start:start + nb, :q] = lam_ik[big_i, big_k]
             self.amp_prod[start:start + nb] = amp_scale[big_i, big_k].prod(axis=1)
             self.cum_mask[start:start + nb] = cum[:, -1]
             start += nb
         self.gap, self.rates_sum, self.d_coeff = (a[:at] for a in (gap, rates_sum, d_coeff))
+        self.entries = entries[:dim + at]
         return xs[:at], orders[:at]
 
     def __len__(self) -> int:
@@ -244,26 +257,25 @@ class SegmentPlan:
         return self._divided[self._step_index[dt]]
 
     def _build_block(self, ws: range) -> SegmentBlock:
-        """The tables of segments ws in one array pass over (B, T, 2^n).
-        Coefficients off the amplitude support are 0; the bounds are the
-        schedule mode's, exact per-term Gamma bounds or the uniform (larger,
-        state-preparation-cheap) bound."""
+        """The tables of segments ws in one array pass over (B, entries); the
+        bounds are the schedule mode's, exact per-term Gamma bounds or the
+        uniform (larger, state-preparation-cheap) bound."""
         schedule = self.schedule
         t_ws = [schedule.steps[w][0] for w in ws]
         t = np.array(t_ws)
         at = [self._step_index[schedule.steps[w][1]] for w in ws]
-        # row 0 is the q = 0 term: coefficient and bound 1
-        coeff = np.zeros((len(ws), len(self), self.h.dim), dtype=complex)
-        coeff[:, 0] = 1.0
+        # the q = 0 row first: coefficient and bound 1
+        values = np.empty((len(ws), len(self.entries)), dtype=complex)
+        values[:, :self.h.dim] = 1.0
+        vals = values[:, self.h.dim:]
         # phase * e^{t_w sum rates} * divided * d_coeff in this operand order at
         # every size (numpy computes a product of large arrays into its
         # right-hand temporary, operands swapped, and a complex product with
         # swapped operands can round differently)
-        vals = np.exp(np.multiply.outer([-1j * t_w for t_w in t_ws], self.gap))
+        np.exp(np.multiply.outer([-1j * t_w for t_w in t_ws], self.gap), out=vals)
         vals *= np.exp(np.multiply.outer(t.astype(complex), self.rates_sum))
         vals *= self._divided[at]
         vals *= self.d_coeff
-        coeff.reshape(-1)[np.tile(self.on_support, len(ws))] = vals.ravel()
         orders = range(schedule.Q + 1)
         per_order = self._per_order[at]
         if schedule.mode == MODE_UNIFORM:
@@ -273,8 +285,7 @@ class SegmentPlan:
             # exp(0) = 1 past each term's order: the padding multiplies by 1.0
             bound = per_order[:, self.q] * (np.exp(np.multiply.outer(t, self.lam)).prod(axis=2)
                                             * self.amp_prod)
-        tables = tuple(TermTable(coeff=c, bound=b) for c, b in zip(coeff, bound))
-        return SegmentBlock(ws.start, coeff, bound, self._s[ws.start:ws.stop], tables)
+        return SegmentBlock(ws.start, values, bound, self._s[ws.start:ws.stop])
 
 
 def build_segment(plan: SegmentPlan, w: int) -> SegmentOperator:
@@ -288,9 +299,7 @@ def build_segment(plan: SegmentPlan, w: int) -> SegmentOperator:
         per = max(1, BLOCK_BYTES // (len(plan) * plan.h.dim * 16))
         start = w - w % per
         block = plan._block = plan._build_block(range(start, min(start + per, plan.schedule.r)))
-    i = w - block.start
-    return SegmentOperator(h=plan.h, s=float(block.s[i]), blocks=block.tables[i], plan=plan,
-                           w=w, block=block)
+    return SegmentOperator(plan, block, w)
 
 
 def alt_segment_unitary(plan: SegmentPlan, w: int) -> np.ndarray:

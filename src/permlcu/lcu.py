@@ -28,14 +28,14 @@ amplification is exact: the projected result is U |psi>, and the deficits
 are at roundoff level.
 
 Only `apply_A` depends on the state, so `build_context` builds the
-contexts of all the segments of a `dyson.SegmentBlock` at once, and the
-run's `RunTables` keeps them until the next block.  Off the amplitude
-support a coefficient is exactly 0, with branches +i and -i, which
-`RunTables` turns into row constants once per run: the branches are built
-for the support and the q = 0 row only, and so is the matrix-free U psi
-against which `run_full` checks each segment.  The benchmark's tracer
-wraps `dyson.build_segment`, `build_context` and `apply_A`, which
-`run_full` calls once per segment through their modules.
+contexts of all the segments of a `dyson.SegmentBlock` at once, from the
+block's entry values, and the run's `RunTables` keeps them until the next
+block.  Off the plan's entries a coefficient is exactly 0, with branches
++i and -i, which `RunTables` turns into row constants once per run.
+`run_full` checks each segment against the matrix-free U psi of
+`dyson.SegmentOperator.apply`.  The benchmark's tracer wraps
+`dyson.build_segment`, `build_context` and `apply_A`, which `run_full`
+calls once per segment through their modules.
 """
 from __future__ import annotations
 
@@ -129,25 +129,29 @@ def cosine_branches(coeff: np.ndarray, bound: np.ndarray,
     zero = bound == 0.0
     if (bound < 0.0).any() or (mag[zero] > 0.0).any():
         raise TermBoundError("nonzero coefficient on a zero bound, or a negative bound")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(zero, 0.0, mag / bound)
-    if ratio.max() > 1.0 + BOUND_CLAMP_TOL:
-        worst = np.unravel_index(ratio.argmax(), ratio.shape)
-        raise TermBoundError(f"|coeff|/bound = {ratio.max()} at entry {worst} "
-                             "exceeds 1 beyond roundoff")
-    np.minimum(ratio, 1.0, out=ratio)
     # e^{i theta}, a part at a time: a complex quotient goes through 1/|coeff|
     unit = np.ones(mag.shape, dtype=complex)
     normal = mag >= np.finfo(float).tiny
     np.divide(coeff.real, mag, out=unit.real, where=normal)
     np.divide(coeff.imag, mag, out=unit.imag, where=normal)
-    plus = ratio + 1j * np.sqrt((1.0 - ratio) * (1.0 + ratio))
-    # unit * conj(c+) with the operand order fixed per table (the last two
-    # axes, terms x z, or table_size entries), so that no value depends on
-    # how many tables share the call, or on which of its entries are given:
-    # a table of _SWAP_BYTES or more takes conj(c+) * unit, the order numpy's
-    # temporary elision gives `unit * plus.conj()` at that size, and a
-    # complex product with swapped operands can round differently
+    # |u| in the place of |coeff| (0 on a zero bound), and c+ with no temporary
+    ratio = np.divide(mag, bound, out=mag, where=~zero)
+    del mag, normal, zero
+    if ratio.max() > 1.0 + BOUND_CLAMP_TOL:
+        worst = np.unravel_index(ratio.argmax(), ratio.shape)
+        raise TermBoundError(f"|coeff|/bound = {ratio.max()} at entry {worst} "
+                             "exceeds 1 beyond roundoff")
+    np.minimum(ratio, 1.0, out=ratio)
+    plus = np.empty(ratio.shape, dtype=complex)  # ratio + i sqrt((1 - ratio)(1 + ratio))
+    root = np.subtract(1.0, ratio, out=plus.imag)
+    np.sqrt(np.multiply(root, np.add(1.0, ratio, out=plus.real), out=root), out=root)
+    plus.real = ratio
+    del ratio
+    # unit * conj(c+) with the operand order fixed per table (the last two axes,
+    # terms x z, or table_size entries), so that no value depends on how many
+    # tables share the call or on which of their entries are given: a table of
+    # _SWAP_BYTES or more takes conj(c+) * unit, the order numpy's temporary
+    # elision gives `unit * plus.conj()` there (swapped operands round differently)
     minus = plus.conj()
     size = math.prod(minus.shape[-2:]) if table_size is None else table_size
     swap = size * minus.itemsize >= _SWAP_BYTES
@@ -157,12 +161,8 @@ def cosine_branches(coeff: np.ndarray, bound: np.ndarray,
 
 class RunTables:
     """What the contexts of a plan's run share, and the contexts of the
-    block last built.  ``entries``: the flat (term, z) indices of the q = 0
-    row and the amplitude support, in table order; ``factors``: the plan's
-    (-i)^q per term.  ``fill``: the phase of each ancilla row off the
-    entries, (-i)^q (+-i).  Per support entry: ``target`` = z ^ cum_mask
-    and ``rotated``, the place of (-i)^q psi[z] in the four rotations of
-    psi, stacked."""
+    block last built.  ``fill``: the phase of each ancilla row off the
+    plan's entries, (-i)^q (+-i)."""
 
     def __init__(self, plan: dyson.SegmentPlan):
         h = plan.h
@@ -173,12 +173,6 @@ class RunTables:
                        ^ masks[:, None]).ravel()
         zero = np.concatenate(cosine_branches(np.zeros(1, dtype=complex), np.ones(1)))
         self.fill = (np.append(plan.factors, 1.0)[:, None] * zero).ravel()  # 1: padding term
-        # the q = 0 row (coefficient 1) is not on the support mask
-        self.entries = np.flatnonzero(np.r_[np.ones(h.dim, dtype=bool), plan.on_support[h.dim:]])
-        self.factors = plan.factors
-        term, z = np.divmod(self.entries[h.dim:], h.dim)
-        self.target = (z ^ plan.cum_mask[term]).astype(np.min_scalar_type(h.dim))
-        self.rotated = (plan.q[term] % 4 * h.dim + z).astype(np.min_scalar_type(4 * h.dim))
         self.block: dyson.SegmentBlock | None = None
         self.contexts: tuple[LCUContext, ...] = ()
 
@@ -186,23 +180,18 @@ class RunTables:
 def build_context(seg: dyson.SegmentOperator, tables: RunTables) -> LCUContext:
     """The segment's context, read from the contexts of its block, which
     the first call for the block builds at once (``tables`` is the run's
-    `RunTables` and keeps them).  A segment whose table or s is not its
-    block's is a block of its own (off the plan's support, taken to be 0)."""
-    block, i, table = seg.block, seg.w - seg.block.start, seg.blocks
-    if block.tables[i] is not table or block.s[i] != seg.s:
-        block, i = dyson.SegmentBlock(seg.w, table.coeff[None], table.bound[None],
-                                      np.array([seg.s]), (table,)), 0
-    if tables.block is not block:
+    `RunTables` and keeps them)."""
+    if tables.block is not seg.block:
         tables.block, tables.contexts = None, ()  # the last block's tables go first
-        tables.contexts, tables.block = _block_contexts(block, tables), block
-    return tables.contexts[i]
+        tables.contexts, tables.block = _block_contexts(seg.plan, seg.block, tables), seg.block
+    return tables.contexts[seg.w - seg.block.start]
 
 
-def _block_contexts(block: dyson.SegmentBlock, tables: RunTables) -> tuple[LCUContext, ...]:
-    """The contexts of a block's segments: the entries' branches in one
-    array pass over (B, entries), every other phase from its row's
-    constant; raises TermBoundError, naming the segment, when a segment's
-    preparation amplitudes drift from unit norm."""
+def _block_contexts(plan: dyson.SegmentPlan, block: dyson.SegmentBlock,
+                    tables: RunTables) -> tuple[LCUContext, ...]:
+    """The contexts of a block's segments: the entries' branches in one pass
+    over (B, entries), every other phase its row's constant; raises
+    TermBoundError naming the segment whose preparation weights drift."""
     layout = tables.layout
     n_seg, dim = len(block.s), 1 << layout.n
     # row 2t + x: term t, cosine branch x; bound = dt_tilde^q/q! * Gamma-part
@@ -213,11 +202,11 @@ def _block_contexts(block: dyson.SegmentBlock, tables: RunTables) -> tuple[LCUCo
     if (bound[:, -1] < 0.0).any():
         raise TermBoundError("s above 2 gives the padding term a negative bound")
     # the entries' branches, with the operand order of the whole table
-    entries = tables.entries
-    plus, minus = cosine_branches(block.coeff.reshape(n_seg, -1).take(entries, axis=1),
-                                  bound.take(entries // dim, axis=1), layout.n_terms * dim)
+    entries = plan.entries
+    plus, minus = cosine_branches(block.values, bound.take(entries // dim, axis=1),
+                                  layout.n_terms * dim)
     for branch in (plus, minus):
-        np.multiply(tables.factors.take(entries // dim), branch, out=branch)
+        np.multiply(plan.factors.take(entries // dim), branch, out=branch)
     phases = np.broadcast_to(np.repeat(tables.fill, dim), (n_seg, layout.joint_dim)).copy()
     at = entries + entries // dim * dim  # entry (t, z): c+ in row 2t, c- in row 2t + 1
     phases[:, at], phases[:, at + dim] = plus, minus
@@ -231,17 +220,6 @@ def _block_contexts(block: dyson.SegmentBlock, tables: RunTables) -> tuple[LCUCo
     b /= np.sqrt(norm2)[:, None]
     return tuple(LCUContext(layout=layout, b_amps=row, phase_table=table, gather=tables.gather)
                  for row, table in zip(b, phases.reshape(n_seg, layout.ancilla_dim, dim)))
-
-
-def reference_step(tables: RunTables, coeff: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Matrix-free U psi of the segment with table ``coeff``: psi (the q = 0
-    term) plus, in table order, each support entry's coeff (-i)^q psi[z] at
-    z ^ cum_mask."""
-    rotations = (np.array([1, -1j, -1, 1j])[:, None] * psi).ravel()
-    vals = coeff.ravel().take(tables.entries[len(psi):]) * rotations.take(tables.rotated)
-    out = np.zeros_like(psi)
-    np.add.at(out, tables.target, vals)
-    return psi + out
 
 
 def apply_Vc(ctx: LCUContext, joint: np.ndarray) -> np.ndarray:
@@ -303,7 +281,7 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
 
     Returns (final Statevector, diagnostics).  Between segments the ancilla
     is projected back to |0...0> and the system renormalized; the projection
-    deficit and the direction residual against `reference_step` are
+    deficit and the direction residual against `SegmentOperator.apply` are
     recorded per segment.  A residual above RESIDUAL_ABORT * eps / r,
     or a non-finite one, aborts with diagnostics attached.
 
@@ -335,7 +313,7 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
         block = apply_A(build_context(seg, tables), psi)
         block_norm = float(np.linalg.norm(block))
         new_psi = block / block_norm
-        ref = reference_step(tables, seg.blocks.coeff, psi)
+        ref = seg.apply(psi)
         ref /= np.linalg.norm(ref)
         residual = float(np.linalg.norm(new_psi - ref))
         residuals.append(residual)

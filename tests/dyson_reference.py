@@ -5,7 +5,9 @@ by scalar loops, independently of the segment plan.  `dense_coefficients`
 is the plan's vectorized enumeration over every (path, z) entry, the
 amplitude support or not, with `dd.exp_dd_steps` on every row: the
 coefficients a plan restricted to the support must reproduce bitwise.
-`frozen_model` loads a frozen benchmark case; `partial_support_models`
+`dense_table` scatters a segment's (or a block's) entry values into the
+full coefficient table, 0 off the plan's entries.  `frozen_model` loads a
+frozen benchmark case; `partial_support_models`
 draws models whose amplitude support is partial, and
 `tiny_amplitude_model` is one with 1e-150 amplitudes.
 """
@@ -110,6 +112,15 @@ def dense_coefficients(h: pham.PermExpHamiltonian, schedule: sched.Schedule):
             vals *= d_coeff
             block.append(vals)
     return [np.concatenate(block) for block in blocks], supports
+
+
+def dense_table(plan, values: np.ndarray) -> np.ndarray:
+    """The coefficient table(s) (..., T, 2^n) whose entries at
+    ``plan.entries`` are ``values`` (..., E), and 0 elsewhere."""
+    lead = values.shape[:-1]
+    table = np.zeros(lead + (len(plan) * plan.h.dim,), dtype=complex)
+    table[..., plan.entries] = values
+    return table.reshape(lead + (len(plan), plan.h.dim))
 
 
 def frozen_model(workload: str, case_id: str):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from dyson_reference import (dense_coefficients, frozen_model, interaction_inputs,
-                             partial_support_models, term_coefficient, tiny_amplitude_model)
+from dyson_reference import (dense_coefficients, dense_table, frozen_model,
+                             interaction_inputs, partial_support_models, term_coefficient,
+                             tiny_amplitude_model)
 from permlcu import dd, dyson, lcu, oracle, pham, sched
 from permlcu.models import (decay_spec, oscillating_hamiltonian, random_model_spec,
                             static_spec)
@@ -117,12 +118,12 @@ def test_segment_blocks_match_scalar_reference():
     s = sched.build_schedule(h, 1.5, eps=1e-2)
     seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
     t_w, dt_w = s.steps[0]
-    tab = seg.blocks
+    coeff = dense_table(seg.plan, seg.blocks.values)
     for t, (q, iq, kq) in zip(range(40), multi_indices(h, s.Q)):
         assert seg.plan.q[t] == q and len(iq) == len(kq) == q
         for z in range(h.dim):
             ref = term_coefficient(h, t_w, dt_w, iq, kq, z)
-            assert abs(tab.coeff[t, z] - ref) < 1e-12 * max(1.0, abs(ref))
+            assert abs(coeff[t, z] - ref) < 1e-12 * max(1.0, abs(ref))
 
 
 def test_segment_oscillating_matches_interaction_oracle():
@@ -219,11 +220,11 @@ def test_segment_blocks_reconstruct_from_phases():
     rng = np.random.default_rng(49)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     s = sched.build_schedule(h, 1.5, eps=1e-3)
-    tab = dyson.build_segment(dyson.SegmentPlan(h, s), 1 % s.r).blocks
-    bound = tab.bound[:, None]
-    plus, minus = lcu.cosine_branches(tab.coeff, bound)
+    seg = dyson.build_segment(dyson.SegmentPlan(h, s), 1 % s.r)
+    coeff, bound = dense_table(seg.plan, seg.blocks.values), seg.blocks.bound[:, None]
+    plus, minus = lcu.cosine_branches(coeff, bound)
     rebuilt = bound / 2 * (plus + minus)
-    assert (np.abs(rebuilt - tab.coeff) < 1e-12 * np.maximum(1.0, bound)).all()
+    assert (np.abs(rebuilt - coeff) < 1e-12 * np.maximum(1.0, bound)).all()
     assert np.allclose(np.abs(plus), 1.0, rtol=0, atol=1e-15)
     assert np.allclose(np.abs(minus), 1.0, rtol=0, atol=1e-15)
 
@@ -233,17 +234,18 @@ def test_segment_term_views():
     s = sched.build_schedule(h, 1.0, eps=1e-2)
     seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
     tab, plan = seg.blocks, seg.plan
+    coeff = dense_table(plan, tab.values)
     dt_tilde = s.dt_tilde(0)
     index = multi_indices(h, s.Q)
     assert len(index) == len(tab) == dyson.count_terms(h, s.Q) // h.dim
-    assert tab.coeff.shape == (len(tab), h.dim) and tab.bound.shape == (len(tab),)
+    assert tab.values.shape == plan.entries.shape and tab.bound.shape == (len(tab),)
     for t, (q, iq, kq) in enumerate(index[:10]):
         assert plan.q[t] == q
         for z in range(h.dim):
             _, z_path, _ = interaction_inputs(h, iq, kq, z)
             if q:
                 assert z ^ plan.cum_mask[t] == z_path[-1]
-            assert abs(tab.coeff[t, z]) <= tab.bound[t] * (1 + 1e-9)
+            assert abs(coeff[t, z]) <= tab.bound[t] * (1 + 1e-9)
         # the oscillating model's Gamma_term is 1 (unit amplitudes, imaginary rates)
         assert tab.bound[t] == pytest.approx(dt_tilde**q / math.factorial(q), rel=1e-14)
 
@@ -351,7 +353,7 @@ def test_uniform_mode_bounds_dominate():
     plan = dyson.SegmentPlan(h, s_un)
     tab = dyson.build_segment(plan, 0).blocks
     gmax = pham.gamma_max(h)
-    for q, bound, coeff in zip(plan.q, tab.bound, tab.coeff):
+    for q, bound, coeff in zip(plan.q, tab.bound, dense_table(plan, tab.values)):
         if q == 0:
             continue
         expect = (s_un.dt_tilde(0)**q / math.factorial(q)
@@ -363,7 +365,7 @@ def test_uniform_mode_bounds_dominate():
 # --- segment plan -------------------------------------------------------------------
 
 def _table_fields(seg):
-    return (seg.plan.q, seg.plan.cum_mask, seg.blocks.coeff, seg.blocks.bound)
+    return (seg.plan.q, seg.plan.cum_mask, seg.blocks.values, seg.blocks.bound)
 
 
 @pytest.mark.parametrize("mode", [sched.MODE_EXACT, sched.MODE_UNIFORM])
@@ -390,7 +392,7 @@ def _requested_tables(plan, ws):
     for w in ws:
         seg = dyson.build_segment(plan, w)
         ctx = lcu.build_context(seg, tables)
-        out[w] = (seg.blocks.coeff, seg.blocks.bound, seg.s, ctx.phase_table, ctx.b_amps)
+        out[w] = (seg.blocks.values, seg.blocks.bound, seg.s, ctx.phase_table, ctx.b_amps)
     return out
 
 
@@ -411,16 +413,19 @@ def test_block_tables_do_not_depend_on_request_order(case, data):
 
 
 def test_matrix_matches_term_loop():
-    # one scatter-add over the table equals the term-by-term accumulation
+    # the operator applied to the identity columns equals the term-by-term
+    # accumulation in table order, with the q = 0 term (the identity) last
     rng = np.random.default_rng(74)
     h = pham.from_pauli_spec(random_model_spec(rng, n=3))
     s = sched.build_schedule(h, 1.0, eps=1e-3)
     seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
-    tab, plan = seg.blocks, seg.plan
+    plan = seg.plan
+    coeff = dense_table(plan, seg.blocks.values)
     z = np.arange(h.dim)
     loop = np.zeros((h.dim, h.dim), dtype=complex)
-    for t in range(len(tab)):
-        loop[z ^ int(plan.cum_mask[t]), z] += (-1j) ** int(plan.q[t]) * tab.coeff[t]
+    for t in range(1, len(plan)):
+        loop[z ^ int(plan.cum_mask[t]), z] += (-1j) ** int(plan.q[t]) * coeff[t]
+    loop[z, z] += coeff[0]
     assert np.array_equal(seg.matrix(), loop)
 
 
@@ -502,10 +507,11 @@ def test_plan_values_match_per_step_batches(mode, monkeypatch):
             assert np.array_equal(got[wide_at_dt], ref[wide_at_dt])
     assert crossing > 0
     # off the support every coefficient is exactly 0, and on it none is
+    on = np.zeros(len(plan) * h.dim, dtype=bool)
+    on[plan.entries] = True
     for w in range(s.r):
-        coeff = dyson.build_segment(plan, w).blocks.coeff.ravel()
-        on = plan.on_support
-        assert not coeff[h.dim:][~on[h.dim:]].any() and coeff[on].all()
+        coeff = dense_table(plan, dyson.build_segment(plan, w).blocks.values).ravel()
+        assert not coeff[~on].any() and coeff[on].all()
 
 
 def test_padded_slot_paths_have_zero_coefficients():
@@ -517,12 +523,13 @@ def test_padded_slot_paths_have_zero_coefficients():
               for k, et in enumerate(term.exp_terms) if not et.amp.any()}
     assert len(padded) == 1
     t_w, dt_w = s.steps[1]
-    tab = dyson.build_segment(dyson.SegmentPlan(h, s), 1).blocks
+    seg = dyson.build_segment(dyson.SegmentPlan(h, s), 1)
+    coeff = dense_table(seg.plan, seg.blocks.values)
     seen = 0
     for t, (q, iq, kq) in enumerate(multi_indices(h, 2)):
         if padded & set(zip(iq, kq)):
             seen += 1
-            assert not tab.coeff[t].any()
+            assert not coeff[t].any()
             assert all(term_coefficient(h, t_w, dt_w, iq, kq, z) == 0 for z in range(h.dim))
     assert seen == 1 + 7  # q = 1: the slot itself; q = 2: 16 paths less 3 x 3 without it
 
@@ -562,13 +569,16 @@ def assert_plan_matches_dense_build(h, s):
     for w, coeff in enumerate(dense):
         seg = dyson.build_segment(plan, w)
         tab = seg.blocks
-        assert np.array_equal(tab.coeff, coeff)
-        full = replace(seg, blocks=replace(tab, coeff=coeff))
+        assert np.array_equal(dense_table(plan, tab.values), coeff)
+        # the dense build's values at the entries, in a block of their own
+        values = seg.block.values.copy()
+        values[w - seg.block.start] = coeff.reshape(-1)[plan.entries]
+        full = replace(seg, block=replace(seg.block, values=values))
         assert np.array_equal(seg.matrix(), full.matrix())
         tables = lcu.RunTables(plan)
         assert np.array_equal(lcu.build_context(seg, tables).phase_table,
                               lcu.build_context(full, tables).phase_table)
-        got = dyson.build_segment(evaluated, w).blocks.coeff
+        got = dense_table(plan, dyson.build_segment(evaluated, w).blocks.values)
         assert (np.abs(got - coeff) <= 1e-12 * tab.bound[:, None]).all()
         assert np.array_equal(got == 0, coeff == 0)
     return supports
@@ -625,7 +635,7 @@ def test_plan_entries_after_shrink_match_dense_build(workload, case_id, monkeypa
     starts = np.cumsum([1] + [len(v[0]) // h.dim for v in dense_vals])
     index = np.concatenate([sup + start * h.dim for sup, start in zip(supports, starts)])
     assert plan.dd_rows == len(index) < (len(plan) - 1) * h.dim
-    assert np.array_equal(np.flatnonzero(plan.on_support), index)
+    assert np.array_equal(plan.entries, np.r_[np.arange(h.dim), index])
     term, z = np.divmod(index, h.dim)
     energies = h.h0_diag
     assert plan.gap.shape == plan.rates_sum.shape == plan.d_coeff.shape == (len(index),)

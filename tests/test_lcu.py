@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
-from dyson_reference import frozen_model, partial_support_models, tiny_amplitude_model
+from dyson_reference import (dense_table, frozen_model, partial_support_models,
+                             tiny_amplitude_model)
 from permlcu import dd, dyson, lcu, oracle, pham, sched
 from permlcu.models import (decay_spec, oscillating_hamiltonian, random_model_spec,
                             static_spec)
@@ -22,6 +23,13 @@ def haar_state(rng, dim):
 
 def context(seg):
     return lcu.build_context(seg, lcu.RunTables(seg.plan))
+
+
+def with_s(seg, s):
+    """seg in a copy of its block whose normalization for seg is s."""
+    per_segment = seg.block.s.copy()
+    per_segment[seg.w - seg.block.start] = s
+    return replace(seg, block=replace(seg.block, s=per_segment))
 
 
 def build_pipeline(h, t_total, eps, mode=sched.MODE_EXACT, w=0):
@@ -229,11 +237,12 @@ def test_vc_first_order_block_hand_trace():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     s, seg, ctx = build_pipeline(h, 1.0, 1e-3)
     tab = seg.blocks
+    coeff = dense_table(seg.plan, tab.values)
     assert seg.plan.q[1] == 1 and seg.plan.cum_mask[1] == 1
     a = 2 * 1  # ancilla row of (term 1, x=0): (-i) c+ with c+ = u + i sqrt(1 - |u|^2) u/|u|
     # u = coeff/bound is 0 at z = 0, where c+ is i, and 1 at z = 1
-    assert tab.coeff[1, 0] == 0.0
-    u = tab.coeff[1, 1] / tab.bound[1]
+    assert coeff[1, 0] == 0.0
+    u = coeff[1, 1] / tab.bound[1]
     assert u == pytest.approx(1.0, rel=1e-14)
     joint = np.zeros((ctx.layout.ancilla_dim, 2), dtype=complex)
     joint[a, 0] = 1.0
@@ -260,6 +269,7 @@ def test_context_tables_match_term_loop():
     for mode in (sched.MODE_EXACT, sched.MODE_UNIFORM):
         _, seg, ctx = build_pipeline(h, 2.0, 1e-3, mode=mode)
         tab = seg.blocks
+        table = dense_table(seg.plan, tab.values)
         b = np.zeros(ctx.layout.ancilla_dim)
         phases = np.zeros((ctx.layout.ancilla_dim, h.dim), dtype=complex)
         gather = np.zeros(ctx.layout.joint_dim, dtype=np.int64)
@@ -267,7 +277,7 @@ def test_context_tables_match_term_loop():
         for t in range(len(tab)):
             b[2 * t] = b[2 * t + 1] = math.sqrt(tab.bound[t] / 4.0)
             factor = (-1j) ** int(seg.plan.q[t])
-            u = tab.coeff[t] / tab.bound[t] if tab.bound[t] > 0 else np.zeros(h.dim)
+            u = table[t] / tab.bound[t] if tab.bound[t] > 0 else np.zeros(h.dim)
             phi, theta = np.arccos(np.minimum(np.abs(u), 1.0)), np.angle(u)
             phases[2 * t] = factor * np.exp(1j * (phi + theta))
             phases[2 * t + 1] = factor * np.exp(1j * (-phi + theta))
@@ -284,7 +294,7 @@ def test_context_tables_match_term_loop():
         unfactor = np.append(seg.plan.factors, 1.0).conj()[:, None]  # exact: +-1, +-i
         plus, minus = unfactor * ctx.phase_table[0::2], unfactor * ctx.phase_table[1::2]
         bound = np.append(tab.bound, 2.0 - seg.s)[:, None]
-        coeff = np.vstack([tab.coeff, np.zeros(h.dim)])
+        coeff = np.vstack([table, np.zeros(h.dim)])
         assert (np.abs(bound / 2 * (plus + minus) - coeff)
                 <= 1e-15 * np.maximum(1.0, bound)).all()
         assert (np.abs(np.abs(plus) - 1.0) <= 1e-15).all()
@@ -296,7 +306,7 @@ def test_context_rejects_normalization_above_two():
     h = oscillating_hamiltonian(1.0, 1.0, 2.0)
     _, seg, _ = build_pipeline(h, 1.0, 1e-3)
     with pytest.raises(lcu.TermBoundError, match="negative bound"):
-        context(replace(seg, s=2.0 + 1e-9))
+        context(with_s(seg, 2.0 + 1e-9))
 
 
 def test_context_names_the_segment_whose_preparation_drifts():
@@ -306,7 +316,7 @@ def test_context_names_the_segment_whose_preparation_drifts():
     _, seg, _ = build_pipeline(h, 2.0, 1e-3, w=1)
     with pytest.raises(lcu.TermBoundError,
                        match="segment 1: preparation amplitudes drifted from unit norm by 5.00e-02"):
-        context(replace(seg, s=seg.s - 0.1))
+        context(with_s(seg, seg.s - 0.1))
 
 
 def full_table_contexts(seg):
@@ -315,7 +325,8 @@ def full_table_contexts(seg):
     the padding row included, then the factors (-i)^q row by row."""
     block, plan = seg.block, seg.plan
     n_seg, dim = len(block.s), plan.h.dim
-    coeff = np.concatenate([block.coeff, np.zeros((n_seg, 1, dim), dtype=complex)], axis=1)
+    coeff = np.concatenate([dense_table(plan, block.values),
+                            np.zeros((n_seg, 1, dim), dtype=complex)], axis=1)
     bound = np.concatenate([block.bound, (2.0 - block.s)[:, None]], axis=1)
     plus, minus = lcu.cosine_branches(coeff, bound[:, :, None])
     factors = np.append(plan.factors, 1.0)[:, None]
@@ -534,6 +545,34 @@ def test_run_full_does_not_depend_on_the_block_size(workload, case_id, monkeypat
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
 
 
+def test_apply_and_run_full_keep_their_operand_order_past_the_elision_size(monkeypatch):
+    # 21,840 support entries, 341 KiB of values: at 256 KiB and above numpy
+    # may compute a product into its right-hand temporary with the operands
+    # swapped, which rounds the imaginary part differently under FMA
+    h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(1), n=4, m_max=2))
+    s = sched.build_schedule(h, 0.5, eps=1e-3)
+    plan = dyson.SegmentPlan(h, s)
+    assert (len(plan.entries) - h.dim) * 16 > 1 << 18
+    psi = haar_state(np.random.default_rng(17), h.dim)
+    seg = dyson.build_segment(plan, s.r - 1)
+    coeff = dense_table(plan, seg.blocks.values)
+    on = np.zeros(len(plan) * h.dim, dtype=bool)
+    on[plan.entries] = True
+    on = on.reshape(len(plan), h.dim)
+    loop = np.zeros(h.dim, dtype=complex)
+    for t in range(1, len(plan)):  # coeff * ((-i)^q psi[z]), added at z ^ cum_mask in table order
+        z = np.flatnonzero(on[t])
+        rotated = (-1j) ** int(plan.q[t]) * psi[z]  # exact: a swap and signs
+        np.add.at(loop, z ^ plan.cum_mask[t], np.multiply(coeff[t, z], rotated))
+    assert seg.apply(psi).tobytes() == (psi + loop).tobytes()
+    runs = []
+    for budget in (0, dyson.BLOCK_BYTES, 1 << 40):
+        monkeypatch.setattr(dyson, "BLOCK_BYTES", budget)
+        final, diag = lcu.run_full(h, 0.5, 1e-3, psi)
+        runs.append((final.system_block(0).tobytes(), np.array(diag["residuals"]).tobytes()))
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_run_full_v_zero_is_diagonal_phase():
     h = pham.from_pauli_spec({"n": 2, "h0": [{"coupling": 0.4, "z_mask": "01"},
                                              {"coupling": -0.9, "z_mask": "11"}]})
@@ -678,7 +717,7 @@ def test_matrix_free_residuals_match_the_dense_operator(workload, case_id):
         seg = dyson.build_segment(plan, w)
         block = lcu.apply_A(lcu.build_context(seg, tables), psi)
         dense = seg.matrix() @ psi
-        free = lcu.reference_step(tables, seg.blocks.coeff, psi)
+        free = seg.apply(psi)
         assert np.linalg.norm(free - dense) <= 1e-14
         new_psi = block / np.linalg.norm(block)
         assert abs(residual - np.linalg.norm(new_psi - dense / np.linalg.norm(dense))) <= 1e-15
