@@ -67,8 +67,8 @@ class EnumerationLimitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class TermTable:
-    """One segment's coefficients at the plan's entries, and one bound per
-    term (q, i_q, k_q) in the plan's order (its ``q`` and ``cum_mask``)."""
+    """One segment's coefficients at the plan's entries, and the bound of
+    each term (q, i_q, k_q), in the order of the plan's ``q`` and ``cum_mask``."""
     values: np.ndarray      # (E,) coefficient of each entry, see SegmentPlan.entries
     bound: np.ndarray       # (T,) dt_tilde^q/q! * Gamma bound on |coeff|
 
@@ -147,7 +147,7 @@ class SegmentPlan:
         self._step_index = {dt: i for i, dt in enumerate(steps)}
         self._divided = dd.exp_dd_steps(xs, steps, orders)  # (steps, S)
         self.dd_rows = len(xs)
-        del xs, orders
+        del xs, orders  # freed before the entry-sized index temporaries below
         term, z = np.divmod(self.entries[h.dim:], h.dim)
         self.target = (z ^ self.cum_mask[term]).astype(np.min_scalar_type(h.dim))
         self.rotated = (self.q[term] % 4 * h.dim + z).astype(np.min_scalar_type(4 * h.dim))

@@ -134,7 +134,7 @@ def cosine_branches(coeff: np.ndarray, bound: np.ndarray,
     normal = mag >= np.finfo(float).tiny
     np.divide(coeff.real, mag, out=unit.real, where=normal)
     np.divide(coeff.imag, mag, out=unit.imag, where=normal)
-    # |u| in the place of |coeff| (0 on a zero bound), and c+ with no temporary
+    # |u| and c+ in place: freed entry-sized temporaries leave holes that raise peak RSS
     ratio = np.divide(mag, bound, out=mag, where=~zero)
     del mag, normal, zero
     if ratio.max() > 1.0 + BOUND_CLAMP_TOL:

@@ -546,7 +546,7 @@ def test_run_full_does_not_depend_on_the_block_size(workload, case_id, monkeypat
 
 
 def test_apply_and_run_full_keep_their_operand_order_past_the_elision_size(monkeypatch):
-    # 21,840 support entries, 341 KiB of values: at 256 KiB and above numpy
+    # 21,824 support entries, 341 KiB of values: at 256 KiB and above numpy
     # may compute a product into its right-hand temporary with the operands
     # swapped, which rounds the imaginary part differently under FMA
     h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(1), n=4, m_max=2))
