@@ -41,9 +41,9 @@ scaling.  After every squaring the diagonal and the first superdiagonal
 are reset to their exact values (Al-Mohy & Higham, SIMAX 31, 2009, Code
 Fragment 2.1): e^{t x_k} and t e^{[t x_k, t x_{k+1}]}, the latter as the
 difference quotient when |t(x_{k+1} - x_k)| >= 1 and in the sinh form
-below that.  A chunk of rows is held batch-last as upper bands, so every
-step is elementwise over the rows; at q = 6 a squaring forms 120 complex
-products per row, against 343 for a dense matrix product.
+below that.  A chunk of rows with one s is held batch-last as upper
+bands, so every step is elementwise over the rows; at q = 6 a squaring
+forms 120 complex products per row, against 343 for a dense matrix product.
 
 Against a 50-digit reference the kernel's worst relative error was 2.5e-13
 on 152 wide rows sampled from the frozen benchmark workloads (scipy's expm:
@@ -76,10 +76,10 @@ SERIES_CHUNK = 2048
 # most _THETA^13/13! = 2.4e-18 in every entry of the scaled exponential.
 _THETA = 0.25
 _TAYLOR_TAIL = 13
-# Wide rows per chunk: at q = 8 a chunk's two band stacks take 1.3 MB, and
-# each array of its exact bands 72 kB per squaring level.  Chunks of rows
-# that need more than _BAND_LEVELS squarings (inputs beyond 1e9 in modulus)
-# are smaller in proportion.
+# Wide rows per chunk, all with one squaring count: at q = 8 a chunk's two
+# band stacks take 1.3 MB, and each array of its exact bands 72 kB per
+# squaring.  Chunks of rows that need more than _BAND_LEVELS squarings
+# (inputs beyond 1e9 in modulus) are smaller in proportion.
 WIDE_CHUNK = 512
 _BAND_LEVELS = 32
 # sinh(d)/d = sum_k d^(2k)/(2k+1)!
@@ -226,20 +226,21 @@ def _exp_dd_pair(a: np.ndarray, b: np.ndarray, ea: np.ndarray,
     return out
 
 
-def _square_chunk(ys: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _square_chunk(ys: np.ndarray, q: np.ndarray, s: int) -> np.ndarray:
     """Corner (0, q_r) of exp(A) for the bidiagonal matrices A with rows ys
-    (n, m) of orders q on the diagonal, given squaring counts s sorted in
-    descending order.  The padding past q_r only reaches entries past the
+    (n, m) of orders q on the diagonal, all scaled by 2^-s; s >= 1, since a
+    wide row's radius is at least half its spread, which is above the
+    series cutoff.  The padding past q_r only reaches entries past the
     corner's column (the leading blocks of upper-triangular matrices
     multiply on their own), and a row holds the identity until the Horner
     step of its own degree q_r + _TAYLOR_TAIL - 1.
 
-    Every row ends at level S = s[0] with the unscaled matrix; row r starts
-    at level S - s[r], where its matrix is scaled by 2^-s[r].  At level L
-    the rows started by then hold exp(2^(L-S) A), so one squaring of the
-    leading rows moves them up a level, after which their diagonal and
-    first superdiagonal are reset to exact values (Al-Mohy & Higham, SIMAX
-    31, 2009, Code Fragment 2.1).
+    The Taylor polynomial gives exp(2^-s A) at level 0; level L holds
+    exp(2^(L-s) A).  Each of the squarings into levels 1..s-1 is followed
+    by the exact diagonal and first superdiagonal of its level (Al-Mohy &
+    Higham, SIMAX 31, 2009, Code Fragment 2.1), read with those of level 0
+    from one (m, s, n) table; the squaring into level s forms only the
+    corner.
 
     The upper-triangular matrices are stored batch-last as upper bands,
     x[d, i, r] = X_r[i, i+d], with the slots i + d >= m held at zero, so
@@ -248,17 +249,12 @@ def _square_chunk(ys: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
     n, m = ys.shape
     ys = ys.T  # (m, n)
-    one = q == 1  # the corner is the superdiagonal, which is exact
-    if one.all():
-        e = np.exp(ys[:2])
-        return _exp_dd_pair(ys[0], ys[1], e[0], e[1])
-    top = int(s[0])
     cols = np.arange(n)
     degree = q + _TAYLOR_TAIL - 1
     # Taylor polynomial of the scaled matrix in Horner form, x <- I + A x / k;
     # a product with the bidiagonal matrix is a scaled band plus the next
     # band shifted by one row.  After j steps only bands 0..j are nonzero.
-    t0 = np.ldexp(1.0, -s)
+    t0 = math.ldexp(1.0, -s)
     ty0 = ys * t0
     x = np.zeros((m, m, n), dtype=complex)
     y = np.zeros_like(x)
@@ -273,45 +269,26 @@ def _square_chunk(ys: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
         if later.any():
             x[:, :, later] = 0.0
             x[0, :, later] = 1.0
-    if top == 0:
-        corner = x[q, 0, cols]
-    else:
-        # started[L]: rows started by level L = 0..S-1.  The exact bands of
-        # those rows at every such level lie side by side, level L in columns
-        # off[L]:off[L+1]; the squaring into level S forms only the corner
-        # and needs no bands.
-        started = np.searchsorted(-s, np.arange(-top, 0), side="right")
-        off = np.r_[0, np.cumsum(started)]
-        t = np.ldexp(1.0, np.repeat(np.arange(-top, 0), started))
-        ty = ys[:, np.concatenate([np.arange(k) for k in started])] * t
-        diag = np.exp(ty)
-        sup = _exp_dd_pair(ty[:-1], ty[1:], diag[:-1], diag[1:])
-        sup *= t
-        k = started[-1]
-        at_start = off[top - s[:k]] + np.arange(k)
-        x[0, :, :k] = diag[:, at_start]
-        x[1, :-1, :k] = sup[:, at_start]
-        # squarings into levels 1..S-1, bands d >= 2 only:
-        # Y[d, i] = sum_e X[e, i] X[d-e, i+e].  Rows not started yet are only
-        # read, and hold their Taylor values in both buffers.
-        y[...] = x
-        for lvl in range(1, top):
-            k = started[lvl - 1]
-            b, out = x[..., :k], y[..., :k]
-            np.multiply(b[0, None], b[2:], out=out[2:])
-            for e in range(1, m):
-                d0 = max(e, 2)
-                out[d0:, :m - e] += b[e, None, :m - e] * b[d0 - e:m - e, e:]
-            out[0] = diag[:, off[lvl]:off[lvl] + k]
-            out[1, :-1] = sup[:, off[lvl]:off[lvl] + k]
-            x, y = y, x
-        corner = x[q, 0, cols]
-        k = started[-1]
-        qk, rk = q[:k], cols[:k]
-        last = x[0, 0, :k] * x[qk, 0, rk]
-        for e in range(1, m):  # rows with q_r < e have no such term (qk - e wraps)
-            last += np.where(qk >= e, x[e, 0, :k] * x[qk - e, e, rk], 0.0)
-        corner[:k] = last
+    # exact bands of levels 0..s-1, level L scaled by t = 2^(L-s)
+    t = np.ldexp(1.0, np.arange(-s, 0))[:, None]
+    ty = ys[:, None, :] * t
+    diag = np.exp(ty)
+    sup = _exp_dd_pair(ty[:-1], ty[1:], diag[:-1], diag[1:])
+    sup *= t
+    x[0], x[1, :-1] = diag[:, 0], sup[:, 0]
+    # squarings into levels 1..s-1, bands d >= 2 only:
+    # Y[d, i] = sum_e X[e, i] X[d-e, i+e]
+    for lvl in range(1, s):
+        np.multiply(x[0, None], x[2:], out=y[2:])
+        for e in range(1, m):
+            d0 = max(e, 2)
+            y[d0:, :m - e] += x[e, None, :m - e] * x[d0 - e:m - e, e:]
+        y[0], y[1, :-1] = diag[:, lvl], sup[:, lvl]
+        x, y = y, x
+    corner = x[0, 0] * x[q, 0, cols]
+    for e in range(1, m):  # rows with q_r < e have no such term (q - e wraps)
+        corner += np.where(q >= e, x[e, 0] * x[q - e, e, cols], 0.0)
+    one = q == 1  # the corner is the superdiagonal, which is exact
     if one.any():
         e = np.exp(ys[:2, one])
         corner[one] = _exp_dd_pair(ys[0, one], ys[1, one], e[0], e[1])
@@ -363,9 +340,10 @@ def _wide_batch(xs: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     405309.625j] (value 1e-13 of its bound 1/2) cost 1.0e-9 relative
     error, against 3.1e-15 unshifted.  Rows are padded with their mean and
     put in Leja order, and row r is scaled by 2^-s_r so that 2^-s_r
-    max|x - shift| <= _THETA.  Rows are sorted by order and s_r, and
-    evaluated in chunks of at most WIDE_CHUNK, which bounds the working set
-    of the band stacks and of the exact bands.
+    max|x - shift| <= _THETA.  Rows are sorted by s_r, then by order, and
+    evaluated in chunks of one s_r and at most WIDE_CHUNK rows, which bounds
+    the working set of the band stacks and of the exact bands; a chunk is as
+    wide as its highest order.
     """
     q = q[rows]
     shift, radius = np.empty(len(rows)), np.empty(len(rows))
@@ -374,24 +352,21 @@ def _wide_batch(xs: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         shift[sel] = np.rint(own.real.mean(axis=1))
         radius[sel] = np.hypot(own.real - shift[sel, None], own.imag).max(axis=1)
     del own  # an order's rows: not held through the chunks
-    s = np.maximum(np.ceil(np.log2(radius / _THETA)), 0.0).astype(np.int64)
-    order = np.argsort(-s, kind="stable")  # chunks of one order where they can be
-    order = order[np.argsort(q[order], kind="stable")]
+    s = np.ceil(np.log2(radius / _THETA)).astype(np.int64)
+    order = np.lexsort((q, s))
+    cuts = np.flatnonzero(np.diff(s[order])) + 1
     out = np.empty(len(rows), dtype=complex)
-    lo = 0
-    while lo < len(rows):
-        sel = order[lo:lo + WIDE_CHUNK]
-        # the exact bands hold up to s levels per row: past _BAND_LEVELS, fewer rows
-        levels = int(s[sel].max())
-        if levels > _BAND_LEVELS:
-            sel = sel[:max(1, WIDE_CHUNK * _BAND_LEVELS // levels)]
-        sel = sel[np.argsort(-s[sel], kind="stable")]
-        qs = q[sel]
-        zs = xs[rows[sel], :int(qs.max()) + 1] - shift[sel, None]
-        mu = _mean_spread(zs, qs)[0]
-        _pad(zs, qs, mu)
-        out[sel] = _square_chunk(_leja_order(zs, qs, mu), qs, s[sel])
-        lo += len(sel)
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(rows)]):
+        level = int(s[order[lo]])
+        # the exact bands hold s levels per row: past _BAND_LEVELS, fewer rows
+        size = WIDE_CHUNK * _BAND_LEVELS // max(level, _BAND_LEVELS)
+        for at in range(lo, hi, size):
+            sel = order[at:min(at + size, hi)]
+            qs = q[sel]
+            zs = xs[rows[sel], :int(qs.max()) + 1] - shift[sel, None]
+            mu = _mean_spread(zs, qs)[0]
+            _pad(zs, qs, mu)
+            out[sel] = _square_chunk(_leja_order(zs, qs, mu), qs, level)
     return np.exp(shift) * out
 
 

@@ -104,18 +104,20 @@ class SegmentOperator:
         return TermTable(self.block.values[i], self.block.bound[i])
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Matrix-free U psi: psi (the q = 0 term) plus, in table order,
-        each support entry's coeff (-i)^q psi[z] at z ^ cum_mask."""
-        rotations = (np.array([1, -1j, -1, 1j])[:, None] * psi).ravel()
+        """Matrix-free U psi for a state (2^n,) or k states (2^n, k), each column
+        bitwise as alone: psi (the q = 0 term) plus, in table order, each
+        support entry's coeff (-i)^q psi[z] at z ^ cum_mask."""
+        rotations = np.multiply.outer(np.array([1, -1j, -1, 1j]), psi).reshape(-1, *psi.shape[1:])
+        values = self.blocks.values[len(psi):].reshape(-1, *(1,) * (psi.ndim - 1))
         # explicit: `values * rotations.take(...)` may swap its operands, see _build_block
-        vals = np.multiply(self.blocks.values[len(psi):], rotations.take(self.plan.rotated))
-        out = np.zeros(len(psi), dtype=complex)
+        vals = np.multiply(values, rotations.take(self.plan.rotated, axis=0))
+        out = np.zeros(psi.shape, dtype=complex)
         np.add.at(out, self.plan.target, vals)
         return psi + out
 
     def matrix(self) -> np.ndarray:
-        """Dense U: `apply` over the identity columns."""
-        return np.column_stack([self.apply(col) for col in np.eye(self.h.dim)])
+        """Dense U: `apply` to the identity, all columns in one pass."""
+        return self.apply(np.eye(self.h.dim))
 
 
 def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
@@ -213,19 +215,17 @@ class SegmentPlan:
                             (n_i**q, 1))
             nb = len(big_i)
             cum = np.bitwise_xor.accumulate(term_masks[big_i], axis=1)    # cumulative masks
-            zp = cum[:, :, None] ^ z                                      # (B, q, dim) z_j
-            rates = rate[big_i[:, :, None], big_k[:, :, None], zp]
-            d_all = amp[big_i[:, 0, None], big_k[:, 0, None], zp[:, 0]]  # (B, dim)
-            for j in range(1, q):  # a factor at a time: no (B, q, dim) amplitude gather
-                d_all *= amp[big_i[:, j, None], big_k[:, j, None], zp[:, j]]
+            d_all = amp[big_i[:, 0, None], big_k[:, 0, None], cum[:, 0, None] ^ z]  # (B, dim)
+            for j in range(1, q):  # a factor at a time: no (B, q, dim) path states
+                d_all *= amp[big_i[:, j, None], big_k[:, j, None], cum[:, j, None] ^ z]
             support = np.flatnonzero(d_all)
             path, z0 = np.divmod(support, dim)
-            zs, rs = zp[path, :, z0], rates[path, :, z0]                  # (S, q)
-            all_sums = rates.sum(axis=1).ravel()
-            del zp, rates
+            zs = cum[path] ^ z0[:, None]                                  # (S, q) z_j
+            rs = rate[big_i[path], big_k[path], zs]
             part = slice(at, at + len(support))
-            np.take(all_sums, support, out=rates_sum[part])
-            del all_sums
+            rates_sum[part] = 0.0  # +0, then a factor at a time: as the scalar sum rounds
+            for j in range(q):
+                rates_sum[part] += rs[:, j]
             # x_j = i(E_{z_q} - E_{z_{j-1}}) + sum_{l >= j} rate_l; x_{q+1} = 0
             xs[part, q:] = 0.0
             np.cumsum(rs[:, ::-1], axis=1, out=xs[part, q - 1::-1])

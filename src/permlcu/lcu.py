@@ -207,7 +207,7 @@ def _block_contexts(plan: dyson.SegmentPlan, block: dyson.SegmentBlock,
                                   layout.n_terms * dim)
     for branch in (plus, minus):
         np.multiply(plan.factors.take(entries // dim), branch, out=branch)
-    phases = np.broadcast_to(np.repeat(tables.fill, dim), (n_seg, layout.joint_dim)).copy()
+    phases = np.repeat(np.broadcast_to(tables.fill, (n_seg, len(tables.fill))), dim, axis=1)
     at = entries + entries // dim * dim  # entry (t, z): c+ in row 2t, c- in row 2t + 1
     phases[:, at], phases[:, at + dim] = plus, minus
     b = np.repeat(np.sqrt(bound / 4.0), 2, axis=1)

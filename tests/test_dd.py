@@ -372,6 +372,36 @@ def test_wide_batch_larger_than_a_chunk_matches_single_rows(q):
     assert np.array_equal(batch, single)
 
 
+def test_wide_batch_of_mixed_orders_and_squaring_counts_matches_single_rows():
+    # orders 1-8 in every chunk; radii from 31 to 3e9, so squaring counts 7
+    # to 34 (past the band-level cap, where chunks are smaller); more than a
+    # chunk of rows with squaring count 10; exact repeats; and rows of order
+    # 1, whose corner is the exact superdiagonal
+    rng = np.random.default_rng(26)
+    n_one, n_wide = dd.WIDE_CHUNK + 100, 300
+    radius = np.concatenate([rng.uniform(141.0, 230.0, n_one),  # 2^9 < r / 0.25 < 2^10
+                             np.exp(rng.uniform(np.log(31.0), np.log(3e9), n_wide))])
+    radius[n_one], radius[-1] = 31.0, 3e9
+    q = rng.integers(1, 9, len(radius))
+    q[rng.permutation(len(q))[:80]] = 1
+    rows = 1j * radius[:, None] * rng.uniform(-0.5, 0.5, (len(q), 9))
+    rows[:, 0], rows[np.arange(len(q)), q] = 1j * radius, -1j * radius
+    rows[n_one::5] += rng.uniform(-0.4, 0.4, (len(rows[n_one::5]), 9))  # same shift 0
+    repeat = q >= 3
+    rows[repeat, 2] = rows[repeat, 1]
+    spread = [np.abs(r[:k + 1] - r[:k + 1].mean()).max() for r, k in zip(rows, q)]
+    assert min(spread) > dd.SERIES_SPREAD_CUTOFF
+    s = np.ceil(np.log2(radius / 0.25))
+    assert s.min() == 7 and s.max() == 34 and np.count_nonzero(s == 10) > dd.WIDE_CHUNK
+    batch = dd.exp_dd_batch(rows, q)
+    perm = rng.permutation(len(q))
+    assert batch[perm].tobytes() == dd.exp_dd_batch(rows[perm], q[perm]).tobytes()
+    one = np.flatnonzero(q == 1)
+    assert batch[one].tobytes() == dd.exp_dd_batch(rows[one, :2]).tobytes()
+    single = np.array([dd.exp_dd_batch(r[None, :k + 1])[0] for r, k in zip(rows, q)])
+    assert batch.tobytes() == single.tobytes()
+
+
 def frozen_wide_rows(workload, case_id):
     """The kernel's inputs dt * x of a frozen benchmark case, by step dt:
     the rows of every (path, z) entry of its segments at every step of its
