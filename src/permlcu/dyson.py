@@ -103,21 +103,26 @@ class SegmentOperator:
         i = self.w - self.block.start
         return TermTable(self.block.values[i], self.block.bound[i])
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Matrix-free U psi for a state (2^n,) or k states (2^n, k), each column
-        bitwise as alone: psi (the q = 0 term) plus, in table order, each
-        support entry's coeff (-i)^q psi[z] at z ^ cum_mask."""
-        rotations = np.multiply.outer(np.array([1, -1j, -1, 1j]), psi).reshape(-1, *psi.shape[1:])
-        values = self.blocks.values[len(psi):].reshape(-1, *(1,) * (psi.ndim - 1))
+    def _terms(self, psi: np.ndarray) -> np.ndarray:
+        """Each support entry's coeff (-i)^q psi[z], in table order."""
+        rotations = (np.array([1, -1j, -1, 1j])[:, None] * psi).ravel()
         # explicit: `values * rotations.take(...)` may swap its operands, see _build_block
-        vals = np.multiply(values, rotations.take(self.plan.rotated, axis=0))
-        out = np.zeros(psi.shape, dtype=complex)
-        np.add.at(out, self.plan.target, vals)
+        return np.multiply(self.blocks.values[len(psi):], rotations.take(self.plan.rotated))
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """Matrix-free U psi: psi (the q = 0 term) plus, in table order,
+        each support entry's coeff (-i)^q psi[z] at z ^ cum_mask."""
+        out = np.zeros(len(psi), dtype=complex)
+        np.add.at(out, self.plan.target, self._terms(psi))
         return psi + out
 
     def matrix(self) -> np.ndarray:
-        """Dense U: `apply` to the identity, all columns in one pass."""
-        return self.apply(np.eye(self.h.dim))
+        """Dense U in one pass, bitwise `apply` on each identity column z, where
+        only the entries at z add nonzero terms: their terms for the all-ones state."""
+        out = np.zeros((self.h.dim, self.h.dim), dtype=complex)
+        at = (self.plan.target, self.plan.rotated % self.h.dim)
+        np.add.at(out, at, self._terms(np.ones(self.h.dim)))
+        return np.eye(self.h.dim) + out
 
 
 def count_terms(h: pham.PermExpHamiltonian, q_max: int) -> int:
