@@ -64,7 +64,8 @@ import numpy as np
 # kernel.  The series sums terms as large as e^spread/q! to a value that for
 # imaginary inputs can be far smaller: against a 50-digit reference, on 3,000
 # random rows (q <= 8) at 2-8 steps each, its worst relative error was 1.2e-11
-# up to spread 9 and 2.0e-10 up to 12 (kernel: 3e-14), and it grows fast
+# up to spread 9 and 2.0e-10 up to 12, in q = 1 rows near zeros of their value
+# (now _exp_dd_pair's; q >= 2: 1.5e-11; kernel: 3e-14), and it grows fast
 # beyond (with compensated summation: 7e-10 up to 14, 1.1e-7 at 25.8).
 SERIES_SPREAD_CUTOFF = 12.0
 SERIES_TERM_CAP = 500
@@ -194,6 +195,14 @@ def _series(xs: np.ndarray, q: np.ndarray, mu: np.ndarray, spread: np.ndarray,
             vals *= dtq[steps[:, None], q[sel]] * np.exp(np.multiply.outer(dt, mu[sel]))
             out[steps[:, None], sel] = vals
         del coef  # the next chunk's pass runs without this one's coefficients
+    # q = 1: _exp_dd_pair, exact where the series cancels near the value's zeros
+    ones = np.flatnonzero(q == 1)
+    at, one = np.nonzero(spread[ones] * mag[:, None] <= SERIES_SPREAD_CUTOFF)
+    if len(one):
+        one = ones[one]
+        half = 0.5 * dts[at] * (xs[one, 1] - xs[one, 0])
+        pair = _exp_dd_pair(-half, half, np.exp(-half), np.exp(half))
+        out[at, one] = dts[at] * np.exp(dts[at] * mu[one]) * pair
     return out
 
 

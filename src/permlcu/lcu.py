@@ -264,7 +264,9 @@ def apply_A(ctx: LCUContext, psi: np.ndarray) -> np.ndarray:
     cur = _vc(ctx, b[:, None] * psi)
     _reflect_about_b(b, cur)
     cur = cur.ravel().take(ctx.gather).reshape(cur.shape)
-    np.multiply(ctx.phase_table.conj(), cur, out=cur)
+    step = max(1, (1 << 16) // dim)  # rows of conjugate phases at a time: no joint-sized copy
+    for at in (slice(lo, lo + step) for lo in range(0, len(cur), step)):
+        np.multiply(ctx.phase_table[at].conj(), cur[at], out=cur[at])
     _reflect_about_b(b, cur)
     return -(b @ _vc(ctx, cur))
 

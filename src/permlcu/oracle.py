@@ -9,14 +9,16 @@ Time-ordered propagators are integrated with Hairer's DOP853 via
 as a float64 view).  For a PermExpHamiltonian the generator -iH(t) is built
 once per call as a table: the flat matrix index, -i*amp and rate of every
 entry of V (mask-0 diagonal terms included), plus rate-0 diagonal rows for
-the -i*H0 base, so each right-hand side is one exp, one reduceat scatter and
-one matmul.  The interaction-frame generator is the same table with every
-rate shifted by i(E_row - E_col) and no base.  The two-level oscillating
-model also has an exact rotating-frame closed form for frequencies an ODE
-cannot resolve in reasonable time.
+the -i*H0 base.  The interaction-frame generator is the same table with every
+rate shifted by i(E_row - E_col) and no base.  The ODE is linear, so
+U(t1, t0) = U_M ... U_1 exactly over M equal slices, which one DOP853 run
+steps as one stacked system: a fast phase costs the steps of one slice.  The
+two-level oscillating model also has an exact rotating-frame closed form for
+frequencies an ODE cannot resolve in reasonable time.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -31,6 +33,8 @@ from .pham import PermExpHamiltonian
 MAX_PIPELINE_QUBITS = 8
 ORACLE_MAX_INPUTS = 32
 MAX_STEPS = 1_000_000  # accepted plus rejected DOP853 steps per call
+SLICE_PHASE = 2.0  # radians the fastest phase turns over one slice
+SLICE_ENTRIES = 4096  # complex entries of a stacked state at most
 # negative IDID return codes of Hairer's DOP853
 _DOP853_FAILURES = {-1: "input is not consistent", -2: f"more than {MAX_STEPS} steps",
                     -3: "step size became too small", -4: "problem is probably stiff"}
@@ -52,13 +56,14 @@ class PropagatorResult:
 
 
 def generator_table(h: PermExpHamiltonian, interaction: bool = False):
-    """Return t -> G(t) = -iH(t), or the interaction-frame generator
-    -i e^{iH0 t} V(t) e^{-iH0 t} when interaction is set, as a dense matrix.
-
-    Every nonzero entry of G is a sum of coef * exp(rate * t) over table
-    rows sharing its flat index; -i*H0 enters as rate-0 diagonal rows (none
-    in the interaction frame).  The returned matrix is a buffer that the
-    next call overwrites.
+    """Return (t0, t1) -> (offsets, G): the offsets j (t1 - t0)/M of the M
+    slices of [t0, t1], and s -> the stack (M, dim, dim) of G(s + offsets),
+    a buffer that the next call overwrites; G = -iH(t), or -i e^{iH0 t} V(t)
+    e^{-iH0 t} when interaction is set.  G's nonzero entries are sums of
+    coef * exp(rate * t) over the table rows sharing their flat index (-i*H0
+    as rate-0 diagonal rows); slice j's are coef e^{rate offsets[j]} times
+    e^{rate s}, so slice 0's are coef e^{rate s} bitwise.  M bounds the phase
+    rate by max |Im rate| plus the largest row sum of |G| on [t0, t1].
     """
     dim = h.dim
     z = np.arange(dim)
@@ -76,15 +81,27 @@ def generator_table(h: PermExpHamiltonian, interaction: bool = False):
     keep = np.flatnonzero(coef)
     order = keep[np.argsort(target[keep], kind="stable")]
     targets, starts = np.unique(target[order], return_index=True)
-    coef, rate = coef[order], rate[order]
-    gen = np.zeros((dim, dim), dtype=complex)
-    flat = gen.reshape(-1)
+    coef, rate, row = coef[order], rate[order], target[order] // dim
 
-    def evaluate(t: float) -> np.ndarray:
-        flat[targets] = np.add.reduceat(coef * np.exp(rate * t), starts)
-        return gen
+    def sliced(t0: float, t1: float):
+        size = np.abs(coef) * np.exp(np.maximum(rate.real * t0, rate.real * t1))
+        omega = np.abs(rate.imag).max(initial=0.0) + np.bincount(row, size).max(initial=0.0)
+        m = max(min(math.ceil(abs(t1 - t0) * omega / SLICE_PHASE), SLICE_ENTRIES // dim**2), 1)
+        offsets = np.arange(m) * ((t1 - t0) / m)
+        coefs = coef * np.exp(np.multiply.outer(offsets, rate))
+        coefs = coefs[0] if m == 1 else coefs  # a 1-D product broadcasts faster
+        into = (targets + dim**2 * np.arange(m)[:, None]).reshape(-1)
+        runs = (starts + len(rate) * np.arange(m)[:, None]).reshape(-1)
+        gen = np.zeros((m, dim, dim), dtype=complex)
+        flat = gen.reshape(-1)
 
-    return evaluate
+        def evaluate(s: float) -> np.ndarray:
+            flat[into] = np.add.reduceat((coefs * np.exp(rate * s)).reshape(-1), runs)
+            return gen
+
+        return offsets, evaluate
+
+    return sliced
 
 
 class _Dop853:
@@ -116,14 +133,15 @@ class _Dop853:
             self.out.fill(np.nan)
         return self.out_real
 
-    def run(self, gen_of_t, dim: int, t0: float, t1: float, tol: float):
+    def run(self, gen_of_t, shape: tuple, t0: float, t1: float, tol: float):
         """(U(t1), return code, accepted steps) for dU/dt = G(t) U, U(t0) = 1,
-        at rtol = atol = tol/100."""
-        self.gen_of_t, self.out = gen_of_t, np.empty((dim, dim), dtype=complex)
+        at rtol = atol = tol/100, for U and G(t) stacks of the given shape."""
+        self.gen_of_t, self.out = gen_of_t, np.empty(shape, dtype=complex)
         self.out_real = self.out.view(float).reshape(-1)
         integrator = self.ode._integrator
         integrator.rtol = integrator.atol = tol / 100.0
-        self.ode.set_initial_value(np.eye(dim, dtype=complex).view(float).reshape(-1), t0)
+        eyes = np.tile(np.eye(shape[-1], dtype=complex), (shape[0], 1, 1))
+        self.ode.set_initial_value(eyes.view(float).reshape(-1), t0)
         integrator.call_args[2] = self.solout
         try:
             with warnings.catch_warnings():
@@ -136,7 +154,7 @@ class _Dop853:
         if error is not None:
             raise error
         accepted = int(integrator.iwork[18])  # NACCPT, DOP853's accepted-step count
-        return y.view(complex).reshape(dim, dim).copy(), self.ode.get_return_code(), accepted
+        return y.view(complex).reshape(shape).copy(), self.ode.get_return_code(), accepted
 
 
 class _ThreadSolvers(threading.local):
@@ -147,15 +165,20 @@ class _ThreadSolvers(threading.local):
 _SOLVERS = _ThreadSolvers()
 
 
-def _integrate(gen_of_t, dim: int, t0: float, t1: float, tol: float) -> PropagatorResult:
+def _integrate(sliced, dim: int, t0: float, t1: float, tol: float) -> PropagatorResult:
+    """U(t1, t0) = U_M ... U_1 over the slices of sliced(t0, t1), integrated
+    as one stacked system over the first slice, [t0, t1 - offsets[-1]]."""
     if t1 == t0:
         return PropagatorResult(U=np.eye(dim, dtype=complex), est_error=tol, steps_taken=0)
     if _SOLVERS.solver is None:
         _SOLVERS.solver = _Dop853()
-    u, code, accepted = _SOLVERS.solver.run(gen_of_t, dim, t0, t1, tol)
+    offsets, gen = sliced(t0, t1)
+    u, code, accepted = _SOLVERS.solver.run(gen, (len(offsets), dim, dim), t0,
+                                            t1 - offsets[-1], tol)
     if code < 0:
         raise StiffnessError(f"integrator failed on [{t0}, {t1}] with code {code}: "
                              f"{_DOP853_FAILURES.get(code, 'unknown failure')}")
+    u = functools.reduce(lambda done, step: step @ done, u)
     defect = np.linalg.norm(u.conj().T @ u - np.eye(dim), 2)
     if defect > 10.0 * tol:
         raise StiffnessError(
@@ -180,7 +203,7 @@ def propagate_ode(h, t0: float, t1: float, tol: float = 1e-10) -> PropagatorResu
     if isinstance(h, PermExpHamiltonian):
         return _integrate(generator_table(h), h.dim, t0, t1, tol)
     dim = np.asarray(h(t0)).shape[0]
-    return _integrate(lambda t: -1j * np.asarray(h(t)), dim, t0, t1, tol)
+    return _integrate(lambda *_: (np.zeros(1), lambda t: -1j * np.asarray(h(t))), dim, t0, t1, tol)
 
 
 def propagate_interaction(h: PermExpHamiltonian, t0: float, t1: float,

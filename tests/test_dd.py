@@ -674,3 +674,39 @@ def test_steps_property_against_mpmath(case):
     got = dd.exp_dd_steps(xs[None, :], dts)[:, 0]
     for dt, value in zip(dts, got):
         assert rel_err(value, mp_exp_dd_at(dt, xs)) <= 1e-10, (xs, dt)
+
+
+def mp_pair_at(dt, xs):
+    """Reference e^{dt [x_0, x_1]} of a pair with x_0 != x_1, as the 50-digit
+    difference quotient (far faster than mp_exp_dd_at's expm)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b = (mpmath.mpf(dt) * mpmath.mpc(x.real, x.imag) for x in map(complex, xs))
+        return complex(mpmath.mpf(dt) * (mpmath.exp(b) - mpmath.exp(a)) / (b - a))
+
+
+def test_series_band_rows_against_mpmath():
+    # rows in the series band, shifted spread times step 9-12, where the
+    # series sums terms up to e^12 / q! to far smaller values, at 2-8 steps
+    # each: imaginary, complex and repeated rows of orders 2-8, and imaginary
+    # q = 1 rows at steps near 3 pi / spread, a zero of their value, where the
+    # value is 1e-4 to 5e-4 of its bound
+    rng = np.random.default_rng(20261020)
+    for k in range(18):
+        q = 1 if k % 6 else int(rng.integers(2, 9))
+        xs = 1j * rng.uniform(-1.0, 1.0, q + 1)
+        if k == 6:
+            xs += 0.5 * rng.uniform(-1.0, 1.0, q + 1)
+        elif k == 12:
+            xs[rng.integers(1, q + 1, q)] = xs[rng.integers(0, q + 1, q)]
+        rho = np.abs(xs - xs.mean()).max()
+        n = int(rng.integers(2, 9))
+        if q == 1:
+            reach = 3 * np.pi + rng.choice([-1.0, 1.0], n) * rng.uniform(1e-3, 5e-3, n)
+        else:
+            reach = rng.uniform(9.0, 12.0, n)
+        dts = reach / max(rho, 1e-3)
+        got = dd.exp_dd_steps(xs[None, :], dts)[:, 0]
+        for dt, value in zip(dts, got):
+            ref = mp_pair_at(dt, xs) if q == 1 else mp_exp_dd_at(dt, xs)
+            assert rel_err(value, ref) <= 1e-10, (xs, dt)

@@ -1,5 +1,6 @@
 """Tests for the ground-truth propagators."""
 import ast
+import functools
 import gc
 import inspect
 import threading
@@ -10,6 +11,7 @@ import pytest
 from scipy.integrate import ode
 from scipy.linalg import expm
 
+from dyson_reference import frozen_model
 from permlcu import dd, oracle, pham
 from permlcu.models import oscillating_hamiltonian, random_model_spec, static_spec
 
@@ -65,9 +67,14 @@ def test_unitarity_of_returned_propagators():
 
 
 def test_composition_property():
+    # each of the three runs is cut into slices of its own: the product of
+    # the runs over [0, 0.8] and [0.8, 2] meets the one over [0, 2] across
+    # the slice boundaries of all three
     rng = np.random.default_rng(41)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
     tol = 1e-11
+    table = oracle.generator_table(h)
+    assert all(len(table(*span)[0]) > 1 for span in ((0.0, 2.0), (0.0, 0.8), (0.8, 2.0)))
     u02 = oracle.propagate_ode(h, 0.0, 2.0, tol=tol).U
     u01 = oracle.propagate_ode(h, 0.0, 0.8, tol=tol).U
     u12 = oracle.propagate_ode(h, 0.8, 2.0, tol=tol).U
@@ -145,27 +152,38 @@ def _table_test_model(rng, n):
                                    vterms=tuple(terms))
 
 
+def _table_stack(rng, h, interaction=False):
+    """The times s + offsets of the slices of a random interval, at a random
+    s, and the table's stack of G at them."""
+    t0 = rng.uniform(0.0, 1.5)
+    offsets, gen = oracle.generator_table(h, interaction)(t0, t0 + rng.uniform(1.0, 3.0))
+    s = t0 + rng.uniform(0.0, offsets[1])
+    stack = gen(s)
+    assert stack.shape == (len(offsets), h.dim, h.dim) and len(offsets) > 1
+    return s + offsets, stack
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generator_table_matches_dense_hamiltonian(n):
     rng = np.random.default_rng(50 + n)
     h = _table_test_model(rng, n)
-    gen = oracle.generator_table(h)
     u = rng.normal(size=(h.dim, h.dim)) + 1j * rng.normal(size=(h.dim, h.dim))
-    for t in rng.uniform(0.0, 3.0, 5):
-        ref = -1j * (pham.eval_H(h, t) @ u)
-        assert np.abs(gen(t) @ u - ref).max() < 1e-13
+    for ts, stack in (_table_stack(rng, h) for _ in range(2)):
+        for t, gen in zip(ts, stack):
+            ref = -1j * (pham.eval_H(h, t) @ u)
+            assert np.abs(gen @ u - ref).max() < 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_interaction_generator_table_matches_dense_frame(n):
     rng = np.random.default_rng(60 + n)
     h = _table_test_model(rng, n)
-    gen = oracle.generator_table(h, interaction=True)
     h0 = np.diag(h.h0_diag).astype(complex)
     u = rng.normal(size=(h.dim, h.dim)) + 1j * rng.normal(size=(h.dim, h.dim))
-    for t in rng.uniform(0.0, 3.0, 5):
-        v_int = expm(1j * h0 * t) @ (pham.eval_H(h, t) - h0) @ expm(-1j * h0 * t)
-        assert np.abs(gen(t) @ u - (-1j * v_int) @ u).max() < 1e-13
+    for ts, stack in (_table_stack(rng, h, interaction=True) for _ in range(2)):
+        for t, gen in zip(ts, stack):
+            v_int = expm(1j * h0 * t) @ (pham.eval_H(h, t) - h0) @ expm(-1j * h0 * t)
+            assert np.abs(gen @ u - (-1j * v_int) @ u).max() < 1e-13
 
 
 def test_high_frequency_matches_closed_form():
@@ -173,6 +191,25 @@ def test_high_frequency_matches_closed_form():
     res = oracle.propagate_ode(oscillating_hamiltonian(hf, g, alpha), 0.0, t, tol=1e-10)
     ref = oracle.two_level_oscillating_propagator(hf, g, alpha, t)
     assert spectral(res.U - ref) < 1e-9
+
+
+def test_long_high_frequency_run_at_the_slice_cap_matches_closed_form():
+    # the osc-long a1e3 check: 10 time units at 1e3 rad/time want about 5,000
+    # slices of 2 rad; the stacked state caps them at 1,024
+    hf, g, alpha, t = 1.0, 1.0, 1e3, 10.0
+    h = oscillating_hamiltonian(hf, g, alpha)
+    assert len(oracle.generator_table(h)(0.0, t)[0]) == oracle.SLICE_ENTRIES // 4
+    res = oracle.propagate_ode(h, 0.0, t, tol=1e-10)
+    assert spectral(res.U - oracle.two_level_oscillating_propagator(hf, g, alpha, t)) < 1e-10
+
+
+@pytest.mark.parametrize("case_id", ["m0", "m1", "m2", "m3", "m4"])
+def test_sliced_runs_of_the_frozen_models_meet_their_tolerance(case_id):
+    h, _, case = frozen_model("c4-n2", case_id)
+    t, tol = case["t_total"], 1e-10
+    assert len(oracle.generator_table(h)(0.0, t)[0]) > 1
+    ref = oracle.propagate_ode(h, 0.0, t, tol=1e-13).U
+    assert spectral(oracle.propagate_ode(h, 0.0, t, tol=tol).U - ref) <= tol
 
 
 def test_integrator_failure_raises_stiffness_error():
@@ -253,23 +290,36 @@ def test_solver_cache_is_bounded():
     assert grown < 200 * 40
 
 
+def _stacked_dop853(h, t1, tol, solout=None):
+    """The product of the slices' propagators from a fresh DOP853 solver at
+    tol on the oracle's stacked right-hand side over [0, t1], at the table's
+    number of slices M > 1."""
+    dim = h.dim
+    offsets, gen = oracle.generator_table(h)(0.0, t1)
+    m = len(offsets)
+    assert m > 1
+
+    def rhs(t, y):
+        return (gen(t) @ y.view(complex).reshape(m, dim, dim)).view(float).reshape(-1)
+
+    fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
+                                    nsteps=oracle.MAX_STEPS)
+    if solout is not None:
+        fresh.set_solout(solout)
+    fresh.set_initial_value(np.tile(np.eye(dim, dtype=complex), (m, 1, 1)).view(float).reshape(-1),
+                            0.0)
+    u = fresh.integrate(t1 - offsets[-1]).view(complex).reshape(m, dim, dim)
+    return functools.reduce(lambda done, step: step @ done, u)
+
+
 def test_shared_solver_runs_at_each_calls_tolerance():
     # the thread's one solver, cycled through tolerances, gives bitwise the
     # result of a fresh DOP853 solver made at that tolerance
     h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(45), n=2))
-    gen, dim = oracle.generator_table(h), h.dim
-
-    def rhs(t, y):
-        return (gen(t) @ y.view(complex).reshape(dim, dim)).view(float).reshape(-1)
-
     got = {}
     for tol in [1e-6, 1e-10, 1e-8, 1e-7, 1e-9, 1e-6]:
         got[tol] = oracle.propagate_ode(h, 0.0, 0.7, tol=tol).U
-        fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
-                                        nsteps=oracle.MAX_STEPS)
-        fresh.set_initial_value(np.eye(dim, dtype=complex).view(float).reshape(-1), 0.0)
-        expect = fresh.integrate(0.7).view(complex).reshape(dim, dim)
-        assert np.array_equal(got[tol], expect)
+        assert np.array_equal(got[tol], _stacked_dop853(h, 0.7, tol))
     assert not np.array_equal(got[1e-6], got[1e-10])
 
 
@@ -277,19 +327,40 @@ def test_steps_taken_counts_accepted_steps():
     # a fresh DOP853 solver at the same tolerance, its accepted steps counted
     # by a step callback (called once at t0, then after every accepted step)
     h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(46), n=2))
-    gen, dim = oracle.generator_table(h), h.dim
-
-    def rhs(t, y):
-        return (gen(t) @ y.view(complex).reshape(dim, dim)).view(float).reshape(-1)
-
     for tol in (1e-6, 1e-10):
         calls = []
-        fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
-                                        nsteps=oracle.MAX_STEPS)
-        fresh.set_solout(lambda t, y: calls.append(t))
-        fresh.set_initial_value(np.eye(dim, dtype=complex).view(float).reshape(-1), 0.0)
-        fresh.integrate(0.7)
+        _stacked_dop853(h, 0.7, tol, solout=lambda t, y: calls.append(t))
         assert oracle.propagate_ode(h, 0.0, 0.7, tol=tol).steps_taken == len(calls) - 1 > 0
+
+
+def _single_run(gen_of_t, dim, t1, tol):
+    """U(t1) of dU/dt = G(t) U, U(0) = 1, by one fresh DOP853 run at tol."""
+    def rhs(t, y):
+        return (gen_of_t(t) @ y.view(complex).reshape(dim, dim)).view(float).reshape(-1)
+
+    fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
+                                    nsteps=oracle.MAX_STEPS)
+    fresh.set_initial_value(np.eye(dim, dtype=complex).view(float).reshape(-1), 0.0)
+    return fresh.integrate(t1).view(complex).reshape(dim, dim)
+
+
+def test_eight_qubits_and_callables_run_unsliced():
+    # dim^2 = 65,536 entries exceed the stacked state's cap, and a callable
+    # H(t) has no table: both run as one slice, bitwise the single run
+    spec = {"n": 8, "h0": [{"coupling": 0.4, "z_mask": "10000001"}],
+            "v": [{"pauli": "XIIIIIIZ", "coeff": [
+                {"amp": [0.15, 0.0], "rate": [0.0, 50.0]},
+                {"amp": [0.15, 0.0], "rate": [0.0, -50.0]}]}]}
+    h = pham.from_pauli_spec(spec)
+    table, t1, tol = oracle.generator_table(h), 1e-3, 1e-6
+    offsets, gen = table(0.0, t1)
+    assert np.array_equal(offsets, [0.0]) and len(table(0.0, 100.0)[0]) == 1
+    assert np.array_equal(oracle.propagate_ode(h, 0.0, t1, tol=tol).U,
+                          _single_run(lambda t: gen(t)[0], h.dim, t1, tol))
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    field = lambda t: 50.0 * np.cos(50.0 * t) * x + np.diag([1.0, -1.0])
+    assert np.array_equal(oracle.propagate_ode(field, 0.0, 0.2).U,
+                          _single_run(lambda t: -1j * field(t), 2, 0.2, 1e-10))
 
 
 def test_oracle_imports_nothing_from_the_engine():
