@@ -341,7 +341,7 @@ def criterion_9():
         if s_un.r < s_ex.r:
             failures.append(f"model {idx}: uniform r={s_un.r} < exact r={s_ex.r}")
         n_ik = len(h.vterms) * h.num_exp_terms
-        gmax = pham.gamma_max(h)
+        gmax = max(et.amp_max for term in h.vterms for et in term.exp_terms)
         for w in range(s_un.r):
             u = n_ik * gmax * np.exp(s_un.steps[w][0] * s_un.lam) * s_un.dt_tilde(w)
             expect = sum(u**q / math.factorial(q) for q in range(s_un.Q + 1))

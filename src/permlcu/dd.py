@@ -172,6 +172,7 @@ def _series(xs: np.ndarray, q: np.ndarray, mu: np.ndarray, spread: np.ndarray,
     n_in = np.zeros(len(xs), dtype=np.intp)
     for m in mag.tolist():
         n_in += spread * m <= SERIES_SPREAD_CUTOFF
+    n_in[q == 1] = 0  # no coefficient pass: _exp_dd_pair below gives their values
     rows = np.argsort(n_in, kind="stable")
     rows = rows[n_in[rows] > 0]
     out = np.zeros((len(dts), len(xs)), dtype=complex)
@@ -237,8 +238,8 @@ def _exp_dd_pair(a: np.ndarray, b: np.ndarray, ea: np.ndarray,
 
 def _square_chunk(ys: np.ndarray, q: np.ndarray, s: int) -> np.ndarray:
     """Corner (0, q_r) of exp(A) for the bidiagonal matrices A with rows ys
-    (n, m) of orders q on the diagonal, all scaled by 2^-s; s >= 1, since a
-    wide row's radius is at least half its spread, which is above the
+    (n, m) of orders q >= 2 on the diagonal, all scaled by 2^-s; s >= 1,
+    since a wide row's radius is at least half its spread, which is above the
     series cutoff.  The padding past q_r only reaches entries past the
     corner's column (the leading blocks of upper-triangular matrices
     multiply on their own), and a row holds the identity until the Horner
@@ -297,10 +298,6 @@ def _square_chunk(ys: np.ndarray, q: np.ndarray, s: int) -> np.ndarray:
     corner = x[0, 0] * x[q, 0, cols]
     for e in range(1, m):  # rows with q_r < e have no such term (q - e wraps)
         corner += np.where(q >= e, x[e, 0] * x[q - e, e, cols], 0.0)
-    one = q == 1  # the corner is the superdiagonal, which is exact
-    if one.any():
-        e = np.exp(ys[:2, one])
-        corner[one] = _exp_dd_pair(ys[0, one], ys[1, one], e[0], e[1])
     return corner
 
 
@@ -352,7 +349,7 @@ def _wide_batch(xs: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     max|x - shift| <= _THETA.  Rows are sorted by s_r, then by order, and
     evaluated in chunks of one s_r and at most WIDE_CHUNK rows, which bounds
     the working set of the band stacks and of the exact bands; a chunk is as
-    wide as its highest order.
+    wide as its highest order.  A row of order 1 is `_exp_dd_pair` instead.
     """
     q = q[rows]
     shift, radius = np.empty(len(rows)), np.empty(len(rows))
@@ -362,10 +359,14 @@ def _wide_batch(xs: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
         radius[sel] = np.hypot(own.real - shift[sel, None], own.imag).max(axis=1)
     del own  # an order's rows: not held through the chunks
     s = np.ceil(np.log2(radius / _THETA)).astype(np.int64)
-    order = np.lexsort((q, s))
-    cuts = np.flatnonzero(np.diff(s[order])) + 1
     out = np.empty(len(rows), dtype=complex)
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(rows)]):
+    one = np.flatnonzero(q == 1)  # symmetric in its inputs: no Leja order
+    zs = xs[rows[one], :2] - shift[one, None]
+    out[one] = _exp_dd_pair(zs[:, 0], zs[:, 1], *np.exp(zs.T))
+    order = np.lexsort((q, s))
+    order = order[q[order] > 1]
+    cuts = np.flatnonzero(np.diff(s[order], prepend=0))  # s >= 1: 0 starts the first run
+    for lo, hi in zip(cuts, np.r_[cuts[1:], len(order)]):
         level = int(s[order[lo]])
         # the exact bands hold s levels per row: past _BAND_LEVELS, fewer rows
         size = WIDE_CHUNK * _BAND_LEVELS // max(level, _BAND_LEVELS)

@@ -8,9 +8,9 @@ order-Q truncation of
 
 where the inputs x_j combine static-energy gaps along the permutation path
 with the exponential rates, and the divided difference replaces the nested
-time-ordered integrals.  Every scalar coefficient is bounded by
-(dt_tilde^q / q!) * Gamma_term; the LCU simulator turns coefficient and
-bound into its cosine branches (`lcu.cosine_branches`).
+time-ordered integrals.  Every scalar coefficient is bounded by (dt_tilde^q
+/ q!) times its path's `pham.growth_table` factors; the LCU simulator turns
+coefficient and bound into its cosine branches (`lcu.cosine_branches`).
 
 Everything but the phases at t_w and the divided differences at dt_w
 depends only on the model and the truncation order, and the step lengths
@@ -53,7 +53,7 @@ from itertools import product
 import numpy as np
 
 from . import dd, pham
-from .sched import MODE_UNIFORM, Schedule
+from .sched import Schedule
 
 ENUMERATION_GUARD = 100_000_000
 # Dense coefficient-table bytes per block of segments (at least one): the LCU's
@@ -139,16 +139,16 @@ class SegmentPlan:
     once per run; ``dd_rows`` counts the rows evaluated.
 
     Per term, row 0 the q = 0 term: q, cum_mask (of P_{i_q}), factors
-    (-i)^q, lam (T, Q) the growth exponent of each (i_j, k_j), 0 past q, and
-    amp_prod, the product of the amplitude scales.  entries, the flat
-    (term, z) indices of the q = 0 row and the support, in table order; per
-    support entry: gap E_z - E_{z_q}, rates_sum, d_coeff, target = z ^
-    cum_mask and rotated, the place of (-i)^q psi[z] in the four rotations
-    of psi, stacked."""
+    (-i)^q, lam (T, Q) the growth rate of each (i_j, k_j), 0 past q, and
+    amp_prod, the product of their scales, both by the schedule mode's
+    `pham.growth_table`.  entries, the flat (term, z) indices of the q = 0
+    row and the support, in table order; per support entry: gap E_z -
+    E_{z_q}, rates_sum, d_coeff, target = z ^ cum_mask and rotated, the
+    place of (-i)^q psi[z] in the four rotations of psi, stacked."""
 
     def __init__(self, h: pham.PermExpHamiltonian, schedule: Schedule):
         self.h, self.schedule = h, schedule
-        xs, orders = self._enumerate(h, schedule.Q)
+        xs, orders = self._enumerate(h, schedule.Q, schedule.mode)
         # evaluated after the enumeration has returned and freed its temporaries
         steps = sorted({dt for _, dt in schedule.steps})
         self._step_index = {dt: i for i, dt in enumerate(steps)}
@@ -169,7 +169,7 @@ class SegmentPlan:
         self._s = np.array([s_of[pair] for pair in pairs])
         self._block: SegmentBlock | None = None
 
-    def _enumerate(self, h: pham.PermExpHamiltonian, q_max: int):
+    def _enumerate(self, h: pham.PermExpHamiltonian, q_max: int, mode: str):
         """Sets the per-term and per-entry arrays; returns the entries'
         divided-difference inputs [x_1, ..., x_q, 0], zero-padded to width
         q_max + 1, and their orders.
@@ -186,13 +186,11 @@ class SegmentPlan:
         # stacked (i, k) -> per-z tables
         amp = np.zeros((n_i, n_k, dim), dtype=complex)
         rate = np.zeros((n_i, n_k, dim), dtype=complex)
-        amp_scale = np.zeros((n_i, n_k))
         for i, term in enumerate(h.vterms):
             for k, et in enumerate(term.exp_terms):
-                amp[i, k], rate[i, k], amp_scale[i, k] = et.amp, et.rate, et.amp_max
+                amp[i, k], rate[i, k] = et.amp, et.rate
         term_masks = np.array([term.mask for term in h.vterms], dtype=np.int64)
-        lam_ik = rate.real.max(axis=2)           # per-(i,k) growth exponent
-        self.gmax = amp_scale.max() if amp_scale.size else 0.0
+        scale, growth = pham.growth_table(h, mode)
         energies, z = h.h0_diag, np.arange(dim)
         q_top = q_max if n_i and n_k else 0
         self.lam = np.zeros((n_terms, q_max))
@@ -245,8 +243,8 @@ class SegmentPlan:
             gap[part] = energies[z0] - e_final
             d_coeff[part] = d_all.take(support)
             at += len(support)
-            self.lam[start:start + nb, :q] = lam_ik[big_i, big_k]
-            self.amp_prod[start:start + nb] = amp_scale[big_i, big_k].prod(axis=1)
+            self.lam[start:start + nb, :q] = growth[big_i, big_k]
+            self.amp_prod[start:start + nb] = scale[big_i, big_k].prod(axis=1)
             self.cum_mask[start:start + nb] = cum[:, -1]
             start += nb
         self.gap, self.rates_sum, self.d_coeff = (a[:at] for a in (gap, rates_sum, d_coeff))
@@ -262,9 +260,8 @@ class SegmentPlan:
         return self._divided[self._step_index[dt]]
 
     def _build_block(self, ws: range) -> SegmentBlock:
-        """The tables of segments ws in one array pass over (B, entries); the
-        bounds are the schedule mode's, exact per-term Gamma bounds or the
-        uniform (larger, state-preparation-cheap) bound."""
+        """The tables of segments ws in one array pass over (B, entries); a
+        term's bound is dt_tilde^q/q! times its factors amp_prod e^{t_w lam}."""
         schedule = self.schedule
         t_ws = [schedule.steps[w][0] for w in ws]
         t = np.array(t_ws)
@@ -281,15 +278,9 @@ class SegmentPlan:
         vals *= np.exp(np.multiply.outer(t.astype(complex), self.rates_sum))
         vals *= self._divided[at]
         vals *= self.d_coeff
-        orders = range(schedule.Q + 1)
-        per_order = self._per_order[at]
-        if schedule.mode == MODE_UNIFORM:
-            growth = [self.gmax * np.exp(t_w * schedule.lam) for t_w in t_ws]
-            bound = (per_order * np.array([[g**q for q in orders] for g in growth]))[:, self.q]
-        else:
-            # exp(0) = 1 past each term's order: the padding multiplies by 1.0
-            bound = per_order[:, self.q] * (np.exp(np.multiply.outer(t, self.lam)).prod(axis=2)
-                                            * self.amp_prod)
+        # exp(0) = 1 past each term's order: the padding multiplies by 1.0
+        bound = self._per_order[at][:, self.q] * (np.exp(np.multiply.outer(t, self.lam))
+                                                  .prod(axis=2) * self.amp_prod)
         return SegmentBlock(ws.start, values, bound, self._s[ws.start:ws.stop])
 
 

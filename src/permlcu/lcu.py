@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dyson, pham, sched
-from .sched import MODE_EXACT
 
 MAX_PIPELINE_QUBITS = 8
 RESIDUAL_ABORT = 10.0
@@ -277,7 +276,7 @@ def apply_H0_phase(h: pham.PermExpHamiltonian, t: float, psi: np.ndarray) -> np.
 
 
 def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
-             psi_system: np.ndarray, mode: str = MODE_EXACT):
+             psi_system: np.ndarray, mode: str = pham.MODE_EXACT):
     """Full evolution: schedule, per-segment OAA with ancilla projection,
     then the closing diagonal phase e^{-i H0 T}.
 

@@ -19,6 +19,7 @@ import numpy as np
 MAX_QUBITS = 12
 
 _PAULI_CHARS = set("IXYZ")
+MODE_EXACT, MODE_UNIFORM = "exact", "uniform"  # the bounds of `growth_table`
 
 
 class HamiltonianSpecError(ValueError):
@@ -250,28 +251,32 @@ def lambda_max(h: PermExpHamiltonian) -> float:
     return max(lams) if lams else 0.0
 
 
-def gamma_max(h: PermExpHamiltonian) -> float:
-    """Uniform amplitude bound max_{i,k} ||amp||_max (alternative-LCU Gamma)."""
-    amps = [et.amp_max for term in h.vterms for et in term.exp_terms]
-    return max(amps) if amps else 0.0
+def growth_table(h: PermExpHamiltonian, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, rate), each (len(h.vterms), K): slot (i, k)'s factor in the
+    Dyson-term bounds is scale e^{rate t}.  MODE_EXACT: each slot's amp_max and
+    lambda_max, (0, 0) when padded; MODE_UNIFORM: every slot at the largest
+    scale and lambda_max(h)."""
+    shape = (len(h.vterms), h.num_exp_terms)
+    scale = np.array([et.amp_max for term in h.vterms for et in term.exp_terms]).reshape(shape)
+    rate = np.array([et.lambda_max for term in h.vterms for et in term.exp_terms]).reshape(shape)
+    if mode == MODE_UNIFORM:
+        return np.full_like(scale, scale.max(initial=0.0)), np.full_like(rate, lambda_max(h))
+    if mode != MODE_EXACT:
+        raise ValueError(f"unknown mode {mode!r}")
+    return scale, rate
 
 
 def gamma_bound(h: PermExpHamiltonian, t: float) -> float:
     """Gamma(t) = sum_{i,k} ||amp_{i,k}||_max e^{t lambda_{(i,k)}} >= ||V(t)||_max."""
-    return gamma_bound_fn(h)(t)
+    return gamma_bound_fn(h, MODE_EXACT)(t)
 
 
-def gamma_bound_fn(h: PermExpHamiltonian):
-    """`gamma_bound` as a function of t: the per-term constants computed once,
-    the terms summed in order (a vectorized sum would round differently)."""
-    terms = [(et.amp_max, et.lambda_max) for term in h.vterms for et in term.exp_terms]
+def gamma_bound_fn(h: PermExpHamiltonian, mode: str):
+    """The mode's Gamma(t), the sum of its `growth_table` factors: the table built
+    once, the slots summed in order (a vectorized sum would round differently)."""
+    scale, rate = growth_table(h, mode)
+    terms = list(zip(scale.ravel().tolist(), rate.ravel().tolist()))
     return lambda t: float(reduce(lambda total, c: total + c[0] * np.exp(t * c[1]), terms, 0.0))
-
-
-def gamma_bound_uniform(h: PermExpHamiltonian, t: float) -> float:
-    """Uniform-mode bound: (#terms * K) * gamma_max * e^{t lambda}."""
-    n_ik = len(h.vterms) * h.num_exp_terms
-    return float(n_ik * gamma_max(h) * np.exp(t * lambda_max(h)))
 
 
 def eval_exp_sum(terms, ts) -> np.ndarray:

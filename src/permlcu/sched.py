@@ -1,9 +1,10 @@
 """Adaptive time partitioning of [0, T] and truncation-order selection.
 
-Each non-final step solves Gamma(t_w) * (e^{lam*dt} - 1)/lam = ln 2, which
-keeps the normalization of each segment's Dyson terms near 2.  The closed form is
-dt = ln(1 + lam*ln2/Gamma(t_w))/lam; three regimes follow from the sign of
-lam (constant steps, saturating step count, shrinking steps).  When the
+Each non-final step solves Gamma(t_w) * (e^{lam*dt} - 1)/lam = ln 2, with
+Gamma the mode's `pham.gamma_bound_fn`, which keeps the normalization of
+each segment's Dyson terms near 2.  The closed form is dt = ln(1 +
+lam*ln2/Gamma(t_w))/lam; three regimes follow from the sign of lam
+(constant steps, saturating step count, shrinking steps).  When the
 proposed step overshoots T, vanishes, or the logarithm argument turns
 negative, the final step is clamped to T - t_w.  Every schedule carries the
 truncation order Q, the smallest with |s - 2| <= eps/r for its eps.
@@ -12,16 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from scipy.special import lambertw
 
 from . import pham
+from .pham import MODE_EXACT, MODE_UNIFORM  # the modes of build_schedule
 
 LN2 = math.log(2.0)
 
-MODE_EXACT = "exact"
-MODE_UNIFORM = "uniform"
 # Steps a schedule may take.  A growing interaction shrinks the steps so fast
 # that T may never be reached (rate 700: about e^1400 steps to T = 2); the
 # rule takes about 7 us per step on a 2-vCPU Xeon, so the cap is reached in
@@ -102,12 +101,7 @@ def build_schedule(h: pham.PermExpHamiltonian, t_total: float,
     if not (t_total > 0.0 and math.isfinite(t_total)):
         raise ValueError("total time must be positive and finite")
     _check_eps(eps)
-    if mode == MODE_EXACT:
-        gamma = pham.gamma_bound_fn(h)
-    elif mode == MODE_UNIFORM:
-        gamma = partial(pham.gamma_bound_uniform, h)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    gamma = pham.gamma_bound_fn(h, mode)
     lam = pham.lambda_max(h)
     steps: list[tuple[float, float]] = []
     gammas: list[float] = []

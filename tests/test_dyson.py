@@ -352,7 +352,7 @@ def test_uniform_mode_bounds_dominate():
     assert s_un.r >= s_ex.r
     plan = dyson.SegmentPlan(h, s_un)
     tab = dyson.build_segment(plan, 0).blocks
-    gmax = pham.gamma_max(h)
+    gmax = max(et.amp_max for term in h.vterms for et in term.exp_terms)
     for q, bound, coeff in zip(plan.q, tab.bound, dense_table(plan, tab.values)):
         if q == 0:
             continue
@@ -462,13 +462,13 @@ def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
     # diagonal fixes k_j along a path, so 2 of the 2^(q+1) entries per order
     assert (len(plan) - 1) * h.dim == 252 and n_rows == plan.dd_rows == 2 * s.Q == 12
     assert np.array_equal(orders, np.repeat(np.arange(1, s.Q + 1), 2))
-    assert sum(rows) == n_rows  # one pass per row
+    assert sum(rows) == n_rows - 2 == 10  # one pass per row, none for q = 1
     for w in range(s.r):
         dyson.build_segment(plan, w)
     assert len(calls) == 1
     # a new plan shares nothing with the old one
     dyson.build_segment(dyson.SegmentPlan(h, s), s.r - 1)
-    assert len(calls) == 2 and sum(rows) == 2 * n_rows
+    assert len(calls) == 2 and sum(rows) == 2 * (n_rows - 2)
 
 
 # A decaying model (rates -0.37) whose steps grow, with static energies large
@@ -524,6 +524,28 @@ def test_plan_values_match_per_step_batches(mode, monkeypatch):
     for w in range(s.r):
         coeff = dense_table(plan, dyson.build_segment(plan, w).blocks.values).ravel()
         assert not coeff[~on].any() and coeff[on].all()
+
+
+def test_exact_bounds_are_per_path_growth_products():
+    # every term's bound at every segment is dt_tilde^q/q! times the scalar
+    # product of its path's factors amp_max e^{t_w lambda}: decaying rates,
+    # and 0 through the padded slot
+    h = pham.from_pauli_spec(DECAYING_WIDE_SPEC)
+    s = sched.build_schedule(h, 3.0, eps=1e-3)
+    plan = dyson.SegmentPlan(h, s)
+    index = multi_indices(h, s.Q)
+    assert s.r > 2 and len(index) == len(plan)
+    for w, (t_w, _) in enumerate(s.steps):
+        expect = []
+        for q, iq, kq in index:
+            bound = s.dt_tilde(w)**q / math.factorial(q)
+            for i, k in zip(iq, kq):
+                et = h.vterms[i].exp_terms[k]
+                bound *= et.amp_max * math.exp(t_w * et.lambda_max)
+            expect.append(bound)
+        got = dyson.build_segment(plan, w).blocks.bound
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0)
+        assert np.array_equal(got == 0, np.array(expect) == 0)
 
 
 def test_padded_slot_paths_have_zero_coefficients():
@@ -615,11 +637,12 @@ def test_support_keeps_tiny_amplitudes():
 
 
 @pytest.mark.parametrize("workload, case_id, rows, support, series_rows", [
-    ("c4-n2", "m4", 21840, 4368, 4368), ("osc-long", "a1e3", 252, 12, 0)])
+    ("c4-n2", "m4", 21840, 4368, 4356), ("osc-long", "a1e3", 252, 12, 0)])
 def test_plan_support_row_counts_on_frozen_cases(workload, case_id, rows, support,
                                                  series_rows, monkeypatch):
-    # the plan evaluates the support rows only; those with a step in the
-    # series range go through the coefficient pass (a1e3's are all wide)
+    # the plan evaluates the support rows only; those of order >= 2 with a
+    # step in the series range go through the coefficient pass (a1e3's are
+    # all wide, and m4's 12 of order 1 take dd._exp_dd_pair)
     h, s, _ = frozen_model(workload, case_id)
     handed, passed = [], []
     real_steps, real_coefficients = dd.exp_dd_steps, dd._coefficients

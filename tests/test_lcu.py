@@ -665,7 +665,8 @@ def test_run_full_uniform_s_matches_alternative_formula():
     s = sched.build_schedule(h, 1.5, eps=1e-3, mode=sched.MODE_UNIFORM)
     seg = dyson.build_segment(dyson.SegmentPlan(h, s), 0)
     n_ik = len(h.vterms) * h.num_exp_terms
-    u = n_ik * pham.gamma_max(h) * np.exp(s.steps[0][0] * s.lam) * s.dt_tilde(0)
+    gmax = max(et.amp_max for term in h.vterms for et in term.exp_terms)
+    u = n_ik * gmax * np.exp(s.steps[0][0] * s.lam) * s.dt_tilde(0)
     expect = sum(u**q / math.factorial(q) for q in range(s.Q + 1))
     assert seg.s == pytest.approx(expect, rel=1e-12)
 

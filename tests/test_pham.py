@@ -278,8 +278,46 @@ def test_lambda_max_values():
 def test_gamma_uniform_dominates_exact():
     rng = np.random.default_rng(9)
     h = pham.from_pauli_spec(random_model_spec(rng, n=2))
+    uniform = pham.gamma_bound_fn(h, pham.MODE_UNIFORM)
     for t in (0.0, 0.7, 2.1):
-        assert pham.gamma_bound_uniform(h, t) >= pham.gamma_bound(h, t) - 1e-12
+        assert uniform(t) >= pham.gamma_bound(h, t) - 1e-12
+
+
+# one K = 2 decaying pair and one K = 1 term, which the parser pads to K = 2
+MIXED_K_SPEC = {"n": 2, "h0": [{"coupling": 0.7, "z_mask": "11"}], "v": [
+    {"pauli": "XI", "coeff": [{"amp": [0.3, -0.2], "rate": [-0.3, 0.7]},
+                              {"amp": [0.3, 0.2], "rate": [-0.3, -0.7]}]},
+    {"pauli": "IX", "coeff": [{"amp": [0.9, 0.0], "rate": [-0.5, 0.0]}]}]}
+
+
+def test_growth_table_exact_and_uniform():
+    h = pham.from_pauli_spec(MIXED_K_SPEC)
+    scale, rate = pham.growth_table(h, pham.MODE_EXACT)
+    assert scale.shape == rate.shape == (2, 2)
+    np.testing.assert_allclose(scale, [[math.hypot(0.3, 0.2)] * 2, [0.9, 0.0]], rtol=1e-15)
+    np.testing.assert_allclose(rate, [[-0.3, -0.3], [-0.5, 0.0]], rtol=1e-15)
+    assert scale[1, 1] == rate[1, 1] == 0.0  # the padded slot
+    scale_u, rate_u = pham.growth_table(h, pham.MODE_UNIFORM)
+    assert scale_u.shape == rate_u.shape == (2, 2)
+    assert (scale_u == scale.max()).all() and (rate_u == pham.lambda_max(h)).all()
+    empty = pham.from_pauli_spec({"n": 1, "h0": [{"coupling": 1.0, "z_mask": "1"}]})
+    for mode in (pham.MODE_EXACT, pham.MODE_UNIFORM):
+        assert all(a.shape == (0, 0) for a in pham.growth_table(empty, mode))
+        assert pham.gamma_bound_fn(empty, mode)(0.3) == 0.0
+    with pytest.raises(ValueError, match="unknown mode"):
+        pham.growth_table(h, "bogus")
+
+
+@pytest.mark.parametrize("spec", [MIXED_K_SPEC, random_model_spec(np.random.default_rng(10), n=3)])
+def test_exact_gamma_is_the_scalar_sum_over_slots(spec):
+    h = pham.from_pauli_spec(spec)
+    gamma = pham.gamma_bound_fn(h, pham.MODE_EXACT)
+    for t in (0.0, 0.37, 1.9, 7.5):
+        total = 0.0
+        for term in h.vterms:
+            for et in term.exp_terms:
+                total += float(np.abs(et.amp).max()) * np.exp(t * float(et.rate.real.max()))
+        assert gamma(t) == pham.gamma_bound(h, t) == total  # bitwise
 
 
 # --- exponential-sum fitting -------------------------------------------------

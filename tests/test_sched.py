@@ -260,10 +260,20 @@ def test_build_schedule_checks_eps_before_the_first_step(monkeypatch, eps):
         sched.build_schedule(h, 2.0, eps=eps)
 
 
-def test_build_schedule_rejects_unknown_mode():
+def test_build_schedule_rejects_unknown_mode(monkeypatch):
+    # before any step, and after the checks of T and eps
     h = pham.from_pauli_spec(static_spec())
+
+    def no_step(*args):
+        raise AssertionError("the step loop was entered")
+
+    monkeypatch.setattr(sched, "next_step", no_step)
     with pytest.raises(ValueError, match="unknown mode"):
         sched.build_schedule(h, 1.0, eps=1e-3, mode="bogus")
+    with pytest.raises(ValueError, match="total time"):
+        sched.build_schedule(h, -1.0, eps=1e-3, mode="bogus")
+    with pytest.raises(ValueError, match="eps must be"):
+        sched.build_schedule(h, 1.0, eps=0.0, mode="bogus")
 
 
 def test_build_schedule_stops_at_the_step_cap():
