@@ -8,8 +8,8 @@ order-Q truncation of
 
 where the inputs x_j combine static-energy gaps along the permutation path
 with the exponential rates, and the divided difference replaces the nested
-time-ordered integrals.  Every scalar coefficient is bounded by (dt_tilde^q
-/ q!) times its path's `pham.growth_table` factors; the LCU simulator turns
+time-ordered integrals.  Every scalar coefficient is bounded by dt_tilde^q/q!
+times its path's `pham.growth_table` factors; the LCU simulator turns
 coefficient and bound into its cosine branches (`lcu.cosine_branches`).
 
 Everything but the phases at t_w and the divided differences at dt_w
