@@ -13,8 +13,12 @@ the -i*H0 base.  The interaction-frame generator is the same table with every
 rate shifted by i(E_row - E_col) and no base.  The ODE is linear, so
 U(t1, t0) = U_M ... U_1 exactly over M equal slices, which one DOP853 run
 steps as one stacked system: a fast phase costs the steps of one slice.  The
-two-level oscillating model also has an exact rotating-frame closed form for
-frequencies an ODE cannot resolve in reasonable time.
+right-hand side's product G U of a deep stack (M >= `DEEP_SLICES_PER_DIM` dim
+slices) is dim elementwise multiply-adds over slice-last copies, and its
+U_M ... U_1 a pairwise tree of batched products; a shallow stack keeps
+numpy's batched matmul (one BLAS call per slice) and the product one slice at
+a time.  The two-level oscillating model also has an exact rotating-frame
+closed form for frequencies an ODE cannot resolve in reasonable time.
 """
 from __future__ import annotations
 
@@ -35,6 +39,12 @@ ORACLE_MAX_INPUTS = 32
 MAX_STEPS = 1_000_000  # accepted plus rejected DOP853 steps per call
 SLICE_PHASE = 2.0  # radians the fastest phase turns over one slice
 SLICE_ENTRIES = 4096  # complex entries of a stacked state at most
+# The elementwise stacked product beats numpy's batched matmul, one BLAS call
+# per slice, from about 32 dim slices on.  us per product, matmul/elementwise,
+# timeit best of 7, one thread (Xeon, numpy 2.4.6): dim 2: M 32 9.2/5.8,
+# M 64 16.6/6.5, M 1,024 247/33; dim 4: M 69 21.4/20.2, M 128 51/29, M 256
+# 67/50; dim 8: M 16 7.4/38, M 64 (the slice cap) 24.5/94.
+DEEP_SLICES_PER_DIM = 32
 # negative IDID return codes of Hairer's DOP853
 _DOP853_FAILURES = {-1: "input is not consistent", -2: f"more than {MAX_STEPS} steps",
                     -3: "step size became too small", -4: "problem is probably stiff"}
@@ -82,6 +92,7 @@ def generator_table(h: PermExpHamiltonian, interaction: bool = False):
     order = keep[np.argsort(target[keep], kind="stable")]
     targets, starts = np.unique(target[order], return_index=True)
     coef, rate, row = coef[order], rate[order], target[order] // dim
+    summed = len(targets) < len(rate)  # some entry is a sum of table rows
 
     def sliced(t0: float, t1: float):
         size = np.abs(coef) * np.exp(np.maximum(rate.real * t0, rate.real * t1))
@@ -96,12 +107,51 @@ def generator_table(h: PermExpHamiltonian, interaction: bool = False):
         flat = gen.reshape(-1)
 
         def evaluate(s: float) -> np.ndarray:
-            flat[into] = np.add.reduceat((coefs * np.exp(rate * s)).reshape(-1), runs)
+            terms = (coefs * np.exp(rate * s)).reshape(-1)
+            flat[into] = np.add.reduceat(terms, runs) if summed else terms
             return gen
 
         return offsets, evaluate
 
     return sliced
+
+
+def _stack_product(shape: tuple):
+    """(G, U, out=) -> G U into out, for (M, dim, dim) stacks: numpy's batched
+    matmul, or for a deep stack dim elementwise multiply-adds over slice-last
+    copies of G and U, which make each pass one loop over the M slices."""
+    m, dim, _ = shape
+    if m < DEEP_SLICES_PER_DIM * dim:
+        return np.matmul
+    g, u, acc, term = np.empty((4, dim, dim, m), dtype=complex)
+
+    def product(gen: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.copyto(g, gen.transpose(1, 2, 0))
+        np.copyto(u, state.transpose(1, 2, 0))
+        # acc[i, j] = sum_k u[k, j] g[i, k].  numpy's complex a*b keeps a.re's
+        # products exact in an FMA, so the order sets the last bits: with U
+        # first the a1e3 check's slices multiply to within 2.8e-15 of batched
+        # matmul's, with G first one ulp per slice apart (1.1e-13 over 1,024)
+        np.multiply(u[0], g[:, :1], out=acc)
+        for k in range(1, dim):
+            np.multiply(u[k], g[:, k:k + 1], out=term)
+            np.add(acc, term, out=acc)
+        np.copyto(out, acc.transpose(2, 0, 1))
+        return out
+
+    return product
+
+
+def _chain(u: np.ndarray) -> np.ndarray:
+    """u[-1] ... u[0]: one slice at a time for a shallow stack, as a pairwise
+    tree of batched products (log2 M levels) for a deep one."""
+    m, dim, _ = u.shape
+    if m < DEEP_SLICES_PER_DIM * dim:
+        return functools.reduce(lambda done, step: step @ done, u)
+    while len(u) > 1:
+        pairs = u[1::2] @ u[:len(u) - 1:2]
+        u = pairs if len(u) % 2 == 0 else np.concatenate([pairs, u[-1:]])
+    return u[0]
 
 
 class _Dop853:
@@ -119,13 +169,13 @@ class _Dop853:
     """
 
     def __init__(self):
-        self.gen_of_t = self.out = self.out_real = self.error = None
+        self.gen_of_t = self.product = self.out = self.out_real = self.error = None
         self.ode = ode(self._rhs).set_integrator("dop853", nsteps=MAX_STEPS)
         self.solout = self.ode._integrator._solout
 
     def _rhs(self, t, y):
         try:
-            np.matmul(self.gen_of_t(t), y.view(complex).reshape(self.out.shape), out=self.out)
+            self.product(self.gen_of_t(t), y.view(complex).reshape(self.out.shape), out=self.out)
         except BaseException as exc:
             # the runner would go on stepping (and holding memory) until the
             # step cap; NaN makes it stop at once and run() raises exc again
@@ -136,7 +186,8 @@ class _Dop853:
     def run(self, gen_of_t, shape: tuple, t0: float, t1: float, tol: float):
         """(U(t1), return code, accepted steps) for dU/dt = G(t) U, U(t0) = 1,
         at rtol = atol = tol/100, for U and G(t) stacks of the given shape."""
-        self.gen_of_t, self.out = gen_of_t, np.empty(shape, dtype=complex)
+        self.gen_of_t, self.product = gen_of_t, _stack_product(shape)
+        self.out = np.empty(shape, dtype=complex)
         self.out_real = self.out.view(float).reshape(-1)
         integrator = self.ode._integrator
         integrator.rtol = integrator.atol = tol / 100.0
@@ -150,7 +201,7 @@ class _Dop853:
                 y = self.ode.integrate(t1)
         finally:
             error, self.error = self.error, None
-            self.gen_of_t = self.out = self.out_real = None
+            self.gen_of_t = self.product = self.out = self.out_real = None
         if error is not None:
             raise error
         accepted = int(integrator.iwork[18])  # NACCPT, DOP853's accepted-step count
@@ -178,7 +229,7 @@ def _integrate(sliced, dim: int, t0: float, t1: float, tol: float) -> Propagator
     if code < 0:
         raise StiffnessError(f"integrator failed on [{t0}, {t1}] with code {code}: "
                              f"{_DOP853_FAILURES.get(code, 'unknown failure')}")
-    u = functools.reduce(lambda done, step: step @ done, u)
+    u = _chain(u)
     defect = np.linalg.norm(u.conj().T @ u - np.eye(dim), 2)
     if defect > 10.0 * tol:
         raise StiffnessError(

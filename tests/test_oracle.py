@@ -250,6 +250,63 @@ def test_exception_in_hamiltonian_propagates(monkeypatch):
     assert len(caught) == 1 and "field undefined" in str(caught[0])
 
 
+def test_exception_in_deep_stack_generator_propagates(monkeypatch):
+    # as above, for a generator of 64 slices of dim 2, which the elementwise
+    # product takes: the NaN fill stops the run and the error is raised again
+    monkeypatch.setattr(oracle, "MAX_STEPS", 1000)
+    m = 2 * oracle.DEEP_SLICES_PER_DIM
+    assert oracle._stack_product((m, 2, 2)) is not np.matmul
+    stack = np.tile(np.array([[0, -1j], [-1j, 0]]), (m, 1, 1))
+
+    def gen(t):
+        if t > 0.005:
+            raise ValueError("field undefined")
+        return stack
+
+    def sliced(t0, t1):
+        return np.arange(m) * ((t1 - t0) / m), gen
+
+    caught = []
+
+    def run():
+        try:
+            oracle._integrate(sliced, 2, 0.0, 1.0, 1e-10)
+        except ValueError as exc:
+            caught.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(caught) == 1 and "field undefined" in str(caught[0])
+
+
+def _deep_run_growth(tols):
+    """Traced memory growth over 200 runs of a deep stack (the oscillating
+    model at 1e3 rad/time over 0.15: 76 slices of dim 2), cycling tols.  Each
+    run replaces the scipy work arrays of the run before (about 59 KB here),
+    so tracing starts before a first run, and those arrays are traced on both
+    sides of the count."""
+    h, t1 = oscillating_hamiltonian(1.0, 1.0, 1e3), 0.15
+    assert len(oracle.generator_table(h)(0.0, t1)[0]) >= 2 * oracle.DEEP_SLICES_PER_DIM
+    for tol in tols:
+        oracle.propagate_ode(h, 0.0, t1, tol=tol)
+    # the run's product, with its work buffers, goes with the run
+    assert oracle._SOLVERS.solver.product is None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        oracle.propagate_ode(h, 0.0, t1, tol=tols[-1])
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(200):
+            oracle.propagate_ode(h, 0.0, t1, tol=tols[k % len(tols)])
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_repeated_calls_hold_no_memory():
     # scipy's DOP853 runner never drops the right-hand side and the step
     # callback it is given; a solver made per call would stay in memory with
@@ -268,6 +325,7 @@ def test_repeated_calls_hold_no_memory():
     finally:
         tracemalloc.stop()
     assert grown < 200 * 40
+    assert _deep_run_growth([1e-10]) < 200 * 40
 
 
 def test_solver_cache_is_bounded():
@@ -288,6 +346,7 @@ def test_solver_cache_is_bounded():
     finally:
         tracemalloc.stop()
     assert grown < 200 * 40
+    assert _deep_run_growth(tols) < 200 * 40
 
 
 def _stacked_dop853(h, t1, tol, solout=None):
@@ -331,6 +390,59 @@ def test_steps_taken_counts_accepted_steps():
         calls = []
         _stacked_dop853(h, 0.7, tol, solout=lambda t, y: calls.append(t))
         assert oracle.propagate_ode(h, 0.0, 0.7, tol=tol).steps_taken == len(calls) - 1 > 0
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_stacked_product_and_chain_match_matmul(dim):
+    # below the crossover the product is numpy's batched matmul and the chain
+    # the product one slice at a time, bitwise; from it on, both agree with
+    # those to rounding (the chain on random unitaries, odd M included)
+    rng = np.random.default_rng(70 + dim)
+    cross = oracle.DEEP_SLICES_PER_DIM * dim
+    for m in (cross // 4, cross - 1, cross, cross + 1, oracle.SLICE_ENTRIES // dim**2):
+        shape = (m, dim, dim)
+        g, u = rng.normal(size=(2, *shape)) + 1j * rng.normal(size=(2, *shape))
+        out = np.empty(shape, dtype=complex)
+        got = oracle._stack_product(shape)(g, u, out=out)
+        assert got is out
+        ref = np.matmul(g, u)
+        unitaries = np.linalg.qr(g)[0]
+        chain = oracle._chain(unitaries)
+        one_at_a_time = functools.reduce(lambda done, step: step @ done, unitaries)
+        if m < cross:
+            assert np.array_equal(got, ref) and np.array_equal(chain, one_at_a_time)
+        else:
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+            assert spectral(chain - one_at_a_time) <= 1e-12
+
+
+def _deep_stacked_dop853(h, t1, tol):
+    """U(t1) from a fresh DOP853 solver at tol fed by the oracle's own
+    stacked product, and its chain of the slices, at a deep M."""
+    offsets, gen = oracle.generator_table(h)(0.0, t1)
+    shape = (len(offsets), h.dim, h.dim)
+    product, out = oracle._stack_product(shape), np.empty(shape, dtype=complex)
+    assert product is not np.matmul
+
+    def rhs(t, y):
+        return product(gen(t), y.view(complex).reshape(shape), out=out).view(float).reshape(-1)
+
+    fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
+                                    nsteps=oracle.MAX_STEPS)
+    eyes = np.tile(np.eye(h.dim, dtype=complex), (shape[0], 1, 1))
+    fresh.set_initial_value(eyes.view(float).reshape(-1), 0.0)
+    return oracle._chain(fresh.integrate(t1 - offsets[-1]).view(complex).reshape(shape))
+
+
+def test_shared_solver_runs_deep_stacks_at_each_calls_tolerance():
+    # the osc-long a1e3 check (1,024 slices of dim 2): the thread's one
+    # solver, cycled through tolerances, gives bitwise the fresh solver's result
+    h, t1 = oscillating_hamiltonian(1.0, 1.0, 1e3), 10.0
+    got = {}
+    for tol in [1e-6, 1e-10, 1e-8, 1e-6]:
+        got[tol] = oracle.propagate_ode(h, 0.0, t1, tol=tol).U
+        assert np.array_equal(got[tol], _deep_stacked_dop853(h, t1, tol))
+    assert not np.array_equal(got[1e-6], got[1e-10])
 
 
 def _single_run(gen_of_t, dim, t1, tol):
