@@ -12,13 +12,13 @@ entry of V (mask-0 diagonal terms included), plus rate-0 diagonal rows for
 the -i*H0 base.  The interaction-frame generator is the same table with every
 rate shifted by i(E_row - E_col) and no base.  The ODE is linear, so
 U(t1, t0) = U_M ... U_1 exactly over M equal slices, which one DOP853 run
-steps as one stacked system: a fast phase costs the steps of one slice.  The
-right-hand side's product G U of a deep stack (M >= `DEEP_SLICES_PER_DIM` dim
-slices) is dim elementwise multiply-adds over slice-last copies, and its
-U_M ... U_1 a pairwise tree of batched products; a shallow stack keeps
-numpy's batched matmul (one BLAS call per slice) and the product one slice at
-a time.  The two-level oscillating model also has an exact rotating-frame
-closed form for frequencies an ODE cannot resolve in reasonable time.
+steps as one stacked system: a fast phase costs the steps of one slice.  A
+deep stack (M >= `DEEP_SLICES_PER_DIM` dim slices) is slice-last, (dim, dim,
+M), for the whole run, its G U dim elementwise multiply-adds over the slices
+and its U_M ... U_1 a pairwise tree of batched products; a shallow stack is
+(M, dim, dim), with numpy's batched matmul (one BLAS call per slice) and the
+product one slice at a time.  The two-level oscillating model also has an
+exact rotating-frame closed form for frequencies too fast for an ODE.
 """
 from __future__ import annotations
 
@@ -39,11 +39,11 @@ ORACLE_MAX_INPUTS = 32
 MAX_STEPS = 1_000_000  # accepted plus rejected DOP853 steps per call
 SLICE_PHASE = 2.0  # radians the fastest phase turns over one slice
 SLICE_ENTRIES = 4096  # complex entries of a stacked state at most
-# The elementwise stacked product beats numpy's batched matmul, one BLAS call
-# per slice, from about 32 dim slices on.  us per product, matmul/elementwise,
-# timeit best of 7, one thread (Xeon, numpy 2.4.6): dim 2: M 32 9.2/5.8,
-# M 64 16.6/6.5, M 1,024 247/33; dim 4: M 69 21.4/20.2, M 128 51/29, M 256
-# 67/50; dim 8: M 16 7.4/38, M 64 (the slice cap) 24.5/94.
+# Elementwise products of slice-last stacks beat batched matmul (a BLAS call
+# per slice) from about 16 dim slices on at dim <= 4, never at dim 8; 32 is
+# conservative.  us per product, matmul/elementwise, timeit best of 15, one
+# thread (Xeon, numpy 2.4.6): dim 2: M 8 4.6/4.7, M 32 15/4.6, M 1,024 313/21;
+# dim 4: M 14 6.3/13, M 69 25/19, M 128 45/28; dim 8: M 16 16/45, M 64 31/101.
 DEEP_SLICES_PER_DIM = 32
 # negative IDID return codes of Hairer's DOP853
 _DOP853_FAILURES = {-1: "input is not consistent", -2: f"more than {MAX_STEPS} steps",
@@ -67,13 +67,13 @@ class PropagatorResult:
 
 def generator_table(h: PermExpHamiltonian, interaction: bool = False):
     """Return (t0, t1) -> (offsets, G): the offsets j (t1 - t0)/M of the M
-    slices of [t0, t1], and s -> the stack (M, dim, dim) of G(s + offsets),
-    a buffer that the next call overwrites; G = -iH(t), or -i e^{iH0 t} V(t)
-    e^{-iH0 t} when interaction is set.  G's nonzero entries are sums of
-    coef * exp(rate * t) over the table rows sharing their flat index (-i*H0
-    as rate-0 diagonal rows); slice j's are coef e^{rate offsets[j]} times
-    e^{rate s}, so slice 0's are coef e^{rate s} bitwise.  M bounds the phase
-    rate by max |Im rate| plus the largest row sum of |G| on [t0, t1].
+    slices of [t0, t1], and s -> the stack of G(s + offsets), (M, dim, dim) or
+    for a deep stack (dim, dim, M), that the next call overwrites; G = -iH(t),
+    or -i e^{iH0 t} V(t) e^{-iH0 t} when interaction is set.  G's nonzero
+    entries sum coef * exp(rate * t) over the table rows sharing their flat
+    index (-i*H0 as rate-0 diagonal rows); slice j's are coef e^{rate
+    offsets[j]} e^{rate s}, so slice 0's are coef e^{rate s} bitwise.  M bounds
+    the phase rate by max |Im rate| plus the largest row sum of |G| on [t0, t1].
     """
     dim = h.dim
     z = np.arange(dim)
@@ -99,6 +99,17 @@ def generator_table(h: PermExpHamiltonian, interaction: bool = False):
         omega = np.abs(rate.imag).max(initial=0.0) + np.bincount(row, size).max(initial=0.0)
         m = max(min(math.ceil(abs(t1 - t0) * omega / SLICE_PHASE), SLICE_ENTRIES // dim**2), 1)
         offsets = np.arange(m) * ((t1 - t0) / m)
+        if m >= DEEP_SLICES_PER_DIM * dim:  # slice-last: a table row's M values in one go
+            coefs = coef[:, None] * np.exp(np.multiply.outer(rate, offsets))
+            gen = np.zeros((dim, dim, m), dtype=complex)
+            entries = gen.reshape(dim * dim, m)
+
+            def evaluate(s: float) -> np.ndarray:
+                terms = coefs * np.exp(rate * s)[:, None]
+                entries[targets] = np.add.reduceat(terms, starts, axis=0) if summed else terms
+                return gen
+
+            return offsets, evaluate
         coefs = coef * np.exp(np.multiply.outer(offsets, rate))
         coefs = coefs[0] if m == 1 else coefs  # a 1-D product broadcasts faster
         into = (targets + dim**2 * np.arange(m)[:, None]).reshape(-1)
@@ -117,26 +128,22 @@ def generator_table(h: PermExpHamiltonian, interaction: bool = False):
 
 
 def _stack_product(shape: tuple):
-    """(G, U, out=) -> G U into out, for (M, dim, dim) stacks: numpy's batched
-    matmul, or for a deep stack dim elementwise multiply-adds over slice-last
-    copies of G and U, which make each pass one loop over the M slices."""
+    """(G, U, out=) -> G U into out for M slices of dim x dim, shape (M, dim,
+    dim): numpy's batched matmul of (M, dim, dim) stacks, or for a deep stack
+    dim elementwise multiply-adds over slice-last (dim, dim, M) stacks."""
     m, dim, _ = shape
     if m < DEEP_SLICES_PER_DIM * dim:
         return np.matmul
-    g, u, acc, term = np.empty((4, dim, dim, m), dtype=complex)
+    term = np.empty((dim, dim, m), dtype=complex)
 
     def product(gen: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.copyto(g, gen.transpose(1, 2, 0))
-        np.copyto(u, state.transpose(1, 2, 0))
-        # acc[i, j] = sum_k u[k, j] g[i, k].  numpy's complex a*b keeps a.re's
-        # products exact in an FMA, so the order sets the last bits: with U
-        # first the a1e3 check's slices multiply to within 2.8e-15 of batched
-        # matmul's, with G first one ulp per slice apart (1.1e-13 over 1,024)
-        np.multiply(u[0], g[:, :1], out=acc)
+        # out[i, j] = sum_k state[k, j] gen[i, k], U first: numpy's complex a*b
+        # keeps a.re's products exact in an FMA, so the order sets the last bits
+        # (a1e3: 2.8e-15 from batched matmul's product; G first, 1.1e-13)
+        np.multiply(state[0], gen[:, :1], out=out)
         for k in range(1, dim):
-            np.multiply(u[k], g[:, k:k + 1], out=term)
-            np.add(acc, term, out=acc)
-        np.copyto(out, acc.transpose(2, 0, 1))
+            np.multiply(state[k], gen[:, k:k + 1], out=term)
+            np.add(out, term, out=out)
         return out
 
     return product
@@ -184,14 +191,16 @@ class _Dop853:
         return self.out_real
 
     def run(self, gen_of_t, shape: tuple, t0: float, t1: float, tol: float):
-        """(U(t1), return code, accepted steps) for dU/dt = G(t) U, U(t0) = 1,
-        at rtol = atol = tol/100, for U and G(t) stacks of the given shape."""
+        """(U(t1) as (M, dim, dim), return code, accepted steps) for dU/dt =
+        G(t) U, U(t0) = 1, at rtol = atol = tol/100; a deep run is slice-last."""
         self.gen_of_t, self.product = gen_of_t, _stack_product(shape)
-        self.out = np.empty(shape, dtype=complex)
+        deep = self.product is not np.matmul
+        eyes = np.tile(np.eye(shape[-1], dtype=complex), (shape[0], 1, 1))
+        eyes = np.ascontiguousarray(eyes.transpose(1, 2, 0)) if deep else eyes
+        self.out = np.empty_like(eyes)
         self.out_real = self.out.view(float).reshape(-1)
         integrator = self.ode._integrator
         integrator.rtol = integrator.atol = tol / 100.0
-        eyes = np.tile(np.eye(shape[-1], dtype=complex), (shape[0], 1, 1))
         self.ode.set_initial_value(eyes.view(float).reshape(-1), t0)
         integrator.call_args[2] = self.solout
         try:
@@ -205,7 +214,8 @@ class _Dop853:
         if error is not None:
             raise error
         accepted = int(integrator.iwork[18])  # NACCPT, DOP853's accepted-step count
-        return y.view(complex).reshape(shape).copy(), self.ode.get_return_code(), accepted
+        u = y.view(complex).reshape(eyes.shape)
+        return (u.transpose(2, 0, 1) if deep else u).copy(), self.ode.get_return_code(), accepted
 
 
 class _ThreadSolvers(threading.local):

@@ -5,6 +5,7 @@ import gc
 import inspect
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,8 +159,11 @@ def _table_stack(rng, h, interaction=False):
     t0 = rng.uniform(0.0, 1.5)
     offsets, gen = oracle.generator_table(h, interaction)(t0, t0 + rng.uniform(1.0, 3.0))
     s = t0 + rng.uniform(0.0, offsets[1])
-    stack = gen(s)
-    assert stack.shape == (len(offsets), h.dim, h.dim) and len(offsets) > 1
+    stack, m = gen(s), len(offsets)
+    if m >= oracle.DEEP_SLICES_PER_DIM * h.dim:  # a deep stack is slice-last
+        assert stack.shape == (h.dim, h.dim, m)
+        stack = stack.transpose(2, 0, 1)
+    assert stack.shape == (m, h.dim, h.dim) and m > 1
     return s + offsets, stack
 
 
@@ -184,6 +188,26 @@ def test_interaction_generator_table_matches_dense_frame(n):
         for t, gen in zip(ts, stack):
             v_int = expm(1j * h0 * t) @ (pham.eval_H(h, t) - h0) @ expm(-1j * h0 * t)
             assert np.abs(gen @ u - (-1j * v_int) @ u).max() < 1e-13
+
+
+@pytest.mark.parametrize("interaction", [False, True])
+def test_deep_generator_stack_is_the_shallow_one_slice_last(monkeypatch, interaction):
+    # from the crossover on, the table writes G slice-last; its values are
+    # bitwise those of the (M, dim, dim) stack, summed entries (n = 1, 2)
+    # and the oscillating model's one row per entry alike
+    rng = np.random.default_rng(80 + interaction)
+    models = [_table_test_model(rng, 1), _table_test_model(rng, 2),
+              oscillating_hamiltonian(1.0, 1.0, 1e3)]
+    for h in models:
+        table = oracle.generator_table(h, interaction)
+        offsets, deep = table(0.3, 20.3)
+        assert len(offsets) >= oracle.DEEP_SLICES_PER_DIM * h.dim
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "DEEP_SLICES_PER_DIM", oracle.SLICE_ENTRIES)
+            shallow = table(0.3, 20.3)[1]
+        for s in 0.3 + rng.uniform(0.0, offsets[1], 3):
+            assert deep(s).shape == (h.dim, h.dim, len(offsets))
+            assert np.array_equal(deep(s).transpose(2, 0, 1), shallow(s))
 
 
 def test_high_frequency_matches_closed_form():
@@ -256,7 +280,7 @@ def test_exception_in_deep_stack_generator_propagates(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_STEPS", 1000)
     m = 2 * oracle.DEEP_SLICES_PER_DIM
     assert oracle._stack_product((m, 2, 2)) is not np.matmul
-    stack = np.tile(np.array([[0, -1j], [-1j, 0]]), (m, 1, 1))
+    stack = np.repeat(np.array([[0, -1j], [-1j, 0]])[:, :, None], m, axis=2)  # slice-last
 
     def gen(t):
         if t > 0.005:
@@ -349,26 +373,62 @@ def test_solver_cache_is_bounded():
     assert _deep_run_growth(tols) < 200 * 40
 
 
+def _fresh_dop853(rhs, y0, t1, tol, solout=None):
+    """y(t1) of dy/dt = rhs(t, y), y(0) = y0, for complex arrays of y0's
+    shape, from a fresh DOP853 solver at tol over [0, t1].  As in the oracle,
+    an exception in rhs makes the derivative NaN, which stops the run within
+    a few hundred calls, and is raised again after the run."""
+    errors = []
+
+    def guarded(t, y):
+        try:
+            return rhs(t, y.view(complex).reshape(y0.shape)).view(float).reshape(-1)
+        except Exception as exc:
+            errors.append(exc)
+            return np.full(y.shape, np.nan)
+
+    fresh = ode(guarded).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
+                                        nsteps=oracle.MAX_STEPS)
+    if solout is not None:
+        fresh.set_solout(solout)
+    fresh.set_initial_value(y0.view(float).reshape(-1), 0.0)
+    with warnings.catch_warnings():
+        # a NaN run ends in a step-size failure, which scipy warns about
+        warnings.filterwarnings("ignore", "dop853", UserWarning)
+        y = fresh.integrate(t1)
+    if errors:
+        raise errors[0]
+    return y.view(complex).reshape(y0.shape)
+
+
 def _stacked_dop853(h, t1, tol, solout=None):
     """The product of the slices' propagators from a fresh DOP853 solver at
     tol on the oracle's stacked right-hand side over [0, t1], at the table's
-    number of slices M > 1."""
+    number of slices M > 1, a shallow stack."""
     dim = h.dim
     offsets, gen = oracle.generator_table(h)(0.0, t1)
     m = len(offsets)
-    assert m > 1
+    assert 1 < m < oracle.DEEP_SLICES_PER_DIM * dim
+    eyes = np.tile(np.eye(dim, dtype=complex), (m, 1, 1))
+    u = _fresh_dop853(lambda t, y: gen(t) @ y, eyes, t1 - offsets[-1], tol, solout)
+    return functools.reduce(lambda done, step: step @ done, u)
+
+
+def test_fresh_solver_helper_stops_and_raises_on_an_exception():
+    # the helpers' runs stop as the oracle's do: at the oracle's million-step
+    # cap, a raising right-hand side ends the run within a few hundred calls
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    calls = []
 
     def rhs(t, y):
-        return (gen(t) @ y.view(complex).reshape(m, dim, dim)).view(float).reshape(-1)
+        calls.append(t)
+        if t > 0.5:
+            raise ValueError("field undefined")
+        return -1j * x @ y
 
-    fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
-                                    nsteps=oracle.MAX_STEPS)
-    if solout is not None:
-        fresh.set_solout(solout)
-    fresh.set_initial_value(np.tile(np.eye(dim, dtype=complex), (m, 1, 1)).view(float).reshape(-1),
-                            0.0)
-    u = fresh.integrate(t1 - offsets[-1]).view(complex).reshape(m, dim, dim)
-    return functools.reduce(lambda done, step: step @ done, u)
+    with pytest.raises(ValueError, match="field undefined"):
+        _fresh_dop853(rhs, np.eye(2, dtype=complex), 1.0, 1e-10)
+    assert len(calls) < 5000
 
 
 def test_shared_solver_runs_at_each_calls_tolerance():
@@ -392,46 +452,60 @@ def test_steps_taken_counts_accepted_steps():
         assert oracle.propagate_ode(h, 0.0, 0.7, tol=tol).steps_taken == len(calls) - 1 > 0
 
 
+def _copied_product(gen, state):
+    """G U of (M, dim, dim) stacks by dim multiply-adds, U first, over
+    slice-last copies of G and U, copied back: the reference for the bits of
+    the deep product, which works on slice-last stacks in place."""
+    dim = gen.shape[-1]
+    g, u = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (gen, state))
+    acc = u[0] * g[:, :1]
+    for k in range(1, dim):
+        acc = acc + u[k] * g[:, k:k + 1]
+    return np.ascontiguousarray(acc.transpose(2, 0, 1))
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_stacked_product_and_chain_match_matmul(dim):
-    # below the crossover the product is numpy's batched matmul and the chain
-    # the product one slice at a time, bitwise; from it on, both agree with
-    # those to rounding (the chain on random unitaries, odd M included)
+    # below the crossover the product is numpy's batched matmul on (M, dim,
+    # dim) stacks and the chain the product one slice at a time, bitwise;
+    # from it on the product takes slice-last (dim, dim, M) stacks, is
+    # bitwise the copy-based product and agrees with matmul to rounding, and
+    # the chain agrees to rounding (on random unitaries, odd M included)
     rng = np.random.default_rng(70 + dim)
     cross = oracle.DEEP_SLICES_PER_DIM * dim
     for m in (cross // 4, cross - 1, cross, cross + 1, oracle.SLICE_ENTRIES // dim**2):
         shape = (m, dim, dim)
         g, u = rng.normal(size=(2, *shape)) + 1j * rng.normal(size=(2, *shape))
-        out = np.empty(shape, dtype=complex)
-        got = oracle._stack_product(shape)(g, u, out=out)
-        assert got is out
         ref = np.matmul(g, u)
         unitaries = np.linalg.qr(g)[0]
         chain = oracle._chain(unitaries)
         one_at_a_time = functools.reduce(lambda done, step: step @ done, unitaries)
+        product = oracle._stack_product(shape)
         if m < cross:
-            assert np.array_equal(got, ref) and np.array_equal(chain, one_at_a_time)
+            out = np.empty(shape, dtype=complex)
+            assert product(g, u, out=out) is out
+            assert np.array_equal(out, ref) and np.array_equal(chain, one_at_a_time)
         else:
+            out = np.empty((dim, dim, m), dtype=complex)
+            last = [np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (g, u)]
+            assert product(*last, out=out) is out
+            got = out.transpose(2, 0, 1)
+            assert np.array_equal(got, _copied_product(g, u))
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
             assert spectral(chain - one_at_a_time) <= 1e-12
 
 
 def _deep_stacked_dop853(h, t1, tol):
     """U(t1) from a fresh DOP853 solver at tol fed by the oracle's own
-    stacked product, and its chain of the slices, at a deep M."""
+    stacked product on slice-last stacks, and its chain of the slices, at a
+    deep M."""
     offsets, gen = oracle.generator_table(h)(0.0, t1)
-    shape = (len(offsets), h.dim, h.dim)
-    product, out = oracle._stack_product(shape), np.empty(shape, dtype=complex)
+    m, dim = len(offsets), h.dim
+    product, out = oracle._stack_product((m, dim, dim)), np.empty((dim, dim, m), dtype=complex)
     assert product is not np.matmul
-
-    def rhs(t, y):
-        return product(gen(t), y.view(complex).reshape(shape), out=out).view(float).reshape(-1)
-
-    fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
-                                    nsteps=oracle.MAX_STEPS)
-    eyes = np.tile(np.eye(h.dim, dtype=complex), (shape[0], 1, 1))
-    fresh.set_initial_value(eyes.view(float).reshape(-1), 0.0)
-    return oracle._chain(fresh.integrate(t1 - offsets[-1]).view(complex).reshape(shape))
+    eyes = np.repeat(np.eye(dim, dtype=complex)[:, :, None], m, axis=2)
+    u = _fresh_dop853(lambda t, y: product(gen(t), y, out=out), eyes, t1 - offsets[-1], tol)
+    return oracle._chain(u.transpose(2, 0, 1).copy())
 
 
 def test_shared_solver_runs_deep_stacks_at_each_calls_tolerance():
@@ -447,13 +521,7 @@ def test_shared_solver_runs_deep_stacks_at_each_calls_tolerance():
 
 def _single_run(gen_of_t, dim, t1, tol):
     """U(t1) of dU/dt = G(t) U, U(0) = 1, by one fresh DOP853 run at tol."""
-    def rhs(t, y):
-        return (gen_of_t(t) @ y.view(complex).reshape(dim, dim)).view(float).reshape(-1)
-
-    fresh = ode(rhs).set_integrator("dop853", rtol=tol / 100.0, atol=tol / 100.0,
-                                    nsteps=oracle.MAX_STEPS)
-    fresh.set_initial_value(np.eye(dim, dtype=complex).view(float).reshape(-1), 0.0)
-    return fresh.integrate(t1).view(complex).reshape(dim, dim)
+    return _fresh_dop853(lambda t, y: gen_of_t(t) @ y, np.eye(dim, dtype=complex), t1, tol)
 
 
 def test_eight_qubits_and_callables_run_unsliced():
