@@ -303,10 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (pham.HamiltonianSpecError, ValueError) as exc:
+    except ValueError as exc:  # InputError and pham.HamiltonianSpecError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except lcu.SimulationAbort as exc:

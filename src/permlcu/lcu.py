@@ -39,7 +39,6 @@ calls once per segment through their modules.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ from . import dyson, pham, sched
 MAX_PIPELINE_QUBITS = 8
 RESIDUAL_ABORT = 10.0
 BOUND_CLAMP_TOL = 1e-9
-_SWAP_BYTES = 1 << 18  # numpy's temporary-elision size, see cosine_branches
 
 
 class TermBoundError(RuntimeError):
@@ -108,13 +106,12 @@ class LCUContext:
     gather: np.ndarray       # (ancilla_dim * 2^n,) flat index: entry (a, z) reads (a, z ^ mask)
 
 
-def cosine_branches(coeff: np.ndarray, bound: np.ndarray,
-                    table_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def cosine_branches(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise unit-modulus branches c+- = e^{i theta}(|u| +- i sqrt(1 - |u|^2))
     of u = coeff/bound = |u| e^{i theta}, so that coeff = bound (c+ + c-)/2;
     ``bound`` broadcasts against ``coeff``, whose last two axes are one
-    segment's table and whose leading axes stack segments (or, given
-    ``table_size``, whose last axis holds entries of a table that size).
+    segment's table (or some of its entries) and whose leading axes stack
+    segments; every entry's branches are the same whatever else shares the call.
     |u| is clamped to 1, and u = 0 gives exactly (i, -i).  A coefficient of
     subnormal magnitude takes theta = 0: its phase is below the roundoff of
     any bound, and coeff/|coeff| would lose its precision.
@@ -146,15 +143,10 @@ def cosine_branches(coeff: np.ndarray, bound: np.ndarray,
     np.sqrt(np.multiply(root, np.add(1.0, ratio, out=plus.real), out=root), out=root)
     plus.real = ratio
     del ratio
-    # unit * conj(c+) with the operand order fixed per table (the last two axes,
-    # terms x z, or table_size entries), so that no value depends on how many
-    # tables share the call or on which of their entries are given: a table of
-    # _SWAP_BYTES or more takes conj(c+) * unit, the order numpy's temporary
-    # elision gives `unit * plus.conj()` there (swapped operands round differently)
+    # c- = unit * conj(c+) in place, in this operand order at every size (numpy's
+    # temporary elision swaps `unit * plus.conj()` from 256 KiB on: other bits)
     minus = plus.conj()
-    size = math.prod(minus.shape[-2:]) if table_size is None else table_size
-    swap = size * minus.itemsize >= _SWAP_BYTES
-    np.multiply(*((minus, unit) if swap else (unit, minus)), out=minus)
+    np.multiply(unit, minus, out=minus)
     return np.multiply(unit, plus, out=plus), minus
 
 
@@ -200,10 +192,9 @@ def _block_contexts(plan: dyson.SegmentPlan, block: dyson.SegmentBlock,
     bound = np.concatenate([block.bound, (2.0 - block.s)[:, None]], axis=1)
     if (bound[:, -1] < 0.0).any():
         raise TermBoundError("s above 2 gives the padding term a negative bound")
-    # the entries' branches, with the operand order of the whole table
+    # the entries' branches, as in the whole table
     entries = plan.entries
-    plus, minus = cosine_branches(block.values, bound.take(entries // dim, axis=1),
-                                  layout.n_terms * dim)
+    plus, minus = cosine_branches(block.values, bound.take(entries // dim, axis=1))
     for branch in (plus, minus):
         np.multiply(plan.factors.take(entries // dim), branch, out=branch)
     phases = np.repeat(np.broadcast_to(tables.fill, (n_seg, len(tables.fill))), dim, axis=1)

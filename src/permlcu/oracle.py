@@ -14,15 +14,14 @@ rate shifted by i(E_row - E_col) and no base.  The ODE is linear, so
 U(t1, t0) = U_M ... U_1 exactly over M equal slices, which one DOP853 run
 steps as one stacked system: a fast phase costs the steps of one slice.  A
 deep stack (M >= `DEEP_SLICES_PER_DIM` dim slices) is slice-last, (dim, dim,
-M), for the whole run, its G U dim elementwise multiply-adds over the slices
-and its U_M ... U_1 a pairwise tree of batched products; a shallow stack is
-(M, dim, dim), with numpy's batched matmul (one BLAS call per slice) and the
-product one slice at a time.  The two-level oscillating model also has an
-exact rotating-frame closed form for frequencies too fast for an ODE.
+M), for the whole run, its G U dim elementwise multiply-adds over the slices;
+a shallow stack is (M, dim, dim), with numpy's batched matmul (one BLAS call
+per slice).  Either way U_M ... U_1 is a pairwise tree of batched products.
+The two-level oscillating model also has an exact rotating-frame closed form
+for frequencies too fast for an ODE.
 """
 from __future__ import annotations
 
-import functools
 import math
 import threading
 import warnings
@@ -40,11 +39,11 @@ MAX_STEPS = 1_000_000  # accepted plus rejected DOP853 steps per call
 SLICE_PHASE = 2.0  # radians the fastest phase turns over one slice
 SLICE_ENTRIES = 4096  # complex entries of a stacked state at most
 # Elementwise products of slice-last stacks beat batched matmul (a BLAS call
-# per slice) from about 16 dim slices on at dim <= 4, never at dim 8; 32 is
-# conservative.  us per product, matmul/elementwise, timeit best of 15, one
-# thread (Xeon, numpy 2.4.6): dim 2: M 8 4.6/4.7, M 32 15/4.6, M 1,024 313/21;
+# per slice) from 16 dim slices on at dim <= 4, the measured crossover (never at
+# dim 8, where M <= 64).  us per product, matmul/elementwise, timeit best of 15,
+# one thread (Xeon, numpy 2.4.6): dim 2: M 8 4.6/4.7, M 32 15/4.6, M 1,024 313/21;
 # dim 4: M 14 6.3/13, M 69 25/19, M 128 45/28; dim 8: M 16 16/45, M 64 31/101.
-DEEP_SLICES_PER_DIM = 32
+DEEP_SLICES_PER_DIM = 16
 # negative IDID return codes of Hairer's DOP853
 _DOP853_FAILURES = {-1: "input is not consistent", -2: f"more than {MAX_STEPS} steps",
                     -3: "step size became too small", -4: "problem is probably stiff"}
@@ -111,7 +110,6 @@ def generator_table(h: PermExpHamiltonian, interaction: bool = False):
 
             return offsets, evaluate
         coefs = coef * np.exp(np.multiply.outer(offsets, rate))
-        coefs = coefs[0] if m == 1 else coefs  # a 1-D product broadcasts faster
         into = (targets + dim**2 * np.arange(m)[:, None]).reshape(-1)
         runs = (starts + len(rate) * np.arange(m)[:, None]).reshape(-1)
         gen = np.zeros((m, dim, dim), dtype=complex)
@@ -150,11 +148,7 @@ def _stack_product(shape: tuple):
 
 
 def _chain(u: np.ndarray) -> np.ndarray:
-    """u[-1] ... u[0]: one slice at a time for a shallow stack, as a pairwise
-    tree of batched products (log2 M levels) for a deep one."""
-    m, dim, _ = u.shape
-    if m < DEEP_SLICES_PER_DIM * dim:
-        return functools.reduce(lambda done, step: step @ done, u)
+    """u[-1] ... u[0] as a pairwise tree of batched products (log2 M levels)."""
     while len(u) > 1:
         pairs = u[1::2] @ u[:len(u) - 1:2]
         u = pairs if len(u) % 2 == 0 else np.concatenate([pairs, u[-1:]])

@@ -175,6 +175,18 @@ def test_cosine_branches_property_rejects_excess(coeff, excess):
         lcu.cosine_branches(np.array([coeff]), np.array([bound]))
 
 
+def test_cosine_branches_do_not_depend_on_the_table_size():
+    # a 512 KiB table, past numpy's 256 KiB temporary-elision size, and its
+    # four 128 KiB quarters, below it: the same branches, byte for byte
+    rng = np.random.default_rng(53)
+    coeff = rng.normal(size=(4096, 8)) + 1j * rng.normal(size=(4096, 8))
+    bound = 1.5 * np.abs(coeff).max(axis=1, keepdims=True)
+    whole = lcu.cosine_branches(coeff, bound)
+    quarters = [lcu.cosine_branches(c, b) for c, b in zip(np.split(coeff, 4), np.split(bound, 4))]
+    for branch, parts in zip(whole, zip(*quarters)):
+        assert branch.tobytes() == np.concatenate(parts).tobytes()
+
+
 # --- state preparation ------------------------------------------------------------
 
 def test_prepare_b_order_zero():
@@ -355,7 +367,8 @@ def assert_contexts_equal_full_table(h, s):
     ("c4-n2", c) for c in ("m0", "m1", "m2", "m3", "m4")] + [
     ("osc-long", c) for c in ("a0", "a1e3", "a1e6")])
 def test_contexts_equal_full_table_branches_on_frozen_cases(workload, case_id):
-    # m0 is all support, m1-m4 and osc-long partly; m2-m4's tables pass lcu._SWAP_BYTES
+    # m0 is all support, m1-m4 and osc-long partly; m2-m4's tables are past
+    # numpy's 256 KiB temporary-elision size
     h, s, _ = frozen_model(workload, case_id)
     assert_contexts_equal_full_table(h, s)
 
@@ -533,7 +546,7 @@ FROZEN_CASES = [("c4-n2", c) for c in ("m0", "m1", "m2", "m3", "m4")] + [
 @pytest.mark.parametrize("workload, case_id", FROZEN_CASES)
 def test_run_full_does_not_depend_on_the_block_size(workload, case_id, monkeypatch):
     # one segment per block, the default, and the whole run in one block
-    # (c4-n2 m0's whole-run LCU tables pass lcu._SWAP_BYTES)
+    # (c4-n2 m0's whole-run LCU tables are past numpy's 256 KiB temporary-elision size)
     h, _, case = frozen_model(workload, case_id)
     psi = haar_state(np.random.default_rng(16), h.dim)
     runs = []

@@ -210,6 +210,19 @@ def test_deep_generator_stack_is_the_shallow_one_slice_last(monkeypatch, interac
             assert np.array_equal(deep(s).transpose(2, 0, 1), shallow(s))
 
 
+@pytest.mark.parametrize("workload, case_id, deep", [
+    ("c4-n2", "m0", False), ("c4-n2", "m1", False), ("c4-n2", "m2", False),
+    ("c4-n2", "m3", False), ("c4-n2", "m4", True),
+    ("osc-long", "a0", False), ("osc-long", "a1e3", True)])
+def test_benchmark_checks_take_their_side_of_the_layout_fork(workload, case_id, deep):
+    # the benchmark's ODE checks, propagate_ode over [0, T]: c4-n2 m4 (M = 69)
+    # and osc-long a1e3 (M = 1,024) are deep, the others shallow, so a change
+    # to the crossover shows here which checks it moves
+    h, _, case = frozen_model(workload, case_id)
+    m = len(oracle.generator_table(h)(0.0, case["t_total"])[0])
+    assert (m >= oracle.DEEP_SLICES_PER_DIM * h.dim) == deep
+
+
 def test_high_frequency_matches_closed_form():
     hf, g, alpha, t = 1.0, 1.0, 1e3, 2.0
     res = oracle.propagate_ode(oscillating_hamiltonian(hf, g, alpha), 0.0, t, tol=1e-10)
@@ -411,7 +424,7 @@ def _stacked_dop853(h, t1, tol, solout=None):
     assert 1 < m < oracle.DEEP_SLICES_PER_DIM * dim
     eyes = np.tile(np.eye(dim, dtype=complex), (m, 1, 1))
     u = _fresh_dop853(lambda t, y: gen(t) @ y, eyes, t1 - offsets[-1], tol, solout)
-    return functools.reduce(lambda done, step: step @ done, u)
+    return oracle._chain(u)
 
 
 def test_fresh_solver_helper_stops_and_raises_on_an_exception():
@@ -467,10 +480,10 @@ def _copied_product(gen, state):
 @pytest.mark.parametrize("dim", [2, 4])
 def test_stacked_product_and_chain_match_matmul(dim):
     # below the crossover the product is numpy's batched matmul on (M, dim,
-    # dim) stacks and the chain the product one slice at a time, bitwise;
-    # from it on the product takes slice-last (dim, dim, M) stacks, is
-    # bitwise the copy-based product and agrees with matmul to rounding, and
-    # the chain agrees to rounding (on random unitaries, odd M included)
+    # dim) stacks, bitwise; from it on the product takes slice-last (dim, dim,
+    # M) stacks, is bitwise the copy-based product and agrees with matmul to
+    # rounding; at every M the chain, a pairwise tree, agrees with the product
+    # one slice at a time to rounding (on random unitaries, odd M included)
     rng = np.random.default_rng(70 + dim)
     cross = oracle.DEEP_SLICES_PER_DIM * dim
     for m in (cross // 4, cross - 1, cross, cross + 1, oracle.SLICE_ENTRIES // dim**2):
@@ -484,7 +497,7 @@ def test_stacked_product_and_chain_match_matmul(dim):
         if m < cross:
             out = np.empty(shape, dtype=complex)
             assert product(g, u, out=out) is out
-            assert np.array_equal(out, ref) and np.array_equal(chain, one_at_a_time)
+            assert np.array_equal(out, ref)
         else:
             out = np.empty((dim, dim, m), dtype=complex)
             last = [np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (g, u)]
@@ -492,7 +505,7 @@ def test_stacked_product_and_chain_match_matmul(dim):
             got = out.transpose(2, 0, 1)
             assert np.array_equal(got, _copied_product(g, u))
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
-            assert spectral(chain - one_at_a_time) <= 1e-12
+        assert spectral(chain - one_at_a_time) <= 1e-12
 
 
 def _deep_stacked_dop853(h, t1, tol):
