@@ -27,9 +27,13 @@ the amplitude support only, the entries with a nonzero d_coeff, with no
 threshold.  A segment's table is its values at the plan's ``entries``, the
 q = 0 row and then the support; every other coefficient is exactly 0.
 
+A term whose growth-table scale product is exactly 0 (a path through a
+padded slot, in exact mode) has bound 0 too; only the plan's ``kept`` terms,
+the others, have their bounds evaluated and rows in the LCU register.
+
 The values depend only on t_w and dt_w, so the plan builds them a block of
 consecutive segments at a time, in one array pass over (block, entries):
-as many segments as fit in BLOCK_BYTES of dense table, at least one.
+as many segments as fit in BLOCK_BYTES of kept-term table, at least one.
 `build_segment(plan, w)` returns a view of the block that holds w; the
 plan keeps one block and builds the next on first need.  Every product
 keeps its operand order at every block size, so no value depends on how
@@ -56,7 +60,7 @@ from . import dd, pham
 from .sched import Schedule
 
 ENUMERATION_GUARD = 100_000_000
-# Dense coefficient-table bytes per block of segments (at least one): the LCU's
+# Kept-term coefficient-table bytes per block of segments (at least one): the LCU's
 # branches and phase table over a block take about six times as many, within 2 MB L2.
 BLOCK_BYTES = 1 << 18
 
@@ -141,10 +145,11 @@ class SegmentPlan:
     Per term, row 0 the q = 0 term: q, cum_mask (of P_{i_q}), factors
     (-i)^q, lam (T, Q) the growth rate of each (i_j, k_j), 0 past q, and
     amp_prod, the product of their scales, both by the schedule mode's
-    `pham.growth_table`.  entries, the flat (term, z) indices of the q = 0
-    row and the support, in table order; per support entry: gap E_z -
-    E_{z_q}, rates_sum, d_coeff, target = z ^ cum_mask and rotated, the
-    place of (-i)^q psi[z] in the four rotations of psi, stacked."""
+    `pham.growth_table`.  kept, the terms with a nonzero amp_prod or on
+    the support.  entries, the flat (term, z) indices of the q = 0 row and
+    the support, in table order; per support entry: gap E_z - E_{z_q},
+    rates_sum, d_coeff, target = z ^ cum_mask and rotated, the place of
+    (-i)^q psi[z] in the four rotations of psi, stacked."""
 
     def __init__(self, h: pham.PermExpHamiltonian, schedule: Schedule):
         self.h, self.schedule = h, schedule
@@ -156,6 +161,10 @@ class SegmentPlan:
         self.dd_rows = len(xs)
         del xs, orders  # freed before the entry-sized index temporaries below
         term, z = np.divmod(self.entries[h.dim:], h.dim)
+        # a support entry keeps its term: a coefficient on a zero bound still raises
+        kept = self.amp_prod != 0
+        kept[term] = True
+        self.kept = np.flatnonzero(kept)
         self.target = (z ^ self.cum_mask[term]).astype(np.min_scalar_type(h.dim))
         self.rotated = (self.q[term] % 4 * h.dim + z).astype(np.min_scalar_type(4 * h.dim))
         self.factors = np.array([(-1j) ** q for q in range(schedule.Q + 1)])[self.q]  # (-i)^q
@@ -261,7 +270,7 @@ class SegmentPlan:
 
     def _build_block(self, ws: range) -> SegmentBlock:
         """The tables of segments ws in one array pass over (B, entries); a
-        term's bound is dt_tilde^q/q! times its factors amp_prod e^{t_w lam}."""
+        kept term's bound is dt_tilde^q/q! times its factors amp_prod e^{t_w lam}."""
         schedule = self.schedule
         t_ws = [schedule.steps[w][0] for w in ws]
         t = np.array(t_ws)
@@ -279,20 +288,21 @@ class SegmentPlan:
         vals *= self._divided[at]
         vals *= self.d_coeff
         # exp(0) = 1 past each term's order: the padding multiplies by 1.0
-        bound = self._per_order[at][:, self.q] * (np.exp(np.multiply.outer(t, self.lam))
-                                                  .prod(axis=2) * self.amp_prod)
+        kept, bound = self.kept, np.zeros((len(ws), len(self)))
+        bound[:, kept] = self._per_order[at][:, self.q[kept]] * (
+            np.exp(np.multiply.outer(t, self.lam[kept])).prod(axis=2) * self.amp_prod[kept])
         return SegmentBlock(ws.start, values, bound, self._s[ws.start:ws.stop])
 
 
 def build_segment(plan: SegmentPlan, w: int) -> SegmentOperator:
     """All Dyson terms of segment w of the plan's schedule, to its order Q:
     a view of the block that holds w.  The schedule is cut into runs of as
-    many segments as fit in BLOCK_BYTES of coefficient table (at least
+    many segments as fit in BLOCK_BYTES of kept-term table (at least
     one); the plan keeps one block, and builds the next on first need."""
     w = range(plan.schedule.r)[w]
     block = plan._block
     if block is None or not 0 <= w - block.start < len(block.s):
-        per = max(1, BLOCK_BYTES // (len(plan) * plan.h.dim * 16))
+        per = max(1, BLOCK_BYTES // (len(plan.kept) * plan.h.dim * 16))
         start = w - w % per
         block = plan._block = plan._build_block(range(start, min(start + per, plan.schedule.r)))
     return SegmentOperator(plan, block, w)

@@ -1,11 +1,13 @@
 """Statevector simulation of the per-segment LCU routine.
 
-The ancilla indexes the plan's Dyson terms: entry 2*t + x couples term t
-(ordered by ascending order q, then lexicographic multi-indices) with the
-cosine-decomposition qubit x.  The preparation B is a real reflection
-sending the all-zero ancilla to the weight state |b>; the controlled unitary
-V_c applies (-i)^q P_{i_q} Phi_{x} per ancilla basis state; oblivious
-amplitude amplification composes A = -W R W^dag R W with W = B^dag V_c B and
+The ancilla indexes the plan's kept Dyson terms: entry 2*r + x couples the
+r-th (ordered by ascending order q, then lexicographic multi-indices) with
+the cosine-decomposition qubit x.  A term with a zero growth-table scale
+product is no row: its zero amplitude would stay 0 through V_c, the gather
+and both reflections.  The preparation B is a real reflection sending the
+all-zero ancilla to the weight state |b>; the controlled unitary V_c
+applies (-i)^q P_{i_q} Phi_{x} per ancilla basis state; oblivious amplitude
+amplification composes A = -W R W^dag R W with W = B^dag V_c B and
 R = I - 2|0><0| on the ancilla.
 
 Since B = B^dag and B|0> = |b>, B R B is the reflection I - 2|b><b| about
@@ -65,8 +67,8 @@ class SimulationAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ancilla bookkeeping: n_terms terms (the plan's Dyson terms plus the
-    padding term), each with its cosine qubit x, on n system qubits."""
+    """Ancilla bookkeeping: n_terms terms (the plan's kept Dyson terms plus
+    the padding term), each with its cosine qubit x, on n system qubits."""
     n_terms: int
     n: int
 
@@ -152,18 +154,20 @@ def cosine_branches(coeff: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, n
 
 class RunTables:
     """What the contexts of a plan's run share, and the contexts of the
-    block last built.  ``fill``: the phase of each ancilla row off the
-    plan's entries, (-i)^q (+-i)."""
+    block last built, over the plan's kept terms: ``row_of``, each term's
+    row pair (kept terms only); ``fill``, the phase of each ancilla row off
+    the plan's entries, (-i)^q (+-i)."""
 
     def __init__(self, plan: dyson.SegmentPlan):
-        h = plan.h
-        self.layout = RegisterLayout(n_terms=len(plan) + 1, n=h.n)
+        h, kept = plan.h, plan.kept
+        self.layout = RegisterLayout(n_terms=len(kept) + 1, n=h.n)
+        self.row_of = np.searchsorted(kept, np.arange(len(plan)))  # a kept term's row pair
         # the mask is below 2^n, so XOR on the flat index a * 2^n + z flips only z
-        masks = np.repeat(np.append(plan.cum_mask, 0), 2)
+        masks = np.repeat(np.append(plan.cum_mask[kept], 0), 2)
         self.gather = (np.arange(self.layout.ancilla_dim * h.dim).reshape(-1, h.dim)
                        ^ masks[:, None]).ravel()
         zero = np.concatenate(cosine_branches(np.zeros(1, dtype=complex), np.ones(1)))
-        self.fill = (np.append(plan.factors, 1.0)[:, None] * zero).ravel()  # 1: padding term
+        self.fill = (np.append(plan.factors[kept], 1.0)[:, None] * zero).ravel()  # 1: padding
         self.block: dyson.SegmentBlock | None = None
         self.contexts: tuple[LCUContext, ...] = ()
 
@@ -185,20 +189,21 @@ def _block_contexts(plan: dyson.SegmentPlan, block: dyson.SegmentBlock,
     TermBoundError naming the segment whose preparation weights drift."""
     layout = tables.layout
     n_seg, dim = len(block.s), 1 << layout.n
-    # row 2t + x: term t, cosine branch x; bound = dt_tilde^q/q! * Gamma-part
-    # in either mode, and the padding term (coefficient 0, mask 0, factor 1)
-    # has bound 2 - s, which brings the total to 2, so the prepared weight
-    # is bound/4 per x branch
-    bound = np.concatenate([block.bound, (2.0 - block.s)[:, None]], axis=1)
+    # row 2 row_of[t] + x: kept term t, cosine branch x; bound = dt_tilde^q/q!
+    # * Gamma-part in either mode, and the padding term (coefficient 0, mask 0,
+    # factor 1) has bound 2 - s, which brings the total to 2, so the prepared
+    # weight is bound/4 per x branch
+    bound = np.concatenate([block.bound[:, plan.kept], (2.0 - block.s)[:, None]], axis=1)
     if (bound[:, -1] < 0.0).any():
         raise TermBoundError("s above 2 gives the padding term a negative bound")
     # the entries' branches, as in the whole table
     entries = plan.entries
-    plus, minus = cosine_branches(block.values, bound.take(entries // dim, axis=1))
+    plus, minus = cosine_branches(block.values, block.bound.take(entries // dim, axis=1))
     for branch in (plus, minus):
         np.multiply(plan.factors.take(entries // dim), branch, out=branch)
     phases = np.repeat(np.broadcast_to(tables.fill, (n_seg, len(tables.fill))), dim, axis=1)
-    at = entries + entries // dim * dim  # entry (t, z): c+ in row 2t, c- in row 2t + 1
+    # entry (t, z): c+ in row 2 row_of[t], c- in the row after it
+    at = tables.row_of.take(entries // dim) * (2 * dim) + entries % dim
     phases[:, at], phases[:, at + dim] = plus, minus
     b = np.repeat(np.sqrt(bound / 4.0), 2, axis=1)
     norm2 = np.array([row @ row for row in b])  # per segment: a stacked sum rounds otherwise

@@ -1,7 +1,10 @@
 """Tests for the resource-formula instantiation."""
+import json
+
 import pytest
 
-from permlcu import costcli, pham, sched
+from dyson_reference import frozen_model
+from permlcu import costcli, dyson, pham, sched
 from permlcu.models import decay_spec, oscillating_hamiltonian
 
 
@@ -90,3 +93,19 @@ def test_params_from_model_extraction():
     assert p.k_od == 3          # XXY touches three qubits
     assert p.L == 2 and p.d == 2
     assert p.n == 3 and p.r == s.r and p.Q == s.Q
+
+
+def test_cost_on_a_padded_model_reads_the_parsers_k(tmp_path, capsys):
+    # c4-n2 m2 pads a K = 1 term to K = 2; the paper's M K register counts the
+    # padded slot, though the LCU simulator keeps no row for a term through it
+    h, s, case = frozen_model("c4-n2", "m2")
+    plan = dyson.SegmentPlan(h, s)
+    assert len(plan.kept) < len(plan)
+    spec = tmp_path / "m2.json"
+    spec.write_text(json.dumps(case["spec"]))
+    assert costcli.main(["cost", str(spec), "--time", str(case["t_total"]),
+                         "--epsilon", str(case["eps"]), "--mode", case["mode"]]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["params"]["M"], payload["params"]["K"], payload["params"]["Q"]) == (2, 2, 6)
+    assert payload["report"]["qubits"] == 6 * 2 + 2 + 2 == 16
+    assert payload["report"]["prep_exact_per_segment"] == 6 * 2 * 2

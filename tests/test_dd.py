@@ -494,6 +494,19 @@ def test_wide_rows_property(case):
 
 # --- many step lengths: one coefficient pass per row --------------------------
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the wide-row kernel orders exact repeats by input position")
+def test_wide_row_of_exact_repeats_in_another_order():
+    # the fault that test_wide_rows_property meets only on some draws.  The row
+    # is well conditioned (1e-16 input perturbations move it 7.6e-16) and is
+    # 1.4e-15 from its 50-digit value in input order, but 6.5e-11 permuted:
+    # inside criterion 1's 1e-10, so the pin is at 1e-12
+    s = 685821.6038016019
+    xs = np.array([s * 1j, -s * 1j, s * 1j, 0, 0, 0, 0, s * 1j])
+    permuted = xs[[7, 5, 6, 1, 3, 4, 0, 2]]
+    assert rel_err(dd.exp_dd_batch(permuted[None, :])[0], mp_exp_dd(xs)) <= 1e-12
+
+
 def steps_reference(xs, dts):
     """Per-step batches e^{dt [x]}, shape (len(dts), B), and the real-part
     bounds of the same values."""

@@ -96,18 +96,23 @@ def test_layout_empty_interaction():
     assert ctx.layout.n_terms == 2 and ctx.layout.ancilla_dim == 4
 
 
-@pytest.mark.parametrize("workload, joint_dim_max", [("c4-n2", 43696), ("osc-long", 512)])
+@pytest.mark.parametrize("workload, joint_dim_max", [("c4-n2", 10928), ("osc-long", 512)])
 def test_layout_on_frozen_cases(workload, joint_dim_max):
-    # the layout counts the plan's terms plus the padding term; the largest
-    # joint dimension is the one a traced benchmark run reports
+    # the layout counts the plan's terms with a nonzero scale product plus the
+    # padding term: c4-n2 m1-m4 drop the terms through their padded slots, m0
+    # and osc-long drop none; the largest joint dimension is the one a traced
+    # benchmark run reports (m0's, 43,696 before the padded terms dropped)
     cases = {"c4-n2": ["m0", "m1", "m2", "m3", "m4"], "osc-long": ["a0", "a1e3", "a1e6"]}
+    kept = {"m0": 1365, "m1": 364, "m2": 1093, "m3": 1093, "m4": 1093}
     joint = []
     for case_id in cases[workload]:
         h, s, _ = frozen_model(workload, case_id)
         plan = dyson.SegmentPlan(h, s)
         tables = lcu.RunTables(plan)
         assert len(plan) == dyson.count_terms(h, s.Q) // h.dim
-        assert tables.layout.n_terms == len(plan) + 1
+        assert np.array_equal(plan.kept, np.flatnonzero(plan.amp_prod))
+        assert len(plan.kept) == kept.get(case_id, len(plan))
+        assert tables.layout.n_terms == len(plan.kept) + 1
         joint += [lcu.build_context(dyson.build_segment(plan, w), tables).layout.joint_dim
                   for w in range(s.r)]
     assert max(joint) == joint_dim_max
@@ -332,9 +337,10 @@ def test_context_names_the_segment_whose_preparation_drifts():
 
 
 def full_table_contexts(seg):
-    """(phase tables, preparation weights) of seg's block built the direct
-    way: cosine_branches over every entry of each segment's whole table,
-    the padding row included, then the factors (-i)^q row by row."""
+    """(phase tables, unnormalized preparation weights) of seg's block built
+    the direct way, over every term's rows: cosine_branches over every entry
+    of each segment's whole table, the padding row included, then the
+    factors (-i)^q row by row."""
     block, plan = seg.block, seg.plan
     n_seg, dim = len(block.s), plan.h.dim
     coeff = np.concatenate([dense_table(plan, block.values),
@@ -345,22 +351,47 @@ def full_table_contexts(seg):
     phases = np.empty((n_seg, 2 * len(factors), dim), dtype=complex)
     np.multiply(factors, plus, out=phases[:, 0::2])
     np.multiply(factors, minus, out=phases[:, 1::2])
-    b = np.repeat(np.sqrt(bound / 4.0), 2, axis=1)
-    b /= np.sqrt([row @ row for row in b])[:, None]
-    return phases, b
+    return phases, np.repeat(np.sqrt(bound / 4.0), 2, axis=1)
+
+
+def kept_rows(plan):
+    """The rows of the whole table that the register keeps: 2t and 2t + 1
+    of each kept term t, then the padding term's two rows."""
+    terms = np.append(plan.kept, len(plan))
+    return np.stack([2 * terms, 2 * terms + 1], axis=1).ravel()
+
+
+def dense_context(seg):
+    """seg's context over every term's rows, the dropped ones included: the
+    register of len(plan) + 1 terms that the LCU built before terms with a
+    zero scale product were dropped."""
+    plan, dim = seg.plan, seg.plan.h.dim
+    phases, weights = full_table_contexts(seg)
+    i = seg.w - seg.block.start
+    layout = lcu.RegisterLayout(n_terms=len(plan) + 1, n=plan.h.n)
+    masks = np.repeat(np.append(plan.cum_mask, 0), 2)
+    gather = (np.arange(layout.joint_dim).reshape(-1, dim) ^ masks[:, None]).ravel()
+    return lcu.LCUContext(layout, weights[i] / np.linalg.norm(weights[i]), phases[i], gather)
 
 
 def assert_contexts_equal_full_table(h, s):
-    # the support-only build is byte-equal to the direct one, signed zeros included
+    # the support-only build is byte-equal to the direct one at the kept rows,
+    # signed zeros included; every dropped term has bound and coefficients exactly 0
     plan = dyson.SegmentPlan(h, s)
     tables = lcu.RunTables(plan)
+    rows = kept_rows(plan)
+    dropped = np.setdiff1d(np.arange(len(plan)), plan.kept)
     for w in range(s.r):
         seg = dyson.build_segment(plan, w)
         ctx = lcu.build_context(seg, tables)
         if w == seg.block.start:
-            phases, b = full_table_contexts(seg)
-        assert ctx.phase_table.tobytes() == phases[w - seg.block.start].tobytes(), w
-        assert ctx.b_amps.tobytes() == b[w - seg.block.start].tobytes(), w
+            phases, weights = full_table_contexts(seg)
+            assert not seg.block.bound[:, dropped].any()
+            assert not dense_table(plan, seg.block.values)[:, dropped].any()
+        i = w - seg.block.start
+        assert ctx.phase_table.tobytes() == phases[i, rows].tobytes(), w
+        b = weights[i, rows]
+        assert ctx.b_amps.tobytes() == (b / np.sqrt(b @ b)).tobytes(), w
 
 
 @pytest.mark.parametrize("workload, case_id", [
@@ -384,6 +415,55 @@ def test_contexts_equal_full_table_branches(case):
 def test_contexts_equal_full_table_branches_at_tiny_amplitudes(mode):
     h = tiny_amplitude_model()
     assert_contexts_equal_full_table(h, sched.build_schedule(h, 1.3, eps=1e-3, mode=mode))
+
+
+def test_a_term_on_the_support_keeps_its_row_on_a_zero_scale(monkeypatch):
+    # a growth table that gives a live slot scale 0 leaves its terms' bounds 0
+    # under nonzero coefficients: they keep their rows, and the context raises
+    h = oscillating_hamiltonian(1.0, 1.0, 2.0)
+    s = sched.build_schedule(h, 1.0, eps=1e-3)
+    growth_table = pham.growth_table
+
+    def zero_first_slot(h, mode):
+        scale, rate = growth_table(h, mode)
+        scale[0, 0] = 0.0
+        return scale, rate
+
+    monkeypatch.setattr(pham, "growth_table", zero_first_slot)
+    plan = dyson.SegmentPlan(h, s)
+    on_support = np.unique(plan.entries // h.dim)
+    assert np.isin(on_support, plan.kept).all() and (plan.amp_prod[on_support] == 0).any()
+    with pytest.raises(lcu.TermBoundError, match="nonzero coefficient on a zero bound"):
+        lcu.build_context(dyson.build_segment(plan, 0), lcu.RunTables(plan))
+
+
+def assert_kept_register_equals_dense(h, s, rng):
+    # the dropped rows start at 0 and stay 0 through V_c, the gather and both
+    # reflections: the kept register's OAA is the dense register's
+    plan = dyson.SegmentPlan(h, s)
+    tables = lcu.RunTables(plan)
+    for w in range(s.r):
+        seg = dyson.build_segment(plan, w)
+        ctx = lcu.build_context(seg, tables)
+        psi = haar_state(rng, h.dim)
+        full = full_statevector_oaa(dense_context(seg), psi)
+        assert np.linalg.norm(lcu.apply_A(ctx, psi) - full[0]) <= 1e-13, w
+    return plan, tables
+
+
+@pytest.mark.parametrize("case_id", ["m1", "m2", "m3", "m4"])
+def test_kept_register_equals_dense_register_on_frozen_cases(case_id):
+    h, s, _ = frozen_model("c4-n2", case_id)
+    assert_kept_register_equals_dense(h, s, np.random.default_rng(92))
+
+
+@settings(max_examples=25, deadline=None)
+@given(partial_support_models(), st.integers(0, 2**32 - 1))
+def test_kept_register_equals_dense_register(case, seed):
+    h, s = case
+    plan, tables = assert_kept_register_equals_dense(h, s, np.random.default_rng(seed))
+    if s.mode == sched.MODE_UNIFORM:  # every slot at the largest scale: no row drops
+        assert tables.layout.n_terms == len(plan) + 1
 
 
 def test_vc_preserves_norm():

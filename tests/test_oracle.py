@@ -318,18 +318,13 @@ def test_exception_in_deep_stack_generator_propagates(monkeypatch):
     assert len(caught) == 1 and "field undefined" in str(caught[0])
 
 
-def _deep_run_growth(tols):
-    """Traced memory growth over 200 runs of a deep stack (the oscillating
-    model at 1e3 rad/time over 0.15: 76 slices of dim 2), cycling tols.  Each
-    run replaces the scipy work arrays of the run before (about 59 KB here),
-    so tracing starts before a first run, and those arrays are traced on both
-    sides of the count."""
-    h, t1 = oscillating_hamiltonian(1.0, 1.0, 1e3), 0.15
-    assert len(oracle.generator_table(h)(0.0, t1)[0]) >= 2 * oracle.DEEP_SLICES_PER_DIM
+def _run_growth(h, t1, tols):
+    """Traced memory growth over 200 runs of h over [0, t1], cycling tols.
+    Each run replaces the scipy work arrays of the run before (about 59 KB
+    for the deep stack of `_deep_run_growth`), so tracing starts before a
+    first run, and those arrays are traced on both sides of the count."""
     for tol in tols:
         oracle.propagate_ode(h, 0.0, t1, tol=tol)
-    # the run's product, with its work buffers, goes with the run
-    assert oracle._SOLVERS.solver.product is None
     gc.collect()
     tracemalloc.start()
     try:
@@ -344,24 +339,24 @@ def _deep_run_growth(tols):
         tracemalloc.stop()
 
 
+def _deep_run_growth(tols):
+    """`_run_growth` of a deep stack: the oscillating model at 1e3 rad/time
+    over 0.15, 76 slices of dim 2."""
+    h, t1 = oscillating_hamiltonian(1.0, 1.0, 1e3), 0.15
+    assert len(oracle.generator_table(h)(0.0, t1)[0]) >= 2 * oracle.DEEP_SLICES_PER_DIM
+    grown = _run_growth(h, t1, tols)
+    # the run's product, with its work buffers, goes with the run
+    assert oracle._SOLVERS.solver.product is None
+    return grown
+
+
 def test_repeated_calls_hold_no_memory():
     # scipy's DOP853 runner never drops the right-hand side and the step
     # callback it is given; a solver made per call would stay in memory with
     # its work arrays (over 2 KB here) and the generator table, and a new
     # step callback per call would stay too (about 70 B each)
     h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(44), n=2))
-    oracle.propagate_ode(h, 0.0, 0.1)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(200):
-            oracle.propagate_ode(h, 0.0, 0.1)
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 200 * 40
+    assert _run_growth(h, 0.1, [1e-10]) < 200 * 40
     assert _deep_run_growth([1e-10]) < 200 * 40
 
 
@@ -370,19 +365,7 @@ def test_solver_cache_is_bounded():
     # no solver per call (scipy's runner would pin each one it has run)
     h = pham.from_pauli_spec(random_model_spec(np.random.default_rng(44), n=2))
     tols = [1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
-    for tol in tols:
-        oracle.propagate_ode(h, 0.0, 0.1, tol=tol)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for k in range(200):
-            oracle.propagate_ode(h, 0.0, 0.1, tol=tols[k % len(tols)])
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 200 * 40
+    assert _run_growth(h, 0.1, tols) < 200 * 40
     assert _deep_run_growth(tols) < 200 * 40
 
 

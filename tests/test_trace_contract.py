@@ -18,7 +18,7 @@ from permlcu import lcu, models, oracle, pham
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 # per workload: divided-difference calls and rows, and the largest joint dimension
-COUNTS = {"c4-n2": (1, 6183, 43696), "osc-long": (2, 48, 512)}
+COUNTS = {"c4-n2": (1, 6183, 10928), "osc-long": (2, 48, 512)}
 
 
 def load_spans():
