@@ -28,8 +28,8 @@ threshold.  A segment's table is its values at the plan's ``entries``, the
 q = 0 row and then the support; every other coefficient is exactly 0.
 
 A term whose growth-table scale product is exactly 0 (a path through a
-padded slot, in exact mode) has bound 0 too; only the plan's ``kept`` terms,
-the others, have their bounds evaluated and rows in the LCU register.
+padded slot, in exact mode) has bound 0 too.  The plan's ``kept`` terms are
+the rest: only they have their bounds evaluated and rows in the LCU register.
 
 The values depend only on t_w and dt_w, so the plan builds them a block of
 consecutive segments at a time, in one array pass over (block, entries):

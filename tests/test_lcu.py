@@ -446,8 +446,12 @@ def assert_kept_register_equals_dense(h, s, rng):
         seg = dyson.build_segment(plan, w)
         ctx = lcu.build_context(seg, tables)
         psi = haar_state(rng, h.dim)
-        full = full_statevector_oaa(dense_context(seg), psi)
-        assert np.linalg.norm(lcu.apply_A(ctx, psi) - full[0]) <= 1e-13, w
+        dense = dense_context(seg)
+        full = full_statevector_oaa(dense, psi)
+        # the dense reference's sums over its ancilla rows round: 1.2e-13 on a
+        # uniform-mode draw of 10,924 rows, where no row drops
+        tol = max(1e-13, 2e-15 * math.sqrt(dense.layout.ancilla_dim))
+        assert np.linalg.norm(lcu.apply_A(ctx, psi) - full[0]) <= tol, w
     return plan, tables
 
 
