@@ -17,7 +17,12 @@ depends only on the model and the truncation order, and the step lengths
 are known before the first segment, so a `SegmentPlan` enumerates the
 permutation paths once per run into flat arrays over the terms of all
 orders, and evaluates the divided differences of every distinct step
-length in one `dd.exp_dd_steps` call, the rows of every order together.
+length in one `dd.exp_dd_paths` call, the rows of every order together.
+The sub-paths of a path are paths of the plan, and the row of each is a
+run of the path's row less the run's last input; so for the pairs of a
+row and a step beyond the series range the plan hands over, for every
+row and split, the rows of its prefix and suffix, and `dd` squares those
+pairs over the plan's own rows instead of one by one in its kernel.
 
 A term whose d_coeff = prod_j D_{i_j,k_j}(z_j) is exactly 0 vanishes
 whatever its divided difference: a path through a zero-padded exponential
@@ -139,8 +144,10 @@ class SegmentPlan:
     """The Dyson segments of h over one schedule, less their phases and
     bounds at t_w: the permutation paths to order Q, and the divided
     differences at every distinct step length of the entries on the
-    amplitude support, all orders in one `dd.exp_dd_steps` call.  Built
-    once per run; ``dd_rows`` counts the rows evaluated.
+    amplitude support, all orders in one `dd.exp_dd_paths` call, its wide
+    pairs squared over the plan's rows by way of `_splits`.  Built once per
+    run; ``dd_rows`` counts the rows evaluated, ``squared_pairs`` the wide
+    (row, step) pairs squared and ``squaring_work`` their rows times levels.
 
     Per term, row 0 the q = 0 term: q, cum_mask (of P_{i_q}), factors
     (-i)^q, lam (T, Q) the growth rate of each (i_j, k_j), 0 past q, and
@@ -157,7 +164,8 @@ class SegmentPlan:
         # evaluated after the enumeration has returned and freed its temporaries
         steps = sorted({dt for _, dt in schedule.steps})
         self._step_index = {dt: i for i, dt in enumerate(steps)}
-        self._divided = dd.exp_dd_steps(xs, steps, orders)  # (steps, S)
+        self._divided, self.squared_pairs, self.squaring_work = dd.exp_dd_paths(
+            xs, steps, orders, self._splits)  # (steps, S)
         self.dd_rows = len(xs)
         del xs, orders  # freed before the entry-sized index temporaries below
         term, z = np.divmod(self.entries[h.dim:], h.dim)
@@ -259,6 +267,40 @@ class SegmentPlan:
         self.gap, self.rates_sum, self.d_coeff = (a[:at] for a in (gap, rates_sum, d_coeff))
         self.entries = entries[:dim + at]
         return xs[:at], orders[:at]
+
+    def _splits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two tables (S, Q - 1) of support rows: for a support row of order
+        q and k = 1..q-1, column k - 1 holds the row of its path's prefix
+        (ops 1..k, from z_0) and that of its suffix (ops k+1..q, from z_k);
+        S where the sub-path is off the support (its amplitude product
+        underflowed while the whole path's did not) and past q - 1.  In the
+        smallest index dtype; `dd.exp_dd_paths` asks for them only when a
+        pair is wide.
+
+        Within order q, term t = I n_k^q + K with I and K the base-n_i and
+        base-n_k digits of i_q and k_q, so a sub-path's term is read from
+        the digits, and z_k = z_0 ^ cum_mask of the prefix."""
+        n_i, n_k, dim = len(self.h.vterms), self.h.num_exp_terms, self.h.dim
+        support = self.entries[dim:]
+        n = len(support)
+        pre = np.full((n, max(self.schedule.Q - 1, 0)), n, dtype=np.min_scalar_type(n))
+        suf = pre.copy()
+        term, z0 = np.divmod(support, dim)
+        q = self.q[term]
+        first = np.searchsorted(self.q, np.arange(self.schedule.Q + 1))  # term of each order
+        # one (row, k) pair per inner split: column k - 1 of row r
+        r, col = np.nonzero(np.arange(1, pre.shape[1] + 1) < q[:, None])
+        k, q = col + 1, q[r]
+        ni, nk = n_i ** (q - k), n_k ** (q - k)
+        big_i, big_k = np.divmod(term[r] - first[q], n_k ** q)
+        t_pre = first[k] + big_i // ni * n_k ** k + big_k // nk
+        t_suf = first[q - k] + big_i % ni * nk + big_k % nk
+        z0, z_k = z0[r], z0[r] ^ self.cum_mask[t_pre]
+        for table, flat in ((pre, t_pre * dim + z0), (suf, t_suf * dim + z_k)):
+            at = np.minimum(np.searchsorted(support, flat), n - 1)
+            on = support[at] == flat
+            table[r[on], col[on]] = at[on]
+        return pre, suf
 
     def __len__(self) -> int:
         return len(self.q)

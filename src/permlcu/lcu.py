@@ -280,7 +280,10 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
     is projected back to |0...0> and the system renormalized; the projection
     deficit and the direction residual against `SegmentOperator.apply` are
     recorded per segment.  A residual above RESIDUAL_ABORT * eps / r,
-    or a non-finite one, aborts with diagnostics attached.
+    or a non-finite one, aborts with diagnostics attached.  The plan's work
+    counters are deterministic: ``dd_rows``, its divided-difference rows,
+    ``squared_pairs``, its wide (row, step) pairs squared over its rows,
+    and ``squaring_work``, that squaring's rows times levels.
 
     psi_system must be a finite, nonzero vector of length 2^n; it is
     normalized.  Any other state raises ValueError before the schedule is
@@ -326,5 +329,6 @@ def run_full(h: pham.PermExpHamiltonian, t_total: float, eps: float,
         "r": schedule.r, "Q": schedule.Q,
         "residuals": residuals, "deficits": deficits,
         "total_deficit": float(sum(deficits)), "dd_rows": plan.dd_rows,
+        "squared_pairs": plan.squared_pairs, "squaring_work": plan.squaring_work,
     }
     return final, diagnostics

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from dyson_reference import dense_coefficients, frozen_model
-from permlcu import dd, oracle
+from permlcu import dd, dyson, models, oracle, pham, sched
 
 LN2 = math.log(2.0)
 
@@ -723,3 +723,129 @@ def test_series_band_rows_against_mpmath():
         for dt, value in zip(dts, got):
             ref = mp_pair_at(dt, xs) if q == 1 else mp_exp_dd_at(dt, xs)
             assert rel_err(value, ref) <= 1e-10, (xs, dt)
+
+
+# --- plan-level squaring (exp_dd_paths) ---------------------------------------
+
+def plan_call(h, schedule):
+    """The plan of h over schedule, and the rows, steps, orders and split
+    tables it hands dd.exp_dd_paths."""
+    calls = []
+    real = dd.exp_dd_paths
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd, "exp_dd_paths", lambda xs, dts, q, splits:
+                   calls.append((xs, np.asarray(dts), q.astype(np.intp), splits))
+                   or real(xs, dts, q, splits))
+        plan = dyson.SegmentPlan(h, schedule)
+    ((xs, dts, q, splits),) = calls
+    return plan, xs, dts, q, splits()
+
+
+def wide_pairs(xs, q, dts):
+    """(S, B) mask of the pairs beyond the series cutoff."""
+    _, spread = dd._mean_spread(xs, q)
+    return spread[None, :] * np.abs(dts)[:, None] > dd.SERIES_SPREAD_CUTOFF
+
+
+def real_part_bounds(xs, q, dts):
+    """dt^q e^{[dt Re x]} of every row at every step, (S, B)."""
+    bound = np.zeros((len(dts), len(xs)))
+    for k in np.unique(q).tolist():
+        of_k = q == k
+        for i, dt in enumerate(dts):
+            bound[i, of_k] = dt**k * dd.exp_dd_bound_batch(dt * xs[of_k, :k + 1])
+    return bound
+
+
+@pytest.mark.parametrize("workload, case_id, n_steps, sample", [
+    ("c4-n2", "m4", 2, 12), ("osc-long", "a1e3", 2, None), ("osc-long", "a1e6", 2, None)])
+def test_squared_wide_pairs_of_the_frozen_workloads_against_mpmath(workload, case_id,
+                                                                   n_steps, sample):
+    # the plan's own values at its wide pairs: m4's at its two long steps
+    # (4.24 and 20.5; 12 pairs of each), every pair of a1e3 and a1e6, against
+    # the reference at the inputs dt * x rounded to doubles, as the squaring
+    # and the kernel both see them (at 1e6, rounding dt * x alone moves a
+    # value by 1.5e-11).  Over all 6,183 of m4 the worst was 3.0e-13 (99th
+    # percentile 4.8e-14), against 1.95e-13 (1.1e-14) for the kernel.
+    h, schedule, _ = frozen_model(workload, case_id)
+    plan, xs, dts, q, _ = plan_call(h, schedule)
+    wide = wide_pairs(xs, q, dts)
+    assert plan.squared_pairs == np.count_nonzero(wide)
+    rng = np.random.default_rng(27)
+    at = np.flatnonzero(wide.any(axis=1))
+    assert len(at) == n_steps
+    for i in at:
+        rows = np.flatnonzero(wide[i])
+        if sample is not None:
+            rows = rng.choice(rows, size=sample, replace=False)
+        for b in rows:
+            ref = dts[i]**q[b] * mp_exp_dd(dts[i] * xs[b, :q[b] + 1])
+            assert rel_err(plan.divided(dts[i])[b], ref) <= 1e-12, (dts[i], xs[b, :q[b] + 1])
+
+
+@seed(20261022)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3))
+def test_squared_pairs_property_against_the_kernel(model_seed, n):
+    # a random model's plan rows at steps 3-40: every wide pair within
+    # 1e-14 of its real-part bound of the kernel's value (at most 1.3e-15
+    # over 60 models), and every series pair with the bits of exp_dd_steps.
+    # Relative to the value the squaring is not as close: on the 160 pairs
+    # of 40 models whose values are smallest against their bounds (down to
+    # 1.5e-9 of it), the worst error against 50 digits was 4.4e-11, against
+    # 1.3e-12 for the kernel.
+    rng = np.random.default_rng(model_seed)
+    h = pham.from_pauli_spec(models.random_model_spec(rng, n=n))
+    plan, xs, _, q, (pre, suf) = plan_call(h, sched.build_schedule(h, 1.0, eps=1e-3))
+    dts = np.sort(rng.uniform(3.0, 40.0, 3))
+    got, squared, work = dd.exp_dd_paths(xs, dts, q, lambda: (pre, suf))
+    ref = dd.exp_dd_steps(xs, dts, q)
+    wide = wide_pairs(xs, q, dts)
+    assert squared == np.count_nonzero(wide) and (work > 0) == wide.any()
+    bound = real_part_bounds(xs, q, dts)
+    assert (np.abs(got - ref)[wide] <= 1e-14 * bound[wide]).all()
+    assert got[~wide].tobytes() == ref[~wide].tobytes()
+
+
+def test_rows_with_a_split_off_the_plan_take_the_kernel(monkeypatch):
+    # a row whose sub-path is not a row (forced here: its first prefix), and
+    # every row that reaches it through splits, take the kernel, bitwise
+    # with exp_dd_steps; the kernel sees only their pairs
+    rng = np.random.default_rng(7)
+    h = pham.from_pauli_spec(models.random_model_spec(rng, n=2))
+    _, xs, _, q, (pre, suf) = plan_call(h, sched.build_schedule(h, 1.0, eps=1e-3))
+    dts = np.array([3.0, 11.0, 37.0])
+    wide = wide_pairs(xs, q, dts)
+    forced = int(np.flatnonzero((q == 3) & wide.any(axis=0))[0])
+    pre = pre.copy()
+    pre[forced, 0] = len(xs)
+    off = np.zeros(len(xs), dtype=bool)
+    off[forced] = True
+    for k in range(4, q.max() + 1):  # ascending: rows reaching an earlier one
+        of_k = np.flatnonzero(q == k)
+        off[of_k] = (off[pre[of_k, :k - 1]] | off[suf[of_k, :k - 1]]).any(axis=1)
+    assert off.sum() > 1
+    handed = []
+    real = dd.exp_dd_batch
+    monkeypatch.setattr(dd, "exp_dd_batch", lambda xs, q=None: handed.append(len(xs))
+                        or real(xs, q))
+    got, squared, _ = dd.exp_dd_paths(xs, dts, q, lambda: (pre, suf))
+    assert handed == [np.count_nonzero(wide[:, off])]
+    assert squared == np.count_nonzero(wide[:, ~off])
+    monkeypatch.undo()
+    ref = dd.exp_dd_steps(xs, dts, q)
+    kernel = wide & off[None, :]
+    assert got[kernel].tobytes() == ref[kernel].tobytes()
+    bound = real_part_bounds(xs, q, dts)
+    rest = wide & ~off[None, :]
+    assert (np.abs(got - ref)[rest] <= 1e-14 * bound[rest]).all()
+
+
+def test_paths_without_a_wide_pair_build_no_splits():
+    # the split tables are asked for only when some pair is wide, and the
+    # values are then exp_dd_steps' to the bit
+    xs = np.array([[0.3j, -0.2, 0.0], [0.1, 0.0, 0.0]])
+    q = np.array([2, 1])
+    got, squared, work = dd.exp_dd_paths(xs, [0.5, 2.0], q, lambda: pytest.fail("built"))
+    assert (squared, work) == (0, 0)
+    assert got.tobytes() == dd.exp_dd_steps(xs, [0.5, 2.0], q).tobytes()

@@ -450,9 +450,9 @@ def test_plan_reuses_divided_differences_of_equal_steps(monkeypatch):
     steps = sorted(set(dt for _, dt in s.steps))
     assert len(steps) == 2
     calls, rows = [], []
-    real_steps, real_coefficients = dd.exp_dd_steps, dd._coefficients
-    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts, q=None:
-                        calls.append((len(xs), list(dts), q)) or real_steps(xs, dts, q))
+    real_paths, real_coefficients = dd.exp_dd_paths, dd._coefficients
+    monkeypatch.setattr(dd, "exp_dd_paths", lambda xs, dts, q, splits:
+                        calls.append((len(xs), list(dts), q)) or real_paths(xs, dts, q, splits))
     monkeypatch.setattr(dd, "_coefficients", lambda zs, q, radius:
                         rows.append(len(zs)) or real_coefficients(zs, q, radius))
     plan = dyson.SegmentPlan(h, s)
@@ -489,14 +489,14 @@ def test_plan_values_match_per_step_batches(mode, monkeypatch):
     # every order at every distinct step, against dd.exp_dd_batch on that
     # order's rows at that step alone: within 1e-12 of each value's
     # real-part bound (per entry, both carry the series' error of up to
-    # ~1e-10 at shifted spreads 9-12), and equal where the pair is beyond
-    # the series cutoff
+    # ~1e-10 at shifted spreads 9-12), and within 1e-14 of it where the
+    # pair is beyond the series cutoff, which the plan squares over its rows
     h = pham.from_pauli_spec(DECAYING_WIDE_SPEC)
     s = sched.build_schedule(h, 3.0, eps=1e-3, mode=mode)
     calls = []
-    real = dd.exp_dd_steps
-    monkeypatch.setattr(dd, "exp_dd_steps",
-                        lambda xs, dts, q=None: calls.append((xs, q)) or real(xs, dts, q))
+    real = dd.exp_dd_paths
+    monkeypatch.setattr(dd, "exp_dd_paths", lambda xs, dts, q, splits:
+                        calls.append((xs, q)) or real(xs, dts, q, splits))
     plan = dyson.SegmentPlan(h, s)
     steps = sorted(set(dt for _, dt in s.steps))
     ((rows, orders),) = calls  # one call per plan
@@ -516,14 +516,87 @@ def test_plan_values_match_per_step_batches(mode, monkeypatch):
             ref = dt**q * dd.exp_dd_batch(dt * xs)
             bound = dt**q * dd.exp_dd_bound_batch(dt * xs)
             assert (np.abs(got - ref) <= 1e-12 * bound).all(), (q, dt)
-            assert np.array_equal(got[wide_at_dt], ref[wide_at_dt])
-    assert crossing > 0
+            assert (np.abs(got - ref)[wide_at_dt] <= 1e-14 * bound[wide_at_dt]).all(), (q, dt)
+    assert crossing > 0 and plan.squared_pairs > 0
     # off the support every coefficient is exactly 0, and on it none is
     on = np.zeros(len(plan) * h.dim, dtype=bool)
     on[plan.entries] = True
     for w in range(s.r):
         coeff = dense_table(plan, dyson.build_segment(plan, w).blocks.values).ravel()
         assert not coeff[~on].any() and coeff[on].all()
+
+
+def decoded_splits(plan):
+    """The split tables of `SegmentPlan._splits`, by brute force: each support
+    row's path (i_q, k_q) from z, its prefixes from z and its suffixes from
+    the state they start in, looked up among the support entries."""
+    h, q_max = plan.h, plan.schedule.Q
+    index = multi_indices(h, q_max)
+    row_of = {}
+    for row, entry in enumerate(plan.entries[h.dim:].tolist()):
+        term, z = divmod(entry, h.dim)
+        _, iq, kq = index[term]
+        row_of[iq, kq, z] = row
+    n = len(row_of)
+    pre, suf = np.full((n, q_max - 1), n), np.full((n, q_max - 1), n)
+    for (iq, kq, z), row in row_of.items():
+        z_k = z
+        for k in range(1, len(iq)):
+            z_k ^= h.vterms[iq[k - 1]].mask
+            pre[row, k - 1] = row_of.get((iq[:k], kq[:k], z), n)
+            suf[row, k - 1] = row_of.get((iq[k:], kq[k:], z_k), n)
+    return pre, suf
+
+
+def underflow_model():
+    """Amplitudes 1e20 and 1e-170 on two masks: the path (big, tiny, tiny)
+    is on the support (1e-320), its suffix (tiny, tiny) underflows to 0.
+    Built directly, as tiny_amplitude_model."""
+    def term(mask, amp, rate):
+        return pham.PermTerm(mask=mask, exp_terms=(pham.ExpTerm(
+            rate=np.full(4, rate, dtype=complex), amp=np.full(4, amp, dtype=complex)),))
+    return pham.PermExpHamiltonian(
+        n=2, h0_diag=np.array([0.7, -0.7, 0.7, -0.7]), h0_zterms=((0.7, 1),),
+        vterms=(term(2, 1e20, -0.2), term(1, 1e-170, 0.0)))
+
+
+def test_split_tables_match_a_decode_of_each_rows_sub_paths():
+    # on a partial support (the padded YY slot) and on a support where a
+    # sub-path underflows while its path does not; the suffix rows hold the
+    # run of the row's inputs they span to the bit, the prefix rows that run
+    # less its last input
+    h = pham.from_pauli_spec(DECAYING_WIDE_SPEC)
+    s = sched.build_schedule(h, 3.0, eps=1e-3)
+    calls = []
+    real = dd.exp_dd_paths
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd, "exp_dd_paths", lambda xs, dts, q, splits:
+                   calls.append((xs, q)) or real(xs, dts, q, splits))
+        plan = dyson.SegmentPlan(h, s)
+    ((xs, orders),) = calls
+    pre, suf = plan._splits()
+    n = len(plan.gap)
+    assert pre.dtype == suf.dtype == np.min_scalar_type(n) and pre.shape == (n, s.Q - 1)
+    expect = decoded_splits(plan)
+    assert np.array_equal(pre, expect[0]) and np.array_equal(suf, expect[1])
+    assert (pre < n).all(axis=None, where=np.arange(1, s.Q) < orders[:, None])
+    for r, q in enumerate(orders.tolist()):
+        for k in range(1, q):
+            p, f = pre[r, k - 1], suf[r, k - 1]
+            assert orders[p] == k and orders[f] == q - k
+            assert xs[f, :q - k + 1].tobytes() == xs[r, k:q + 1].tobytes()
+            np.testing.assert_allclose(xs[p, :k + 1], xs[r, :k + 1] - xs[r, k],
+                                       rtol=0, atol=1e-13 * np.abs(xs[r]).max())
+    # the schedule of a like model with moderate amplitudes: the plan's
+    # tables do not depend on its steps
+    big = underflow_model()
+    small = replace(big, vterms=tuple(replace(t, exp_terms=(replace(
+        t.exp_terms[0], amp=np.full(4, 0.5 + 0j)),)) for t in big.vterms))
+    plan = dyson.SegmentPlan(big, sched.build_schedule(small, 1.0, eps=1e-3))
+    pre, suf = plan._splits()
+    expect = decoded_splits(plan)
+    assert np.array_equal(pre, expect[0]) and np.array_equal(suf, expect[1])
+    assert (suf == len(plan.gap)).any() and plan.schedule.Q >= 3
 
 
 def test_exact_bounds_are_per_path_growth_products():
@@ -569,7 +642,7 @@ def test_padded_slot_paths_have_zero_coefficients():
 
 
 def assert_plan_matches_dense_build(h, s):
-    """The plan hands exp_dd_steps the dense rows of the entries with a
+    """The plan hands exp_dd_paths the dense rows of the entries with a
     nonzero d_coeff, and nothing else; given the dense build's divided
     differences there, every segment's table and matrix equal the dense
     build's bitwise.  With the real kernel they agree to within 1e-12 of
@@ -583,19 +656,19 @@ def assert_plan_matches_dense_build(h, s):
         dense_vals.append(real(xs, dts))
         return dense_vals[-1]
 
-    def served(xs, dts, q):
+    def served(xs, dts, q, splits):
         # one call: the support rows of every order, ascending, zero-padded
         assert np.array_equal(q, np.repeat(np.arange(1, s.Q + 1), list(map(len, supports))))
         for k, support in enumerate(supports, start=1):
             assert np.array_equal(xs[q == k, :k + 1], dense_rows[k - 1][support])
             assert not xs[q == k, k + 1:].any()
         return np.concatenate([vals[:, support] for vals, support in zip(dense_vals, supports)],
-                              axis=1)
+                              axis=1), 0, 0
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dd, "exp_dd_steps", record)
         dense, supports = dense_coefficients(h, s)
-        mp.setattr(dd, "exp_dd_steps", served)
+        mp.setattr(dd, "exp_dd_paths", served)
         plan = dyson.SegmentPlan(h, s)
     evaluated = dyson.SegmentPlan(h, s)
     assert plan.dd_rows == evaluated.dd_rows == sum(map(len, supports))
@@ -637,17 +710,18 @@ def test_support_keeps_tiny_amplitudes():
 
 
 @pytest.mark.parametrize("workload, case_id, rows, support, series_rows", [
-    ("c4-n2", "m4", 21840, 4368, 4356), ("osc-long", "a1e3", 252, 12, 0)])
+    ("c4-n2", "m4", 21840, 4368, 4356), ("osc-long", "a1e3", 252, 12, 10)])
 def test_plan_support_row_counts_on_frozen_cases(workload, case_id, rows, support,
                                                  series_rows, monkeypatch):
     # the plan evaluates the support rows only; those of order >= 2 with a
-    # step in the series range go through the coefficient pass (a1e3's are
-    # all wide, and m4's 12 of order 1 take dd._exp_dd_pair)
+    # step in the series range go through the coefficient pass, and so do
+    # those with a base step of the squaring in range only (a1e3's 10 are
+    # wide at both steps; m4's and a1e3's 2 of order 1 take dd._exp_dd_pair)
     h, s, _ = frozen_model(workload, case_id)
     handed, passed = [], []
-    real_steps, real_coefficients = dd.exp_dd_steps, dd._coefficients
-    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts, q=None:
-                        handed.append(len(xs)) or real_steps(xs, dts, q))
+    real_paths, real_coefficients = dd.exp_dd_paths, dd._coefficients
+    monkeypatch.setattr(dd, "exp_dd_paths", lambda xs, dts, q, splits:
+                        handed.append(len(xs)) or real_paths(xs, dts, q, splits))
     monkeypatch.setattr(dd, "_coefficients", lambda zs, q, radius:
                         passed.append(len(zs)) or real_coefficients(zs, q, radius))
     plan = dyson.SegmentPlan(h, s)
@@ -723,7 +797,7 @@ def test_alt_reads_the_plan(monkeypatch):
     plan = dyson.SegmentPlan(h, s)
     fresh = {w: dyson.alt_segment_unitary(dyson.SegmentPlan(h, s), w) for w in (0, s.r - 1)}
     calls = []
-    for name in ("exp_dd_steps", "exp_dd_batch"):
+    for name in ("exp_dd_paths", "exp_dd_steps", "exp_dd_batch"):
         real = getattr(dd, name)
         monkeypatch.setattr(dd, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))

@@ -678,8 +678,9 @@ def test_run_full_v_zero_is_diagonal_phase():
     expect = np.exp(-1j * h.h0_diag * 2.5) * psi
     np.testing.assert_allclose(final.system_block(0), expect, atol=1e-12)
     assert diag["r"] == 1 and abs(diag["total_deficit"]) <= 1e-12
-    assert set(diag) == {"r", "Q", "residuals", "deficits", "total_deficit", "dd_rows"}
-    assert diag["dd_rows"] == 0
+    assert set(diag) == {"r", "Q", "residuals", "deficits", "total_deficit", "dd_rows",
+                         "squared_pairs", "squaring_work"}
+    assert diag["dd_rows"] == diag["squared_pairs"] == diag["squaring_work"] == 0
     assert not np.shares_memory(final.system_block(0), final.amps)
 
 
@@ -856,9 +857,9 @@ def test_run_full_divided_difference_work_per_run(monkeypatch):
     h = oscillating_hamiltonian(1.0, 1.0, 0.0)
     psi = np.full(2, 1 / math.sqrt(2), dtype=complex)
     steps, orders = [], []
-    real = dd.exp_dd_steps
-    monkeypatch.setattr(dd, "exp_dd_steps", lambda xs, dts, q=None:
-                        steps.append(len(dts)) or orders.append(set(q)) or real(xs, dts, q))
+    real = dd.exp_dd_paths
+    monkeypatch.setattr(dd, "exp_dd_paths", lambda xs, dts, q, splits:
+                        steps.append(len(dts)) or orders.append(set(q)) or real(xs, dts, q, splits))
     first_final, diag = lcu.run_full(h, 10.0, 1e-3, psi)
     first = len(steps)
     second_final, _ = lcu.run_full(h, 10.0, 1e-3, psi)
@@ -873,14 +874,17 @@ def test_run_full_reports_the_rows_it_evaluates(monkeypatch):
     # rows out of 21,840
     h, s, case = frozen_model("c4-n2", "m4")
     handed = []
-    real = dd.exp_dd_steps
-    monkeypatch.setattr(dd, "exp_dd_steps",
-                        lambda xs, dts, q=None: handed.append(len(xs)) or real(xs, dts, q))
+    real = dd.exp_dd_paths
+    monkeypatch.setattr(dd, "exp_dd_paths", lambda xs, dts, q, splits:
+                        handed.append(len(xs)) or real(xs, dts, q, splits))
     _, diag = lcu.run_full(h, case["t_total"], case["eps"], np.full(h.dim, 0.5, dtype=complex),
                            mode=case["mode"])
     assert (diag["r"], diag["Q"]) == (case["expect"]["r"], case["expect"]["Q"]) == (s.r, s.Q)
     assert len(handed) == 1  # one call per run
     assert diag["dd_rows"] == sum(handed) == 4368
+    # its 6,183 wide (row, step) pairs are squared over the plan's rows: all
+    # 4,368 rows through 2 and 4 levels at the two long steps
+    assert (diag["squared_pairs"], diag["squaring_work"]) == (6183, 4368 * (2 + 4))
 
 
 def test_run_full_builds_one_statevector(monkeypatch):
