@@ -716,7 +716,7 @@ def test_plan_support_row_counts_on_frozen_cases(workload, case_id, rows, suppor
     # the plan evaluates the support rows only; those of order >= 2 with a
     # step in the series range go through the coefficient pass, and so do
     # those with a base step of the squaring in range only (a1e3's 10 are
-    # wide at both steps; m4's and a1e3's 2 of order 1 take dd._exp_dd_pair)
+    # wide at both steps; m4's 12 and a1e3's 2 of order 1 take dd._exp_dd_pair)
     h, s, _ = frozen_model(workload, case_id)
     handed, passed = [], []
     real_paths, real_coefficients = dd.exp_dd_paths, dd._coefficients
